@@ -10,9 +10,10 @@ semantic-concept URIs taken from the assertion vocabulary (semantic).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import OracleLimitError, VocabularyError
 from .names import QName, normalize_uri
@@ -275,11 +276,22 @@ def enumerate_alternatives_oracle(expr: PolicyExpr) -> NormalForm:
     return NormalForm.of(_enumerate(expr))
 
 
+# Distinct modelReference tuples whose normalized sets are kept.  Entries are
+# keyed by the URI tuple itself, never by the QName that declared it, so a
+# vocabulary that changes a declaration can never meet a stale entry.
+URI_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=URI_CACHE_SIZE)
+def _normalized_uris(model_reference: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(normalize_uri(uri) for uri in model_reference)
+
+
 def _model_reference_set(decl: Any) -> frozenset[str]:
     annotation = getattr(decl, "annotation", None)
     if annotation is None:
         return frozenset()
-    return frozenset(normalize_uri(uri) for uri in annotation.model_reference)
+    return _normalized_uris(tuple(annotation.model_reference))
 
 
 def semantic_match_uris(
@@ -337,6 +349,44 @@ def alternatives_compatible(
     )
 
 
+def _all_qnames(nf: NormalForm) -> Iterator[QName]:
+    for alt in nf.alternatives:
+        for instance in alt:
+            yield instance.qname
+            if instance.nested is not None:
+                yield from _all_qnames(instance.nested)
+
+
+def _match_components(
+    p: NormalForm, q: NormalForm, mode: MatchMode, vocab: Optional[Vocabulary]
+) -> Optional[dict[QName, Any]]:
+    """Component of every top-level QName of ``p`` and ``q``; None when a
+    semantic check could raise, i.e. a declaration is missing at any depth."""
+    qnames = {i.qname for nf in (p, q) for alt in nf.alternatives for i in alt}
+    if mode is MatchMode.STRICT:
+        return {qname: qname for qname in qnames}
+    if vocab is None or any(
+        qname not in vocab for nf in (p, q) for qname in _all_qnames(nf)
+    ):
+        return None
+    # Union-find over URIs, joining the URIs of each declaration.  A QName's
+    # component is that of its URIs; one without URIs matches only itself, so
+    # its QName is its component (a QName never equals a str).
+    parent: dict[str, str] = {}
+
+    def find(uri: str) -> str:
+        while parent.setdefault(uri, uri) != uri:
+            parent[uri] = parent[parent[uri]]
+            uri = parent[uri]
+        return uri
+
+    uris = {qname: list(_model_reference_set(vocab[qname])) for qname in qnames}
+    for refs in uris.values():
+        for uri in refs[1:]:
+            parent[find(uri)] = find(refs[0])
+    return {qname: find(refs[0]) if refs else qname for qname, refs in uris.items()}
+
+
 def intersect(
     p: NormalForm,
     q: NormalForm,
@@ -347,10 +397,35 @@ def intersect(
 
     Each compatible pair of alternatives contributes their union, instances
     kept as-is; an empty result means the policies share no behavior.
+
+    Pairs are joined on a signature instead of all being tried.  An
+    instance's match keys are its QName and, in semantic mode, the normalized
+    modelReference URIs of its declaration; a union-find over both policies
+    merges the keys of each instance into components, and an alternative's
+    signature is the set of its instances' components.  This is exact: in a
+    compatible pair every instance has a partner sharing a key with it, so
+    both alternatives have the same signature.  Sharing a URI is not
+    transitive, so equal signatures only select the pairs that
+    ``alternatives_compatible`` then decides, in the nested-loop order.
+
+    In semantic mode without a vocabulary, or with a QName at any depth of
+    ``p`` or ``q`` undeclared, a check may raise VocabularyError.  Then every
+    non-empty alternative shares one bucket, so the pairs that can raise are
+    tried in the same order as a full nested loop and raise the same error.
     """
+    components = _match_components(p, q, mode, vocab)
+
+    def signature(alt: Alternative):
+        if components is None:
+            return bool(alt)
+        return frozenset(components[i.qname] for i in alt)
+
+    buckets: dict[Any, list[Alternative]] = {}
+    for alt_b in q.alternatives:
+        buckets.setdefault(signature(alt_b), []).append(alt_b)
     found: list[Alternative] = []
     for alt_a in p.alternatives:
-        for alt_b in q.alternatives:
+        for alt_b in buckets.get(signature(alt_a), ()):
             if alternatives_compatible(alt_a, alt_b, mode, vocab):
                 found.append(alt_a + alt_b)
     return NormalForm.of(found)

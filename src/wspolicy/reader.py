@@ -37,6 +37,12 @@ _WSP_ALL = QName(WSP_NS, "All")
 _WSP_EXACTLY_ONE = QName(WSP_NS, "ExactlyOne")
 _WSP_OPTIONAL = QName(WSP_NS, "Optional")
 
+# Element levels a policy may nest, counting the root wsp:Policy as 1 and
+# every operator, assertion and nested policy below it.  The parser and the
+# algebra recurse once or more per level, so this keeps both far from
+# Python's recursion limit.
+MAX_POLICY_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class ParsedArtifacts:
@@ -75,25 +81,29 @@ def parse_policy_element(source) -> PolicyExpr:
         element = source
     if element.name != _WSP_POLICY:
         raise PolicyXmlError(f"expected a wsp:Policy root, got {element.name}")
-    return _parse_operator(element)
+    return _parse_operator(element, 1)
 
 
-def _parse_operator(element: XmlElement) -> PolicyExpr:
+def _parse_operator(element: XmlElement, depth: int) -> PolicyExpr:
     ctor = {_WSP_POLICY: Policy, _WSP_ALL: All, _WSP_EXACTLY_ONE: ExactlyOne}[element.name]
     if element.text().strip():
         raise PolicyXmlError(f"unexpected text content inside {element.name}")
-    return ctor(*(_parse_policy_child(child) for child in element.element_children()))
+    return ctor(*(_parse_policy_child(child, depth + 1) for child in element.element_children()))
 
 
-def _parse_policy_child(element: XmlElement) -> PolicyExpr:
+def _parse_policy_child(element: XmlElement, depth: int) -> PolicyExpr:
+    if depth > MAX_POLICY_DEPTH:
+        raise PolicyXmlError(
+            f"policy nested deeper than {MAX_POLICY_DEPTH} levels at {element.name}"
+        )
     if element.name.namespace == WSP_NS:
         if element.name in (_WSP_POLICY, _WSP_ALL, _WSP_EXACTLY_ONE):
-            return _parse_operator(element)
+            return _parse_operator(element, depth)
         raise PolicyXmlError(f"unsupported policy construct {element.name}")
-    return _parse_assertion_ref(element)
+    return _parse_assertion_ref(element, depth)
 
 
-def _parse_assertion_ref(element: XmlElement) -> AssertionRef:
+def _parse_assertion_ref(element: XmlElement, depth: int) -> AssertionRef:
     optional = False
     parameters: list[tuple[str, str]] = []
     for qname, value in element.attributes:
@@ -117,7 +127,7 @@ def _parse_assertion_ref(element: XmlElement) -> AssertionRef:
         if child.name == _WSP_POLICY:
             if nested is not None:
                 raise PolicyXmlError(f"assertion {element.name} has two nested policies")
-            nested = _parse_operator(child)
+            nested = _parse_policy_child(child, depth + 1)
         else:
             raise PolicyXmlError(
                 f"unsupported content {child.name} inside assertion {element.name}"

@@ -95,3 +95,24 @@ def acme_requester_policy():
             ),
         )
     )
+
+
+def deep_policy(levels: int, nested_policies: bool = False) -> bytes:
+    """A wsp:Policy document ``levels`` element levels deep, root included.
+
+    The chain below the root is wsp:All operators ending in one assertion,
+    or, with ``nested_policies``, assertions and nested wsp:Policy elements
+    in turn.
+    """
+    names = ["wsp:Policy"]
+    for level in range(2, levels + 1):
+        if nested_policies:
+            names.append("sp:A" if level % 2 == 0 else "wsp:Policy")
+        else:
+            names.append("sp:A" if level == levels else "wsp:All")
+    opening = "".join(f"<{name}>" for name in names[1:])
+    closing = "".join(f"</{name}>" for name in reversed(names[1:]))
+    return (
+        f'<wsp:Policy xmlns:wsp="http://www.w3.org/ns/ws-policy" xmlns:sp="{SEC_NS}">'
+        f"{opening}{closing}</wsp:Policy>"
+    ).encode()

@@ -84,6 +84,7 @@ def rand_normal_form(
     rng: random.Random,
     pool: list[QName] | None = None,
     allow_nested: bool = True,
+    max_nesting: int = 1,
 ) -> NormalForm:
     qnames = pool if pool is not None else default_pool()
 
@@ -92,7 +93,7 @@ def rand_normal_form(
         if rng.random() < 0.2:
             parameters = (("level", rng.choice(_PARAM_VALUES)),)
         nested = None
-        if allow_nested and depth < 1 and rng.random() < 0.25:
+        if allow_nested and depth < max_nesting and rng.random() < 0.25:
             nested = form(depth + 1)
         return AssertionInstance(rng.choice(qnames), parameters, nested)
 

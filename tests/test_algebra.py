@@ -20,9 +20,10 @@ from wspolicy import (
     normal_forms_equal,
     normalize,
 )
-from wspolicy.algebra import alternatives_compatible, assertions_compatible
+from wspolicy.algebra import alternatives_compatible, assertions_compatible, semantic_match_uris
 from wspolicy.errors import OracleLimitError, VocabularyError
 from wspolicy.model import AssertionDecl, SemanticAnnotation
+from wspolicy.names import normalize_uri
 
 from corpus import endpoint_policy, sp, acme_domain
 from randgen import default_pool, rand_normal_form, rand_policy_expr
@@ -246,6 +247,186 @@ def test_intersect_commutative_and_sound_random():
             members = set(alt)
             assert any(members.issuperset(a) for a in p.alternatives)
             assert any(members.issuperset(b) for b in q.alternatives)
+
+
+# --- intersect against the nested-loop reference ----------------------------
+
+def _reference_uris(decl) -> set[str]:
+    if decl.annotation is None:
+        return set()
+    return {normalize_uri(uri) for uri in decl.annotation.model_reference}
+
+
+def _assertions_compatible_reference(a, b, mode, vocab) -> bool:
+    if a.qname != b.qname:
+        if mode is MatchMode.STRICT:
+            return False
+        if vocab is None:
+            raise VocabularyError("semantic matching requires an assertion vocabulary")
+        for qname in (a.qname, b.qname):
+            if qname not in vocab:
+                raise VocabularyError(f"no declaration for assertion {qname}")
+        if not _reference_uris(vocab[a.qname]) & _reference_uris(vocab[b.qname]):
+            return False
+    if (a.nested is None) != (b.nested is None):
+        return False
+    if a.nested is not None:
+        return _intersect_reference(a.nested, b.nested, mode, vocab).satisfiable
+    return True
+
+
+def _alternatives_compatible_reference(alt_a, alt_b, mode, vocab) -> bool:
+    return all(
+        any(_assertions_compatible_reference(a, b, mode, vocab) for b in alt_b) for a in alt_a
+    ) and all(
+        any(_assertions_compatible_reference(b, a, mode, vocab) for a in alt_a) for b in alt_b
+    )
+
+
+def _intersect_reference(p, q, mode=MatchMode.STRICT, vocab=None) -> NormalForm:
+    """Every pair of alternatives tried in order; nested policies recurse here,
+    never into ``intersect``."""
+    found = []
+    for alt_a in p.alternatives:
+        for alt_b in q.alternatives:
+            if _alternatives_compatible_reference(alt_a, alt_b, mode, vocab):
+                found.append(alt_a + alt_b)
+    return NormalForm.of(found)
+
+
+def _outcome(fn, p, q, mode, vocab):
+    try:
+        return fn(p, q, mode, vocab)
+    except VocabularyError as exc:
+        return f"VocabularyError: {exc}"
+
+
+# Spellings of three concepts; the second and fourth normalize to the first
+# and to ...#C.
+_CONCEPT_URIS = (
+    "http://example.org/onto#A",
+    "HTTP://Example.ORG/./x/../onto#A",
+    "http://example.org/onto#B",
+    "http://example.org/onto#%43",
+    "http://example.org/onto#C",
+)
+
+
+def _rand_vocab(rng, pool):
+    """Declarations for most of the pool: some QNames undeclared, some
+    declarations unannotated, the rest annotated with one or two concepts."""
+    vocab = {}
+    for qname in pool:
+        roll = rng.random()
+        if roll < 0.1:
+            continue
+        annotation = None
+        if roll > 0.25:
+            annotation = SemanticAnnotation(tuple(rng.sample(_CONCEPT_URIS, rng.randint(1, 2))))
+        vocab[qname] = AssertionDecl(qname.local, "empty", annotation=annotation)
+    return vocab
+
+
+def test_intersect_equals_reference_on_random_corpus():
+    rng = random.Random(5150)
+    pool = default_pool(6)
+    outcomes = {"empty": 0, "matched": 0, "raised": 0}
+    for _ in range(1500):
+        p = rand_normal_form(rng, pool, max_nesting=2)
+        q = rand_normal_form(rng, pool, max_nesting=2)
+        vocab = None if rng.random() < 0.1 else _rand_vocab(rng, pool)
+        for mode in MatchMode:
+            want = _outcome(_intersect_reference, p, q, mode, vocab)
+            assert _outcome(intersect, p, q, mode, vocab) == want, (p, q, mode, vocab)
+            if isinstance(want, str):
+                outcomes["raised"] += 1
+            else:
+                outcomes["matched" if want.satisfiable else "empty"] += 1
+    # The corpus exercises every outcome, errors included.
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_intersect_tries_non_transitive_component_pairs():
+    # a~b via u1 and b~c via u2 put a, b and c in one component, yet a and c
+    # share no URI: the pair ([a], [c]) is tried and refused.
+    a, b, c = (QName(NS, name) for name in ("a", "b", "c"))
+    vocab = {
+        a: AssertionDecl("a", "empty", annotation=SemanticAnnotation(("urn:u1",))),
+        b: AssertionDecl("b", "empty", annotation=SemanticAnnotation(("urn:u1", "urn:u2"))),
+        c: AssertionDecl("c", "empty", annotation=SemanticAnnotation(("urn:u2",))),
+    }
+    p = nf([AssertionInstance(a)], [AssertionInstance(b)])
+    q = nf([AssertionInstance(c)])
+    got = intersect(p, q, MatchMode.SEMANTIC, vocab)
+    assert got == nf([AssertionInstance(b), AssertionInstance(c)])
+    assert got == _intersect_reference(p, q, MatchMode.SEMANTIC, vocab)
+
+
+def test_intersect_raises_for_undeclared_nested_qnames():
+    # T and X are declared, the nested U and W are not: the pair's nested
+    # intersection raises, although X alone would give the alternatives
+    # different top-level signatures.
+    t, x, u, w = (QName(NS, name) for name in ("T", "X", "U", "W"))
+    vocab = {
+        t: AssertionDecl("T", "empty", annotation=SemanticAnnotation(("urn:t",))),
+        x: AssertionDecl("X", "empty", annotation=SemanticAnnotation(("urn:x",))),
+    }
+    p = nf([AssertionInstance(t, nested=nf([AssertionInstance(u)])), AssertionInstance(x)])
+    q = nf([AssertionInstance(t, nested=nf([AssertionInstance(w)]))])
+    want = _outcome(_intersect_reference, p, q, MatchMode.SEMANTIC, vocab)
+    assert want == f"VocabularyError: no declaration for assertion {u}"
+    assert _outcome(intersect, p, q, MatchMode.SEMANTIC, vocab) == want
+
+
+def test_intersect_empty_alternatives_and_forms():
+    unsat = NormalForm.of([])
+    only_empty = nf([])
+    with_x = nf([inst(A)], [])
+    for mode in MatchMode:
+        for vocab in (None, {}):
+            for p in (unsat, only_empty, with_x):
+                for q in (unsat, only_empty, with_x):
+                    want = _outcome(_intersect_reference, p, q, mode, vocab)
+                    assert _outcome(intersect, p, q, mode, vocab) == want
+    assert intersect(only_empty, only_empty, MatchMode.SEMANTIC) == only_empty
+    assert intersect(only_empty, nf([inst(A)]), MatchMode.SEMANTIC) == unsat
+
+
+# --- memoized modelReference sets ---------------------------------------------
+
+def test_semantic_match_through_alias_spellings():
+    x, y = QName(NS, "X"), QName(NS, "Y")
+    vocab = {
+        x: AssertionDecl("X", "empty", annotation=SemanticAnnotation(("http://ex.org/ac",))),
+        y: AssertionDecl(
+            "Y", "empty", annotation=SemanticAnnotation(("HTTP://Ex.ORG/./x/../a%63",))
+        ),
+    }
+    p, q = nf([AssertionInstance(x)]), nf([AssertionInstance(y)])
+    for _ in range(2):  # the second round reads the cached sets
+        assert semantic_match_uris(x, y, vocab) == ("http://ex.org/ac",)
+        assert intersect(p, q, MatchMode.SEMANTIC, vocab) == nf(
+            [AssertionInstance(x), AssertionInstance(y)]
+        )
+
+
+def test_semantic_match_follows_each_vocabulary():
+    # The same QName declared with different modelReference tuples in two
+    # vocabularies: neither call may see the other's URIs.
+    x, y = QName(NS, "X"), QName(NS, "Y")
+
+    def vocab(x_uri):
+        return {
+            x: AssertionDecl("X", "empty", annotation=SemanticAnnotation((x_uri,))),
+            y: AssertionDecl("Y", "empty", annotation=SemanticAnnotation(("urn:shared",))),
+        }
+
+    p, q = nf([AssertionInstance(x)]), nf([AssertionInstance(y)])
+    for first, second in (("urn:shared", "urn:other"), ("urn:other", "urn:shared")):
+        results = [intersect(p, q, MatchMode.SEMANTIC, vocab(uri)).satisfiable
+                   for uri in (first, second)]
+        assert results == [first == "urn:shared", second == "urn:shared"]
+        assert semantic_match_uris(x, y, vocab("urn:other")) == ()
 
 
 def test_strict_implies_semantic_on_fixture_vocab():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,12 +16,15 @@ from wspolicy import (
     policy_document,
     write_canonical,
 )
+import wspolicy
 from wspolicy.cli import cli
+from wspolicy.reader import MAX_POLICY_DEPTH
 
 from corpus import (
     GOLDEN,
     acme_domain,
     acme_requester_policy,
+    deep_policy,
     sp,
     travel_agency_bytes,
     travel_agency_json,
@@ -181,6 +187,27 @@ def test_normalize_requires_fragment_for_models(runner, model_path):
     assert result.exit_code == 2
     result = runner.invoke(cli, ["normalize", f"{model_path}#endpoint/Nope/Nope"])
     assert result.exit_code == 2
+
+
+def test_deep_policy_exits_1_without_traceback(tmp_path):
+    # Run in a child process, as a user would: a RecursionError would print a
+    # traceback on stderr, which CliRunner hides.
+    env = {**os.environ, "PYTHONPATH": str(Path(wspolicy.__file__).parents[1])}
+    deep = tmp_path / "deep.xml"
+    deep.write_bytes(deep_policy(600))
+    at_cap = tmp_path / "at_cap.xml"
+    at_cap.write_bytes(deep_policy(MAX_POLICY_DEPTH))
+    for args, code in (
+        (["normalize", str(deep)], 1),
+        (["intersect", str(at_cap), str(deep)], 1),
+        (["normalize", str(at_cap)], 0),
+    ):
+        done = subprocess.run([sys.executable, "-m", "wspolicy.cli"] + args,
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stdout + done.stderr
+        if code == 1:
+            assert done.stderr.startswith(f"{deep}: policy nested deeper than")
 
 
 # --- intersect ---------------------------------------------------------------

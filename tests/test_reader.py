@@ -18,8 +18,17 @@ from wspolicy import (
 )
 from wspolicy.errors import PolicyXmlError, XmlParseError
 from wspolicy.model import Diagnostic
+from wspolicy.reader import MAX_POLICY_DEPTH
 
-from corpus import SEC_NS, endpoint_policy, model_from_json, sp, travel_agency_json, travel_agency_model
+from corpus import (
+    SEC_NS,
+    deep_policy,
+    endpoint_policy,
+    model_from_json,
+    sp,
+    travel_agency_json,
+    travel_agency_model,
+)
 from randgen import rand_model, rand_policy_expr
 
 WSP = "http://www.w3.org/ns/ws-policy"
@@ -171,6 +180,15 @@ def test_parse_rejects_text_and_foreign_attributes():
             f'<wsp:Policy xmlns:wsp="{WSP}" xmlns:sp="{SEC_NS}">'
             '<sp:NoPassword sp:x="1"/></wsp:Policy>'.encode()
         )
+
+
+@pytest.mark.parametrize("nested_policies", [False, True])
+def test_parse_caps_policy_depth(nested_policies):
+    # Operators and nested assertion policies both count toward the cap.
+    at_cap = parse_policy_element(deep_policy(MAX_POLICY_DEPTH, nested_policies))
+    assert normalize(at_cap).satisfiable
+    with pytest.raises(PolicyXmlError, match=f"nested deeper than {MAX_POLICY_DEPTH} levels"):
+        parse_policy_element(deep_policy(MAX_POLICY_DEPTH + 1, nested_policies))
 
 
 def test_optional_attribute_forms():
