@@ -187,6 +187,21 @@ class MatchMode(Enum):
 Vocabulary = Mapping[QName, Any]
 
 
+def iter_refs(expr: PolicyExpr) -> Iterator[AssertionRef]:
+    """Every assertion reference in a policy tree, nested policies included,
+    in document order.  Walks with an explicit stack, so depth costs no
+    interpreter frames."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, AssertionRef):
+            yield node
+            if node.nested is not None:
+                stack.append(node.nested)
+        else:
+            stack.extend(reversed(node.children))
+
+
 def expand_optional(expr: PolicyExpr) -> PolicyExpr:
     """Rewrite away every optional flag.
 
@@ -236,12 +251,6 @@ def normalize(expr: PolicyExpr) -> NormalForm:
 ORACLE_LIMIT = 16
 
 
-def _count_refs(expr: PolicyExpr) -> int:
-    if isinstance(expr, AssertionRef):
-        return 1 + (_count_refs(expr.nested) if expr.nested is not None else 0)
-    return sum(_count_refs(child) for child in expr.children)
-
-
 def _enumerate(expr: PolicyExpr) -> list[list[AssertionInstance]]:
     if isinstance(expr, AssertionRef):
         nested = enumerate_alternatives_oracle(expr.nested) if expr.nested is not None else None
@@ -268,7 +277,7 @@ def enumerate_alternatives_oracle(expr: PolicyExpr) -> NormalForm:
 
     Refuses trees with more than ORACLE_LIMIT assertion references.
     """
-    count = _count_refs(expr)
+    count = sum(1 for _ in iter_refs(expr))
     if count > ORACLE_LIMIT:
         raise OracleLimitError(
             f"oracle limited to {ORACLE_LIMIT} assertion references, tree has {count}"

@@ -35,11 +35,11 @@ from .errors import (
     XmlParseError,
 )
 from .model import (
-    AssertionDecl,
     DomainSchema,
     ServiceModel,
     SubjectRef,
     SUBJECT_KINDS,
+    assertion_vocabulary,
     validate_model,
 )
 from .modelfile import parse_model
@@ -177,17 +177,6 @@ def _load_policy_source(spec: str) -> tuple[PolicyExpr, list[DomainSchema], dict
     _die(EXIT_INVALID, f"{path_str}: unrecognized document root {doc.root.name}")
 
 
-def _build_vocab(domains: list[DomainSchema]) -> dict[QName, AssertionDecl]:
-    vocab: dict[QName, AssertionDecl] = {}
-    for domain in domains:
-        for decl in domain.assertions:
-            qname = QName(domain.target_namespace, decl.name)
-            if qname in vocab and vocab[qname] != decl:
-                _die(EXIT_IO, f"conflicting declarations for {qname}")
-            vocab[qname] = decl
-    return vocab
-
-
 @click.group()
 @click.version_option(__version__, prog_name="wspolicy")
 def cli():
@@ -276,7 +265,10 @@ def intersect(source_a: str, source_b: str, mode: str, vocab_paths: tuple[str, .
             domains.append(parse_domain_xsd(_read_bytes(vocab_path)))
         except XmlParseError as exc:
             _die(EXIT_IO, f"{vocab_path}: {exc}")
-    vocab = _build_vocab(domains)
+    try:
+        vocab = assertion_vocabulary(domains)
+    except VocabularyError as exc:
+        _die(EXIT_IO, str(exc))
     match_mode = MatchMode(mode)
     nf_a, nf_b = normalize(policy_a), normalize(policy_b)
     try:

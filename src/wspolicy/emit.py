@@ -17,6 +17,7 @@ from .algebra import (
     ExactlyOne,
     Policy,
     PolicyExpr,
+    iter_refs,
     lexical_value,
     normalize,
 )
@@ -173,7 +174,10 @@ def emit_domain_xsd(domain: DomainSchema, options: EmitOptions = DEFAULT_OPTIONS
         raise GenerationError(
             f"domain {domain.domain_name!r} failed validation: {problems[0]}"
         )
+    return _domain_xsd(domain, options)
 
+
+def _domain_xsd(domain: DomainSchema, options: EmitOptions) -> XmlDocument:
     used = {XS_NS, SAWSDL_NS, domain.target_namespace}
     for decl in domain.assertions:
         if decl.simple_type is not None:
@@ -206,36 +210,6 @@ def emit_domain_xsd(domain: DomainSchema, options: EmitOptions = DEFAULT_OPTIONS
     return XmlDocument(root, namespaces)
 
 
-def policy_namespaces(expr: PolicyExpr) -> set[str]:
-    """Namespaces referenced anywhere in a policy tree, nested policies included."""
-    out: set[str] = {WSP_NS}
-    def walk(node: PolicyExpr):
-        if isinstance(node, AssertionRef):
-            out.add(node.qname.namespace)
-            if node.nested is not None:
-                walk(node.nested)
-        else:
-            for child in node.children:
-                walk(child)
-    walk(expr)
-    out.discard("")
-    return out
-
-
-def policy_qnames(expr: PolicyExpr) -> set[QName]:
-    out: set[QName] = set()
-    def walk(node: PolicyExpr):
-        if isinstance(node, AssertionRef):
-            out.add(node.qname)
-            if node.nested is not None:
-                walk(node.nested)
-        else:
-            for child in node.children:
-                walk(child)
-    walk(expr)
-    return out
-
-
 def emit_policy_element(expr: PolicyExpr) -> XmlElement:
     """The wsp:Policy fragment for a policy tree, emitted verbatim.
 
@@ -245,9 +219,11 @@ def emit_policy_element(expr: PolicyExpr) -> XmlElement:
     """
     if not normalize(expr).satisfiable:
         raise GenerationError("refusing to emit an unsatisfiable policy (no alternatives)")
-    if not isinstance(expr, Policy):
-        expr = Policy(expr)
-    return _policy_node(expr)
+    return _policy_root(expr)
+
+
+def _policy_root(expr: PolicyExpr) -> XmlElement:
+    return _policy_node(expr if isinstance(expr, Policy) else Policy(expr))
 
 
 def _policy_node(expr: PolicyExpr) -> XmlElement:
@@ -259,8 +235,7 @@ def _policy_node(expr: PolicyExpr) -> XmlElement:
             attrs.append((QName(WSP_NS, "Optional"), "true"))
         children = []
         if expr.nested is not None:
-            nested = expr.nested if isinstance(expr.nested, Policy) else Policy(expr.nested)
-            children.append(_policy_node(nested))
+            children.append(_policy_root(expr.nested))
         return _el(expr.qname, attrs, children)
     local = {Policy: "Policy", All: "All", ExactlyOne: "ExactlyOne"}[type(expr)]
     return _el(QName(WSP_NS, local), (), [_policy_node(child) for child in expr.children])
@@ -277,7 +252,9 @@ def policy_document(
         preferred.update(prefix_hints)
     preferred.update(options.prefix_table)
     root = emit_policy_element(expr)
-    return XmlDocument(root, _assign_prefixes(policy_namespaces(expr), preferred))
+    used = {WSP_NS}.union(ref.qname.namespace for ref in iter_refs(expr))
+    used.discard("")
+    return XmlDocument(root, _assign_prefixes(used, preferred))
 
 
 def _mep_for(op) -> str:
@@ -295,27 +272,30 @@ def emit_wsdl(
 
     The WSDL imports exactly the domains whose assertions appear in attached
     policies; each attachment is embedded as the first wsp:Policy child of its
-    subject element.
+    subject element.  The model is validated once and each attachment checked
+    once, so the policy and domain XML are built without checking again.
     """
     problems = [d for d in validate_model(model) if d.severity == "error"]
     if problems:
         raise GenerationError(f"model failed validation: {problems[0]}")
-    vocab = assertion_vocabulary(model)
+    vocab = assertion_vocabulary(model.domains)
 
     used_namespaces: set[str] = set()
     for attachment in model.attachments:
-        for qname in policy_qnames(attachment.policy):
-            if qname not in vocab:
-                raise GenerationError(
-                    f"policy on {attachment.subject.path_string()} references an "
-                    f"assertion declared in no domain: {qname}"
-                )
+        qnames = {ref.qname for ref in iter_refs(attachment.policy)}
+        undeclared = [qname for qname in qnames if qname not in vocab]
+        if undeclared:
+            raise GenerationError(
+                f"policy on {attachment.subject.path_string()} references an "
+                f"assertion declared in no domain: {min(undeclared)}"
+            )
         if not normalize(attachment.policy).satisfiable:
             raise GenerationError(
                 f"policy on {attachment.subject.path_string()} is unsatisfiable "
                 "(zero alternatives); refusing to emit"
             )
-        used_namespaces.update(policy_namespaces(attachment.policy) - {WSP_NS})
+        used_namespaces.update(qname.namespace for qname in qnames)
+    used_namespaces.discard(WSP_NS)
 
     imported = [d for d in model.domains if d.target_namespace in used_namespaces]
 
@@ -344,7 +324,7 @@ def emit_wsdl(
 
     def policy_child(kind: str, *path: str) -> list[XmlElement]:
         policy = attached.get((kind, tuple(path)))
-        return [emit_policy_element(policy)] if policy is not None else []
+        return [_policy_root(policy)] if policy is not None else []
 
     children: list[XmlElement] = []
     if imported:
@@ -435,5 +415,5 @@ def emit_wsdl(
         (f"{model.model_name}.wsdl", XmlDocument(root, namespaces))
     ]
     for domain in model.domains:
-        files.append((options.xsd_file_name(domain), emit_domain_xsd(domain, options)))
+        files.append((options.xsd_file_name(domain), _domain_xsd(domain, options)))
     return files

@@ -8,14 +8,25 @@ serialization deterministic.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from operator import attrgetter
+from typing import Iterable, Optional
 
 from .algebra import PolicyExpr
+from .errors import VocabularyError
 from .names import QName, XS_NS, is_absolute_uri, is_ncname
 
 TYPE_KINDS = ("empty", "simple", "complex")
 SUBJECT_KINDS = ("binding", "endpoint", "interface", "operation", "service")
+
+_NAME = attrgetter("name")
+
+
+def _by_name(items: tuple, name: str):
+    """The first element of a name-sorted tuple with the given name, or None."""
+    i = bisect_left(items, name, key=_NAME)
+    return items[i] if i < len(items) and items[i].name == name else None
 
 
 @dataclass(frozen=True)
@@ -75,10 +86,7 @@ class DomainSchema:
         )
 
     def assertion(self, name: str) -> Optional[AssertionDecl]:
-        for decl in self.assertions:
-            if decl.name == name:
-                return decl
-        return None
+        return _by_name(self.assertions, name)
 
 
 @dataclass(frozen=True)
@@ -119,10 +127,7 @@ class InterfaceDecl:
         object.__setattr__(self, "faults", tuple(sorted(self.faults, key=lambda f: f.name)))
 
     def operation(self, name: str) -> Optional[OperationDecl]:
-        for op in self.operations:
-            if op.name == name:
-                return op
-        return None
+        return _by_name(self.operations, name)
 
 
 @dataclass(frozen=True)
@@ -152,10 +157,7 @@ class ServiceDecl:
         )
 
     def endpoint(self, name: str) -> Optional[Endpoint]:
-        for ep in self.endpoints:
-            if ep.name == name:
-                return ep
-        return None
+        return _by_name(self.endpoints, name)
 
 
 @dataclass(frozen=True)
@@ -239,28 +241,13 @@ class ServiceModel:
         )
 
     def interface(self, name: str) -> Optional[InterfaceDecl]:
-        for decl in self.interfaces:
-            if decl.name == name:
-                return decl
-        return None
+        return _by_name(self.interfaces, name)
 
     def binding(self, name: str) -> Optional[BindingDecl]:
-        for decl in self.bindings:
-            if decl.name == name:
-                return decl
-        return None
+        return _by_name(self.bindings, name)
 
     def service(self, name: str) -> Optional[ServiceDecl]:
-        for decl in self.services:
-            if decl.name == name:
-                return decl
-        return None
-
-    def domain(self, name: str) -> Optional[DomainSchema]:
-        for decl in self.domains:
-            if decl.domain_name == name:
-                return decl
-        return None
+        return _by_name(self.services, name)
 
     def namespace_table(self) -> frozenset[str]:
         """Namespaces message element types may reference."""
@@ -288,18 +275,19 @@ def resolve_subject(model: ServiceModel, subject: SubjectRef):
     return None
 
 
-def assertion_vocabulary(model: ServiceModel) -> dict[QName, AssertionDecl]:
+def assertion_vocabulary(domains: Iterable[DomainSchema]) -> dict[QName, AssertionDecl]:
     """Map every assertion QName (domain namespace + name) to its declaration.
 
-    Assumes a model free of duplicate-qname errors; raises otherwise.
+    A QName declared again identically is accepted, since one domain may
+    arrive from more than one source; a differing declaration raises
+    VocabularyError.
     """
     vocab: dict[QName, AssertionDecl] = {}
-    for domain in model.domains:
+    for domain in domains:
         for decl in domain.assertions:
             qname = QName(domain.target_namespace, decl.name)
-            if qname in vocab:
-                raise ValueError(f"duplicate assertion declaration for {qname}")
-            vocab[qname] = decl
+            if vocab.setdefault(qname, decl) != decl:
+                raise VocabularyError(f"conflicting declarations for {qname}")
     return vocab
 
 
@@ -309,9 +297,6 @@ class _Collector:
 
     def error(self, code: str, path: str, message: str):
         self.diagnostics.append(Diagnostic("error", code, path, message))
-
-    def warning(self, code: str, path: str, message: str):
-        self.diagnostics.append(Diagnostic("warning", code, path, message))
 
 
 def _check_annotation(
@@ -479,7 +464,7 @@ def _check_interfaces(out: _Collector, model: ServiceModel):
                                   f"namespace not in the model namespace table: "
                                   f"{ref.element_type.namespace!r}")
             for fref in op.fault_refs:
-                if not any(f.name == fref for f in iface.faults):
+                if _by_name(iface.faults, fref) is None:
                     out.error("fault-unresolved", f"{opath}.faultRefs",
                               f"fault {fref!r} is not declared on interface {iface.name!r}")
 

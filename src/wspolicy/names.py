@@ -37,6 +37,9 @@ _NCNAME_RE = re.compile(r"^[^\W\d][\w.\-]*$", re.UNICODE)
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*$")
 
+# Whitespace (str.isspace) or a C0 control character: never inside a URI.
+_URI_BAD_CHAR_RE = re.compile(r"[\s\x00-\x1f]")
+
 _HEX = set("0123456789abcdefABCDEF")
 
 _UNRESERVED = set(
@@ -52,7 +55,7 @@ def is_absolute_uri(s: str) -> bool:
     """True for absolute URI references: a scheme is required, a fragment is allowed."""
     if not s:
         return False
-    if any(c.isspace() or ord(c) < 0x20 for c in s):
+    if _URI_BAD_CHAR_RE.search(s):
         return False
     try:
         parts = urlsplit(s)

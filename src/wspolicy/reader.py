@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import All, AssertionRef, ExactlyOne, Policy, PolicyExpr
+from .algebra import All, AssertionRef, ExactlyOne, Policy, PolicyExpr, iter_refs
 from .emit import DOMAIN_NAME_APPINFO, NESTABLE_APPINFO
 from .errors import PolicyXmlError, XmlParseError
 from .model import (
@@ -318,7 +318,8 @@ def parse_wsdl(data: bytes, companion_schemas=()) -> ParsedArtifacts:
     declared = {QName(d.target_namespace, a.name) for d in domains for a in d.assertions}
     unresolved: set[QName] = set()
     for attachment in attachments:
-        unresolved.update(q for q in _collect_qnames(attachment.policy) if q not in declared)
+        unresolved.update(ref.qname for ref in iter_refs(attachment.policy)
+                          if ref.qname not in declared)
     for qname in sorted(unresolved):
         warnings.append(
             Diagnostic("warning", "assertion-unresolved", str(qname),
@@ -326,18 +327,6 @@ def parse_wsdl(data: bytes, companion_schemas=()) -> ParsedArtifacts:
         )
 
     return ParsedArtifacts(model, domains, tuple(attachments), tuple(warnings))
-
-
-def _collect_qnames(expr: PolicyExpr) -> set[QName]:
-    out: set[QName] = set()
-    if isinstance(expr, AssertionRef):
-        out.add(expr.qname)
-        if expr.nested is not None:
-            out.update(_collect_qnames(expr.nested))
-    else:
-        for child in expr.children:
-            out.update(_collect_qnames(child))
-    return out
 
 
 def _reject_stray_policies(element: XmlElement, consumed: set[int]):

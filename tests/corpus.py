@@ -1,6 +1,7 @@
 """Shared fixtures: the TravelAgency corpus and the alias-vocabulary fixtures."""
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -57,6 +58,16 @@ def endpoint_policy():
     model = travel_agency_model()
     assert len(model.attachments) == 1
     return model.attachments[0].policy
+
+
+def conflicting_security_domain() -> DomainSchema:
+    """The corpus security domain with UsernameToken annotated differently."""
+    (domain,) = travel_agency_model().domains
+    return dataclasses.replace(domain, assertions=tuple(
+        dataclasses.replace(d, annotation=SemanticAnnotation(("http://example.org/other#T",)))
+        if d.name == "UsernameToken" else d
+        for d in domain.assertions
+    ))
 
 
 def acme_domain() -> DomainSchema:

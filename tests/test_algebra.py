@@ -20,7 +20,12 @@ from wspolicy import (
     normal_forms_equal,
     normalize,
 )
-from wspolicy.algebra import alternatives_compatible, assertions_compatible, semantic_match_uris
+from wspolicy.algebra import (
+    alternatives_compatible,
+    assertions_compatible,
+    iter_refs,
+    semantic_match_uris,
+)
 from wspolicy.errors import OracleLimitError, VocabularyError
 from wspolicy.model import AssertionDecl, SemanticAnnotation
 from wspolicy.names import normalize_uri
@@ -74,6 +79,21 @@ def test_oracle_refuses_large_trees():
     wide = All(*(AssertionRef(QName(NS, f"X{i}")) for i in range(17)))
     with pytest.raises(OracleLimitError):
         enumerate_alternatives_oracle(wide)
+
+
+def test_iter_refs_in_document_order_with_nested_policies():
+    token = AssertionRef(sp("UsernameToken"), nested=Policy(ExactlyOne(All(B, C), All(D))))
+    expr = Policy(A, ExactlyOne(token, All()), A)
+    assert list(iter_refs(expr)) == [A, token, B, C, D, A]
+    assert list(iter_refs(B)) == [B]
+    assert list(iter_refs(ExactlyOne())) == []
+
+
+def test_iter_refs_is_stack_safe():
+    expr = A
+    for _ in range(5000):
+        expr = AssertionRef(B.qname, nested=Policy(expr))
+    assert sum(1 for _ in iter_refs(expr)) == 5001
 
 
 # --- optional expansion ------------------------------------------------------
@@ -433,10 +453,7 @@ def test_strict_implies_semantic_on_fixture_vocab():
     from wspolicy import assertion_vocabulary
     from corpus import travel_agency_model
 
-    vocab = assertion_vocabulary(travel_agency_model())
-    for domain in (acme_domain(),):
-        for decl in domain.assertions:
-            vocab[QName(domain.target_namespace, decl.name)] = decl
+    vocab = assertion_vocabulary(travel_agency_model().domains + (acme_domain(),))
     pool = sorted(vocab)
     rng = random.Random(31337)
     for _ in range(150):

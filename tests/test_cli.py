@@ -22,12 +22,15 @@ from wspolicy.reader import MAX_POLICY_DEPTH
 
 from corpus import (
     GOLDEN,
+    SEC_NS,
     acme_domain,
     acme_requester_policy,
+    conflicting_security_domain,
     deep_policy,
     sp,
     travel_agency_bytes,
     travel_agency_json,
+    travel_agency_model,
 )
 
 FRAGMENT = "endpoint/TravelAgencyService/TravelAgencyEndpoint"
@@ -210,6 +213,28 @@ def test_deep_policy_exits_1_without_traceback(tmp_path):
             assert done.stderr.startswith(f"{deep}: policy nested deeper than")
 
 
+def test_undeclared_assertion_error_names_the_least_qname(tmp_path):
+    # The error once named whichever undeclared QName a set yielded first,
+    # which follows the hash seed; run under two seeds in child processes.
+    doc = travel_agency_json()
+    doc["attachments"][0]["policy"]["policy"] += [
+        {"assertion": {"qname": {"namespace": SEC_NS, "local": local}}}
+        for local in ("Gamma", "Alpha", "Beta")
+    ]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(wspolicy.__file__).parents[1]),
+               "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-m", "wspolicy.cli", "generate", str(model),
+             "--output-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.endswith(f"declared in no domain: {sp('Alpha')}\n"), done.stderr
+
+
 # --- intersect ---------------------------------------------------------------
 
 def requester_hash_policy() -> Policy:
@@ -307,6 +332,22 @@ def test_intersect_model_fragment_sources(runner, model_path):
     assert result.stdout.splitlines()[0] == (
         "{http://emi/ws-semanticsecuritypolicy.xsd}UsernameToken"
     )
+
+
+def test_intersect_vocabulary_repeat_accepted_conflict_refused(runner, model_path, tmp_path):
+    spec = f"{model_path}#{FRAGMENT}"
+    (domain,) = travel_agency_model().domains
+    same = tmp_path / "same.xsd"
+    same.write_bytes(write_canonical(emit_domain_xsd(domain)))
+    result = runner.invoke(cli, ["intersect", spec, spec, "--vocab", str(same)])
+    assert result.exit_code == 0, result.output
+
+    conflict = tmp_path / "conflict.xsd"
+    conflict.write_bytes(write_canonical(emit_domain_xsd(conflicting_security_domain())))
+    result = runner.invoke(cli, ["intersect", spec, spec, "--vocab", str(conflict)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"conflicting declarations for {sp('UsernameToken')}\n"
 
 
 def test_intersect_missing_file(runner, tmp_path):

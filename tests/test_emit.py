@@ -1,6 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
+
+import wspolicy.emit
+import wspolicy.model
 
 from wspolicy import (
     AssertionDecl,
@@ -245,6 +249,35 @@ def test_validation_errors_refuse_generation():
     doc["services"][0]["endpoints"][0]["binding"] = "Nowhere"
     with pytest.raises(GenerationError):
         emit_wsdl(model_from_json(doc))
+
+
+def test_emit_wsdl_checks_each_attachment_and_domain_once(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[module.__name__, name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((wspolicy.emit, "normalize"), (wspolicy.emit, "validate_model"),
+                         (wspolicy.emit, "validate_domain"), (wspolicy.model, "validate_domain")):
+        count(module, name)
+    rng = random.Random(31337)
+    models = [travel_agency_model()] + [rand_model(rng, require_satisfiable_policies=True)
+                                        for _ in range(5)]
+    for model in models:
+        calls.clear()
+        emit_wsdl(model)
+        # validate_domain runs only inside validate_model, once per domain.
+        assert calls == Counter({
+            ("wspolicy.emit", "normalize"): len(model.attachments),
+            ("wspolicy.emit", "validate_model"): 1,
+            ("wspolicy.model", "validate_domain"): len(model.domains),
+        })
 
 
 def test_emission_is_byte_deterministic():

@@ -6,16 +6,29 @@ import pytest
 from wspolicy import (
     AssertionDecl,
     AttributeDecl,
+    BindingDecl,
     DomainSchema,
+    Endpoint,
+    InterfaceDecl,
+    OperationDecl,
     QName,
     SemanticAnnotation,
+    ServiceDecl,
     ServiceModel,
     SubjectRef,
+    VocabularyError,
     assertion_vocabulary,
     resolve_subject,
     validate_model,
 )
-from corpus import SEC_NS, model_from_json, sp, travel_agency_json, travel_agency_model
+from corpus import (
+    SEC_NS,
+    conflicting_security_domain,
+    model_from_json,
+    sp,
+    travel_agency_json,
+    travel_agency_model,
+)
 from randgen import rand_model
 
 
@@ -73,7 +86,7 @@ def test_resolution_agrees_with_validation():
 
 
 def test_assertion_vocabulary_of_corpus():
-    vocab = assertion_vocabulary(travel_agency_model())
+    vocab = assertion_vocabulary(travel_agency_model().domains)
     assert len(vocab) == 4
     assert sp("UsernameToken") in vocab
     assert vocab[sp("HashPassword")].annotation.model_reference == (
@@ -82,7 +95,7 @@ def test_assertion_vocabulary_of_corpus():
 
 
 def test_assertion_vocabulary_empty_and_two_domains():
-    assert assertion_vocabulary(ServiceModel("m", "http://x/")) == {}
+    assert assertion_vocabulary(ServiceModel("m", "http://x/").domains) == {}
     two = ServiceModel(
         "m",
         "http://x/",
@@ -93,7 +106,42 @@ def test_assertion_vocabulary_empty_and_two_domains():
                          tuple(AssertionDecl(f"B{i}") for i in range(3))),
         ),
     )
-    assert len(assertion_vocabulary(two)) == 5
+    assert len(assertion_vocabulary(two.domains)) == 5
+
+
+def test_assertion_vocabulary_accepts_repeats_and_refuses_conflicts():
+    (domain,) = travel_agency_model().domains
+    assert assertion_vocabulary([domain, domain]) == assertion_vocabulary([domain])
+    with pytest.raises(VocabularyError) as err:
+        assertion_vocabulary([domain, conflicting_security_domain()])
+    assert str(err.value) == f"conflicting declarations for {sp('UsernameToken')}"
+
+
+def test_named_lookups_match_a_linear_scan():
+    # A repeated name, absent names between entries, before the first and
+    # after the last; the leftmost of equal names wins, as in a linear scan.
+    names = ("b", "d", "d", "f")
+    interfaces = [InterfaceDecl(n, (OperationDecl(f"op{i}"),)) for i, n in enumerate(names)]
+    bindings = [BindingDecl(n, f"I{i}", "http://t/") for i, n in enumerate(names)]
+    services = [ServiceDecl(n, f"I{i}") for i, n in enumerate(names)]
+    operations = [OperationDecl(n, fault_refs=(f"f{i}",)) for i, n in enumerate(names)]
+    endpoints = [Endpoint(n, f"B{i}", "http://a/") for i, n in enumerate(names)]
+    assertions = [AssertionDecl(n, "simple", QName("http://t/", f"T{i}")) for i, n in enumerate(names)]
+    model = ServiceModel("m", "http://x/", interfaces=interfaces, bindings=bindings,
+                         services=services)
+    cases = [
+        (model.interface, interfaces),
+        (model.binding, bindings),
+        (model.service, services),
+        (InterfaceDecl("I", operations).operation, operations),
+        (ServiceDecl("S", "I", endpoints).endpoint, endpoints),
+        (DomainSchema("d", "http://d/", "d", assertions).assertion, assertions),
+    ]
+    for lookup, items in cases:
+        for query in "abcdefg":
+            expected = next((item for item in items if item.name == query), None)
+            assert lookup(query) is expected, (lookup, query)
+        assert lookup("d") is items[1]
 
 
 def test_validate_is_deterministic():

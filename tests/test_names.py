@@ -18,12 +18,14 @@ def test_absolute_uri_accepts():
         "urn:x-wspolicy:domain-name",
         "mailto:someone@example.org",
         "http://a/b?c=d#e",
+        "http://a/\x7fb",
     ):
         assert is_absolute_uri(uri), uri
 
 
 def test_absolute_uri_rejects():
-    for uri in ("", "not a uri", "//host/path", "relative/path", "#frag", "http://", ":x"):
+    for uri in ("", "not a uri", "//host/path", "relative/path", "#frag", "http://", ":x",
+                "http://a/\x1cb", "http://a/\u00a0b", "http://a/\u2028b", "http://a/\u3000b"):
         assert not is_absolute_uri(uri), uri
 
 
