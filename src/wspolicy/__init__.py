@@ -28,7 +28,7 @@ from .algebra import (
     normal_forms_equal,
     normalize,
 )
-from .emit import EmitOptions, emit_domain_xsd, emit_policy_element, emit_wsdl, policy_document
+from .emit import emit_domain_xsd, emit_policy_element, emit_wsdl, policy_document
 from .errors import (
     GenerationError,
     ModelSchemaError,

@@ -20,6 +20,12 @@ from .names import QName, normalize_uri
 
 ParamValue = Union[str, int, float, bool]
 
+# Levels a policy may nest, counting the root policy as 1 and every operator,
+# assertion and nested policy below it (in XML, every element).  The readers
+# refuse deeper policies: they and the algebra recurse once or more per
+# level, so this keeps both far from Python's recursion limit.
+MAX_POLICY_DEPTH = 100
+
 
 def lexical_value(value: ParamValue) -> str:
     """XML lexical form of a parameter literal; also the normal-form key."""

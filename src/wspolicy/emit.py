@@ -8,7 +8,6 @@ nested policy (the lax wildcard slot cannot express that list).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .algebra import (
@@ -39,37 +38,18 @@ from .names import (
     WSDL_NS,
     WSP_NS,
     XS_NS,
-    is_ncname,
 )
 from .xmltree import XmlDocument, XmlElement
 
 DOMAIN_NAME_APPINFO = "urn:x-wspolicy:domain-name"
 NESTABLE_APPINFO = "urn:x-wspolicy:nestable-assertions"
+XSD_FILE_NAME = "ws-semantic{domain}policy.xsd"
 
 _BUILTIN_PREFIXES = {WSDL_NS: "wsdl", XS_NS: "xs", WSP_NS: "wsp", SAWSDL_NS: "sawsdl"}
 
 
-@dataclass(frozen=True)
-class EmitOptions:
-    """Knobs for file naming and prefix assignment; indentation is fixed."""
-
-    xsd_file_name_pattern: str = "ws-semantic{domain}policy.xsd"
-    prefix_table: Mapping[str, str] = field(default_factory=dict)  # URI -> prefix
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for uri, prefix in self.prefix_table.items():
-            if not is_ncname(prefix):
-                raise ValueError(f"prefix for {uri!r} is not an NCName: {prefix!r}")
-            if prefix in seen:
-                raise ValueError(f"prefix {prefix!r} assigned to more than one namespace")
-            seen.add(prefix)
-
-    def xsd_file_name(self, domain: DomainSchema) -> str:
-        return self.xsd_file_name_pattern.format(domain=domain.domain_name)
-
-
-DEFAULT_OPTIONS = EmitOptions()
+def _xsd_file_name(domain: DomainSchema) -> str:
+    return XSD_FILE_NAME.format(domain=domain.domain_name)
 
 
 def _assign_prefixes(
@@ -90,15 +70,13 @@ def _assign_prefixes(
     return table
 
 
-def _preferred_prefixes(model: Optional[ServiceModel], options: EmitOptions) -> dict[str, str]:
+def _preferred_prefixes(model: ServiceModel) -> dict[str, str]:
     preferred = dict(_BUILTIN_PREFIXES)
-    if model is not None:
-        preferred[model.target_namespace] = "tns"
-        for domain in model.domains:
-            preferred.setdefault(domain.target_namespace, domain.prefix)
-        for i, ext in enumerate(model.external_namespaces):
-            preferred.setdefault(ext.namespace, ext.prefix or f"ns{i}")
-    preferred.update(options.prefix_table)
+    preferred[model.target_namespace] = "tns"
+    for domain in model.domains:
+        preferred.setdefault(domain.target_namespace, domain.prefix)
+    for i, ext in enumerate(model.external_namespaces):
+        preferred.setdefault(ext.namespace, ext.prefix or f"ns{i}")
     return preferred
 
 
@@ -166,7 +144,7 @@ def _assertion_element(decl: AssertionDecl, qname_str) -> XmlElement:
     return _el(_xs("element"), attrs, children)
 
 
-def emit_domain_xsd(domain: DomainSchema, options: EmitOptions = DEFAULT_OPTIONS) -> XmlDocument:
+def emit_domain_xsd(domain: DomainSchema) -> XmlDocument:
     """One xs:schema per domain: a top-level element per assertion, each
     carrying its SAWSDL annotation attributes."""
     problems = [d for d in validate_domain(domain) if d.severity == "error"]
@@ -174,10 +152,10 @@ def emit_domain_xsd(domain: DomainSchema, options: EmitOptions = DEFAULT_OPTIONS
         raise GenerationError(
             f"domain {domain.domain_name!r} failed validation: {problems[0]}"
         )
-    return _domain_xsd(domain, options)
+    return _domain_xsd(domain)
 
 
-def _domain_xsd(domain: DomainSchema, options: EmitOptions) -> XmlDocument:
+def _domain_xsd(domain: DomainSchema) -> XmlDocument:
     used = {XS_NS, SAWSDL_NS, domain.target_namespace}
     for decl in domain.assertions:
         if decl.simple_type is not None:
@@ -187,7 +165,6 @@ def _domain_xsd(domain: DomainSchema, options: EmitOptions) -> XmlDocument:
     used.discard("")
     preferred = dict(_BUILTIN_PREFIXES)
     preferred[domain.target_namespace] = domain.prefix
-    preferred.update(options.prefix_table)
     namespaces = _assign_prefixes(used, preferred)
     uri_to_prefix = {uri: prefix for prefix, uri in namespaces.items()}
 
@@ -242,15 +219,12 @@ def _policy_node(expr: PolicyExpr) -> XmlElement:
 
 
 def policy_document(
-    expr: PolicyExpr,
-    options: EmitOptions = DEFAULT_OPTIONS,
-    prefix_hints: Optional[Mapping[str, str]] = None,
+    expr: PolicyExpr, prefix_hints: Optional[Mapping[str, str]] = None
 ) -> XmlDocument:
     """A standalone document wrapping emit_policy_element's fragment."""
     preferred = dict(_BUILTIN_PREFIXES)
     if prefix_hints:
         preferred.update(prefix_hints)
-    preferred.update(options.prefix_table)
     root = emit_policy_element(expr)
     used = {WSP_NS}.union(ref.qname.namespace for ref in iter_refs(expr))
     used.discard("")
@@ -265,9 +239,7 @@ def _mep_for(op) -> str:
     return MEP_IN_OUT
 
 
-def emit_wsdl(
-    model: ServiceModel, options: EmitOptions = DEFAULT_OPTIONS
-) -> list[tuple[str, XmlDocument]]:
+def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
     """The full file set for a model: one WSDL document plus one XSD per domain.
 
     The WSDL imports exactly the domains whose assertions appear in attached
@@ -310,7 +282,7 @@ def emit_wsdl(
                 if ref.element_type.namespace:
                     declared.add(ref.element_type.namespace)
 
-    namespaces = _assign_prefixes(declared, _preferred_prefixes(model, options))
+    namespaces = _assign_prefixes(declared, _preferred_prefixes(model))
     uri_to_prefix = {uri: prefix for prefix, uri in namespaces.items()}
 
     def qname_str(qname: QName) -> str:
@@ -333,7 +305,7 @@ def emit_wsdl(
                 _xs("import"),
                 [
                     (QName("", "namespace"), d.target_namespace),
-                    (QName("", "schemaLocation"), options.xsd_file_name(d)),
+                    (QName("", "schemaLocation"), _xsd_file_name(d)),
                 ],
             )
             for d in imported
@@ -415,5 +387,5 @@ def emit_wsdl(
         (f"{model.model_name}.wsdl", XmlDocument(root, namespaces))
     ]
     for domain in model.domains:
-        files.append((options.xsd_file_name(domain), _domain_xsd(domain, options)))
+        files.append((_xsd_file_name(domain), _domain_xsd(domain)))
     return files

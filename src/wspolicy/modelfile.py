@@ -5,14 +5,21 @@ normative key reference.  Parsing is strict: unknown keys, missing required
 fields and malformed URIs are schema errors naming the offending path.
 Serialization is canonical (fixed key order, 2-space indent, named collections
 sorted) so parse and serialize invert each other exactly.
+
+Each JSON object type is one ``_Table`` of fields in canonical key order.  A
+field names its JSON key, the model attribute it fills, the codec that reads
+and writes its value, and its presence; ``parse_model`` and
+``serialize_model`` both walk these tables.  Only the policy-expression form
+(one key naming the operator), ``formatVersion`` and the uniqueness checks on
+lists are written out by hand.
 """
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Callable, NamedTuple, Optional
 
-from .algebra import All, AssertionRef, ExactlyOne, Policy, PolicyExpr
+from .algebra import MAX_POLICY_DEPTH, All, AssertionRef, ExactlyOne, ParamValue, Policy, PolicyExpr
 from .errors import ModelSchemaError, ModelSyntaxError
 from .model import (
     AssertionDecl,
@@ -37,314 +44,427 @@ from .names import QName, is_absolute_uri, is_ncname
 
 FORMAT_VERSION = "1.0"
 
+# Field presence.  Absent optional fields take the model's default; when
+# serializing, an empty optional value (None, False or an empty collection)
+# is omitted, while required and ``WRITTEN`` fields are always written.
+REQUIRED = "required"
+OPTIONAL = "optional"
+WRITTEN = "written"   # optional when parsing, written even when empty
 
-def _fail(path: str, message: str):
-    raise ModelSchemaError(path, message)
+
+class _Fault(Exception):
+    """A schema violation on its way out to ``parse_model``.
+
+    The check that finds it raises it bare; every enclosing field and list
+    position appends its path segment (``.key`` or ``[i]``) as it unwinds, so
+    no path is built unless something is wrong.
+    """
+
+    def __init__(self, message: str, *segments: str):
+        super().__init__(message)
+        self.message = message
+        self.segments = list(segments)   # innermost first
+        self.bare = not segments
+
+    def error(self) -> ModelSchemaError:
+        path = "".join(reversed(self.segments))
+        # Paths start with their first key, except that a bad value of a
+        # top-level key reads ".key" (".modelName"), as it always has.
+        if not (self.bare and len(self.segments) == 1):
+            path = path.lstrip(".")
+        return ModelSchemaError(path, self.message)
 
 
-def _require_object(value: Any, path: str, allowed: tuple[str, ...]) -> dict:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {type(value).__name__}")
-    for key in value:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path else key, "unknown key")
+class _Codec(NamedTuple):
+    """How one field value is read from JSON and written back."""
+
+    parse: Callable[[Any, int], Any]   # (JSON value, policy depth) -> model value
+    dump: Callable[[Any], Any]
+    missing: Optional[str] = None      # reported at the key itself when a required key is absent
+
+
+class _Field(NamedTuple):
+    key: str
+    attr: str
+    codec: Any   # a _Codec or a _Table
+    presence: str = OPTIONAL
+
+
+class _Table:
+    """One JSON object type: its fields in canonical order and the class it builds."""
+
+    missing = None
+
+    def __init__(self, cls, *fields: _Field):
+        self.cls = cls
+        self.fields = fields
+        self.keys = frozenset(field.key for field in fields)
+
+    def parse(self, raw, depth: int):
+        if not isinstance(raw, dict):
+            raise _Fault(f"expected an object, got {type(raw).__name__}")
+        if not self.keys.issuperset(raw):
+            raise _Fault("unknown key", "." + next(k for k in raw if k not in self.keys))
+        values = {}
+        for key, attr, codec, presence in self.fields:
+            if key in raw:
+                try:
+                    values[attr] = codec.parse(raw[key], depth)
+                except _Fault as fault:
+                    fault.segments.append("." + key)
+                    raise
+            elif presence is REQUIRED:
+                if codec.missing is not None:
+                    raise _Fault(codec.missing, "." + key)
+                raise _Fault(f"missing required field {key!r}")
+        return self.cls(**values)
+
+    def dump(self, obj) -> dict:
+        out = {}
+        for key, attr, codec, presence in self.fields:
+            value = getattr(obj, attr)
+            if value or presence is not OPTIONAL:
+                out[key] = codec.dump(value)
+        return out
+
+
+def _as_is(value):
     return value
 
 
-def _require_string(obj: dict, path: str, key: str, required: bool = True) -> str | None:
-    if key not in obj:
-        if required:
-            _fail(path, f"missing required field {key!r}")
-        return None
-    value = obj[key]
-    if not isinstance(value, str):
-        _fail(f"{path}.{key}", f"expected a string, got {type(value).__name__}")
-    return value
+def _string(raw, depth: int) -> str:
+    if not isinstance(raw, str):
+        raise _Fault(f"expected a string, got {type(raw).__name__}")
+    return raw
 
 
-def _require_list(obj: dict, path: str, key: str) -> list:
-    value = obj.get(key, [])
-    if not isinstance(value, list):
-        _fail(f"{path}.{key}", f"expected a list, got {type(value).__name__}")
-    return value
+def _ncname(raw, depth: int) -> str:
+    if not is_ncname(_string(raw, depth)):
+        raise _Fault(f"not an NCName: {raw!r}")
+    return raw
 
 
-def _ncname(obj: dict, path: str, key: str) -> str:
-    value = _require_string(obj, path, key)
-    if not is_ncname(value):
-        _fail(f"{path}.{key}", f"not an NCName: {value!r}")
-    return value
+def _uri(raw, depth: int) -> str:
+    if not is_absolute_uri(_string(raw, depth)):
+        raise _Fault(f"not an absolute URI: {raw!r}")
+    return raw
 
 
-def _absolute_uri(obj: dict, path: str, key: str, required: bool = True) -> str | None:
-    value = _require_string(obj, path, key, required)
-    if value is None:
-        return None
-    if not is_absolute_uri(value):
-        _fail(f"{path}.{key}", f"not an absolute URI: {value!r}")
-    return value
+def _token(raw, depth: int) -> str:
+    if not _string(raw, depth):
+        raise _Fault("must be a non-empty token")
+    return raw
 
 
-def _qname(value: Any, path: str) -> QName:
-    obj = _require_object(value, path, ("namespace", "local"))
-    namespace = _require_string(obj, path, "namespace")
-    local = _require_string(obj, path, "local")
-    if not is_ncname(local):
-        _fail(f"{path}.local", f"not an NCName: {local!r}")
-    return QName(namespace, local)
+def _one_of(choices: tuple[str, ...]) -> _Codec:
+    def parse(raw, depth: int) -> str:
+        if _string(raw, depth) not in choices:
+            raise _Fault(f"expected one of {choices}, got {raw!r}")
+        return raw
+
+    return _Codec(parse, _as_is)
 
 
-def _annotation(value: Any, path: str) -> SemanticAnnotation:
-    obj = _require_object(value, path, ("modelReference", "loweringSchema", "liftingSchema"))
-    refs = obj.get("modelReference")
-    if not isinstance(refs, list) or not refs:
-        _fail(f"{path}.modelReference", "expected a non-empty list of URIs")
-    uris = []
-    for i, uri in enumerate(refs):
-        if not isinstance(uri, str) or not is_absolute_uri(uri):
-            _fail(f"{path}.modelReference[{i}]", f"not an absolute URI: {uri!r}")
-        uris.append(uri)
-    return SemanticAnnotation(
-        model_reference=tuple(uris),
-        lowering_schema=_absolute_uri(obj, path, "loweringSchema", required=False),
-        lifting_schema=_absolute_uri(obj, path, "liftingSchema", required=False),
-    )
+def _boolean(raw, depth: int) -> bool:
+    if not isinstance(raw, bool):
+        raise _Fault("expected a boolean")
+    return raw
 
 
-def _attribute(value: Any, path: str) -> AttributeDecl:
-    obj = _require_object(value, path, ("name", "simpleType", "annotation"))
-    name = _ncname(obj, path, "name")
-    if "simpleType" not in obj:
-        _fail(path, "missing required field 'simpleType'")
-    simple_type = _qname(obj["simpleType"], f"{path}.simpleType")
-    annotation = None
-    if "annotation" in obj:
-        annotation = _annotation(obj["annotation"], f"{path}.annotation")
-    return AttributeDecl(name, simple_type, annotation)
+# List items and prefixes are checked in one step: any value but a
+# well-formed string is reported by its repr.
+def _ncname_item(raw, depth: int) -> str:
+    if not isinstance(raw, str) or not is_ncname(raw):
+        raise _Fault(f"not an NCName: {raw!r}")
+    return raw
 
 
-def _assertion(value: Any, path: str) -> AssertionDecl:
-    obj = _require_object(
-        value,
-        path,
-        ("name", "typeKind", "simpleType", "attributes", "nestableChildren", "annotation"),
-    )
-    name = _ncname(obj, path, "name")
-    kind = _require_string(obj, path, "typeKind")
-    if kind not in TYPE_KINDS:
-        _fail(f"{path}.typeKind", f"expected one of {TYPE_KINDS}, got {kind!r}")
-    simple_type = None
-    if "simpleType" in obj:
-        simple_type = _qname(obj["simpleType"], f"{path}.simpleType")
-    attributes = [
-        _attribute(item, f"{path}.attributes[{i}]")
-        for i, item in enumerate(_require_list(obj, path, "attributes"))
-    ]
-    nestable = []
-    for i, item in enumerate(_require_list(obj, path, "nestableChildren")):
-        if not isinstance(item, str) or not is_ncname(item):
-            _fail(f"{path}.nestableChildren[{i}]", f"not an NCName: {item!r}")
-        nestable.append(item)
-    annotation = None
-    if "annotation" in obj:
-        annotation = _annotation(obj["annotation"], f"{path}.annotation")
-    return AssertionDecl(name, kind, simple_type, tuple(attributes), tuple(nestable), annotation)
+def _uri_item(raw, depth: int) -> str:
+    if not isinstance(raw, str) or not is_absolute_uri(raw):
+        raise _Fault(f"not an absolute URI: {raw!r}")
+    return raw
 
 
-def _domain(value: Any, path: str) -> DomainSchema:
-    obj = _require_object(value, path, ("name", "targetNamespace", "prefix", "assertions"))
-    return DomainSchema(
-        domain_name=_ncname(obj, path, "name"),
-        target_namespace=_absolute_uri(obj, path, "targetNamespace"),
-        prefix=_ncname(obj, path, "prefix"),
-        assertions=tuple(
-            _assertion(item, f"{path}.assertions[{i}]")
-            for i, item in enumerate(_require_list(obj, path, "assertions"))
-        ),
-    )
+def _prefix(raw, depth: int) -> Optional[str]:
+    return None if raw is None else _ncname_item(raw, depth)
 
 
-def _message_ref(value: Any, path: str) -> MessageRef:
-    obj = _require_object(value, path, ("name", "elementType"))
-    name = _ncname(obj, path, "name")
-    if "elementType" not in obj:
-        _fail(path, "missing required field 'elementType'")
-    return MessageRef(name, _qname(obj["elementType"], f"{path}.elementType"))
+def _param_value(raw, depth: int) -> ParamValue:
+    if isinstance(raw, (bool, str)):
+        return raw
+    if isinstance(raw, (int, float)):
+        if isinstance(raw, float) and not math.isfinite(raw):
+            raise _Fault("parameter values must be finite")
+        return raw
+    raise _Fault(f"expected a string, number or boolean, got {type(raw).__name__}")
 
 
-def _fault(value: Any, path: str) -> FaultDecl:
-    obj = _require_object(value, path, ("name", "elementType"))
-    name = _ncname(obj, path, "name")
-    element_type = None
-    if "elementType" in obj:
-        element_type = _qname(obj["elementType"], f"{path}.elementType")
-    return FaultDecl(name, element_type)
+def _items(raw: list, parse, depth: int) -> tuple:
+    out = []
+    try:
+        for value in raw:
+            out.append(parse(value, depth))
+    except _Fault as fault:
+        fault.segments.append(f"[{len(out)}]")
+        raise
+    return tuple(out)
 
 
-def _operation(value: Any, path: str) -> OperationDecl:
-    obj = _require_object(value, path, ("name", "inputs", "outputs", "faultRefs"))
-    name = _ncname(obj, path, "name")
-    inputs = [
-        _message_ref(item, f"{path}.inputs[{i}]")
-        for i, item in enumerate(_require_list(obj, path, "inputs"))
-    ]
-    outputs = [
-        _message_ref(item, f"{path}.outputs[{i}]")
-        for i, item in enumerate(_require_list(obj, path, "outputs"))
-    ]
-    fault_refs = []
-    for i, item in enumerate(_require_list(obj, path, "faultRefs")):
-        if not isinstance(item, str):
-            _fail(f"{path}.faultRefs[{i}]", f"expected a string, got {type(item).__name__}")
-        fault_refs.append(item)
-    return OperationDecl(name, tuple(inputs), tuple(outputs), tuple(fault_refs))
+def _list_of(item) -> _Codec:
+    def parse(raw, depth: int) -> tuple:
+        if not isinstance(raw, list):
+            raise _Fault(f"expected a list, got {type(raw).__name__}")
+        return _items(raw, item.parse, depth)
+
+    return _Codec(parse, lambda values: [item.dump(value) for value in values])
 
 
-def _interface(value: Any, path: str) -> InterfaceDecl:
-    obj = _require_object(value, path, ("name", "operations", "faults"))
-    return InterfaceDecl(
-        name=_ncname(obj, path, "name"),
-        operations=tuple(
-            _operation(item, f"{path}.operations[{i}]")
-            for i, item in enumerate(_require_list(obj, path, "operations"))
-        ),
-        faults=tuple(
-            _fault(item, f"{path}.faults[{i}]")
-            for i, item in enumerate(_require_list(obj, path, "faults"))
-        ),
-    )
+def _distinct(item: _Table, key, message) -> _Codec:
+    """A list of objects in which no two share ``key(obj)``."""
+    listed = _list_of(item)
+
+    def parse(raw, depth: int) -> tuple:
+        values = listed.parse(raw, depth)
+        seen = set()
+        for i, value in enumerate(values):
+            if key(value) in seen:
+                raise _Fault(message(value), f"[{i}]")
+            seen.add(key(value))
+        return values
+
+    return _Codec(parse, listed.dump)
 
 
-def _binding(value: Any, path: str) -> BindingDecl:
-    obj = _require_object(
-        value, path, ("name", "interface", "transportProtocol", "messageEncoding")
-    )
-    encoding = _require_string(obj, path, "messageEncoding")
-    if not encoding:
-        _fail(f"{path}.messageEncoding", "must be a non-empty token")
-    return BindingDecl(
-        name=_ncname(obj, path, "name"),
-        interface_ref=_require_string(obj, path, "interface"),
-        transport_protocol=_absolute_uri(obj, path, "transportProtocol"),
-        message_encoding=encoding,
-    )
+def _uris(raw, depth: int) -> tuple:
+    if not isinstance(raw, list) or not raw:
+        raise _Fault(_URIS.missing)
+    return _items(raw, _uri_item, depth)
 
 
-def _endpoint(value: Any, path: str) -> Endpoint:
-    obj = _require_object(value, path, ("name", "binding", "address"))
-    return Endpoint(
-        name=_ncname(obj, path, "name"),
-        binding_ref=_require_string(obj, path, "binding"),
-        address=_absolute_uri(obj, path, "address"),
-    )
+def _identifiers(raw, depth: int) -> tuple:
+    if not isinstance(raw, list) or not all(isinstance(part, str) for part in raw):
+        raise _Fault(_IDENTIFIERS.missing)
+    return tuple(raw)
 
 
-def _service(value: Any, path: str) -> ServiceDecl:
-    obj = _require_object(value, path, ("name", "interface", "endpoints"))
-    return ServiceDecl(
-        name=_ncname(obj, path, "name"),
-        interface_ref=_require_string(obj, path, "interface"),
-        endpoints=tuple(
-            _endpoint(item, f"{path}.endpoints[{i}]")
-            for i, item in enumerate(_require_list(obj, path, "endpoints"))
-        ),
-    )
+_STRING = _Codec(_string, _as_is)
+_NCNAME = _Codec(_ncname, _as_is)
+_URI = _Codec(_uri, _as_is)
+_URIS = _Codec(_uris, list, "expected a non-empty list of URIs")
+_IDENTIFIERS = _Codec(_identifiers, list, "expected a list of identifiers")
 
 
-def _param_value(value: Any, path: str):
-    if isinstance(value, bool) or isinstance(value, str):
-        return value
-    if isinstance(value, (int, float)):
-        if isinstance(value, float) and not math.isfinite(value):
-            _fail(path, "parameter values must be finite")
-        return value
-    _fail(path, f"expected a string, number or boolean, got {type(value).__name__}")
+# --- policy expressions ------------------------------------------------------
+#
+# A policy expression is an object with exactly one key, which names its form.
+
+_FORMS = {"policy": Policy, "all": All, "exactlyOne": ExactlyOne, "assertion": AssertionRef}
+_FORM_KEYS = {form: key for key, form in _FORMS.items()}
+_ONE_FORM = "expected exactly one of " + ", ".join(map(repr, _FORMS))
 
 
-def parse_policy_expr(value: Any, path: str) -> PolicyExpr:
-    """Nested-object policy form: policy / all / exactlyOne / assertion."""
-    obj = _require_object(value, path, ("policy", "all", "exactlyOne", "assertion"))
-    if len(obj) != 1:
-        _fail(path, "expected exactly one of 'policy', 'all', 'exactlyOne', 'assertion'")
-    key = next(iter(obj))
-    if key in ("policy", "all", "exactlyOne"):
-        children = obj[key]
-        if not isinstance(children, list):
-            _fail(f"{path}.{key}", f"expected a list, got {type(children).__name__}")
-        ctor = {"policy": Policy, "all": All, "exactlyOne": ExactlyOne}[key]
-        return ctor(
-            *(parse_policy_expr(item, f"{path}.{key}[{i}]") for i, item in enumerate(children))
-        )
-    body = _require_object(
-        obj["assertion"], f"{path}.assertion", ("qname", "optional", "parameters", "nested")
-    )
-    if "qname" not in body:
-        _fail(f"{path}.assertion", "missing required field 'qname'")
-    qname = _qname(body["qname"], f"{path}.assertion.qname")
-    optional = body.get("optional", False)
-    if not isinstance(optional, bool):
-        _fail(f"{path}.assertion.optional", "expected a boolean")
-    parameters = []
-    seen_params: set[str] = set()
-    for i, item in enumerate(_require_list(body, f"{path}.assertion", "parameters")):
-        ppath = f"{path}.assertion.parameters[{i}]"
-        pobj = _require_object(item, ppath, ("name", "value"))
-        pname = _ncname(pobj, ppath, "name")
-        if pname in seen_params:
-            _fail(ppath, f"duplicate parameter name {pname!r}")
-        seen_params.add(pname)
-        if "value" not in pobj:
-            _fail(ppath, "missing required field 'value'")
-        parameters.append((pname, _param_value(pobj["value"], f"{ppath}.value")))
-    nested = None
-    if "nested" in body:
-        npath = f"{path}.assertion.nested"
-        nested_obj = _require_object(body["nested"], npath, ("policy",))
-        if "policy" not in nested_obj:
-            _fail(npath, "nested policies must use the 'policy' form")
-        nested = parse_policy_expr(nested_obj, npath)
-    return AssertionRef(qname, optional=optional, parameters=tuple(parameters), nested=nested)
+def _policy_expr(raw, depth: int) -> PolicyExpr:
+    """Parse one expression object at the given level; the root policy is level 1."""
+    if depth > MAX_POLICY_DEPTH:
+        raise _Fault(f"policy nested deeper than {MAX_POLICY_DEPTH} levels")
+    if not isinstance(raw, dict):
+        raise _Fault(f"expected an object, got {type(raw).__name__}")
+    for key in raw:
+        if key not in _FORMS:
+            raise _Fault("unknown key", "." + key)
+    if len(raw) != 1:
+        raise _Fault(_ONE_FORM)
+    ((key, body),) = raw.items()
+    form = _FORMS[key]
+    try:
+        if form is AssertionRef:
+            return _ASSERTION_REF.parse(body, depth)
+        if not isinstance(body, list):
+            raise _Fault(f"expected a list, got {type(body).__name__}")
+        return form(*_items(body, _policy_expr, depth + 1))
+    except _Fault as fault:
+        fault.segments.append("." + key)
+        raise
 
 
-def _attachment(value: Any, path: str) -> PolicyAttachment:
-    obj = _require_object(value, path, ("subject", "policy"))
-    if "subject" not in obj:
-        _fail(path, "missing required field 'subject'")
-    spath = f"{path}.subject"
-    sobj = _require_object(obj["subject"], spath, ("kind", "path"))
-    kind = _require_string(sobj, spath, "kind")
-    if kind not in SUBJECT_KINDS:
-        _fail(f"{spath}.kind", f"expected one of {SUBJECT_KINDS}, got {kind!r}")
-    raw_path = sobj.get("path")
-    if not isinstance(raw_path, list) or not all(isinstance(p, str) for p in raw_path):
-        _fail(f"{spath}.path", "expected a list of identifiers")
-    if "policy" not in obj:
-        _fail(path, "missing required field 'policy'")
-    policy = parse_policy_expr(obj["policy"], f"{path}.policy")
+def _policy_json(expr: PolicyExpr) -> dict:
+    """Inverse of _policy_expr."""
+    key = _FORM_KEYS[type(expr)]
+    if isinstance(expr, AssertionRef):
+        return {key: _ASSERTION_REF.dump(expr)}
+    return {key: [_policy_json(child) for child in expr.children]}
+
+
+def _root_policy(raw, depth: int) -> Policy:
+    policy = _policy_expr(raw, depth + 1)
     if not isinstance(policy, Policy):
-        _fail(f"{path}.policy", "an attachment policy must use the 'policy' form at the root")
-    return PolicyAttachment(SubjectRef(kind, tuple(raw_path)), policy)
+        raise _Fault("an attachment policy must use the 'policy' form at the root")
+    return policy
 
 
-_TOP_KEYS = (
-    "formatVersion",
-    "modelName",
-    "targetNamespace",
-    "externalNamespaces",
-    "domains",
-    "interfaces",
-    "bindings",
-    "services",
-    "attachments",
+def _nested_policy(raw, depth: int) -> Policy:
+    if not isinstance(raw, dict):
+        raise _Fault(f"expected an object, got {type(raw).__name__}")
+    for key in raw:
+        if key != _FORM_KEYS[Policy]:
+            raise _Fault("unknown key", "." + key)
+    if not raw:
+        raise _Fault("nested policies must use the 'policy' form")
+    return _policy_expr(raw, depth + 1)
+
+
+class _Parameter(NamedTuple):
+    name: str
+    value: ParamValue
+
+
+# --- the field tables ---------------------------------------------------------
+
+_QNAME = _Table(
+    QName,
+    _Field("namespace", "namespace", _STRING, REQUIRED),
+    _Field("local", "local", _NCNAME, REQUIRED),
 )
+_ANNOTATION = _Table(
+    SemanticAnnotation,
+    _Field("modelReference", "model_reference", _URIS, REQUIRED),
+    _Field("loweringSchema", "lowering_schema", _URI),
+    _Field("liftingSchema", "lifting_schema", _URI),
+)
+_ATTRIBUTE = _Table(
+    AttributeDecl,
+    _Field("name", "name", _NCNAME, REQUIRED),
+    _Field("simpleType", "simple_type", _QNAME, REQUIRED),
+    _Field("annotation", "annotation", _ANNOTATION),
+)
+_ASSERTION = _Table(
+    AssertionDecl,
+    _Field("name", "name", _NCNAME, REQUIRED),
+    _Field("typeKind", "type_kind", _one_of(TYPE_KINDS), REQUIRED),
+    _Field("simpleType", "simple_type", _QNAME),
+    _Field("attributes", "attributes", _list_of(_ATTRIBUTE)),
+    _Field("nestableChildren", "nestable_children", _list_of(_Codec(_ncname_item, _as_is))),
+    _Field("annotation", "annotation", _ANNOTATION),
+)
+_DOMAIN = _Table(
+    DomainSchema,
+    _Field("name", "domain_name", _NCNAME, REQUIRED),
+    _Field("targetNamespace", "target_namespace", _URI, REQUIRED),
+    _Field("prefix", "prefix", _NCNAME, REQUIRED),
+    _Field("assertions", "assertions", _list_of(_ASSERTION), WRITTEN),
+)
+_MESSAGE_REF = _Table(
+    MessageRef,
+    _Field("name", "name", _NCNAME, REQUIRED),
+    _Field("elementType", "element_type", _QNAME, REQUIRED),
+)
+_FAULT = _Table(
+    FaultDecl,
+    _Field("name", "name", _NCNAME, REQUIRED),
+    _Field("elementType", "element_type", _QNAME),
+)
+_OPERATION = _Table(
+    OperationDecl,
+    _Field("name", "name", _NCNAME, REQUIRED),
+    _Field("inputs", "inputs", _list_of(_MESSAGE_REF)),
+    _Field("outputs", "outputs", _list_of(_MESSAGE_REF)),
+    _Field("faultRefs", "fault_refs", _list_of(_STRING)),
+)
+_INTERFACE = _Table(
+    InterfaceDecl,
+    _Field("name", "name", _NCNAME, REQUIRED),
+    _Field("operations", "operations", _list_of(_OPERATION)),
+    _Field("faults", "faults", _list_of(_FAULT)),
+)
+_BINDING = _Table(
+    BindingDecl,
+    _Field("name", "name", _NCNAME, REQUIRED),
+    _Field("interface", "interface_ref", _STRING, REQUIRED),
+    _Field("transportProtocol", "transport_protocol", _URI, REQUIRED),
+    _Field("messageEncoding", "message_encoding", _Codec(_token, _as_is), REQUIRED),
+)
+_ENDPOINT = _Table(
+    Endpoint,
+    _Field("name", "name", _NCNAME, REQUIRED),
+    _Field("binding", "binding_ref", _STRING, REQUIRED),
+    _Field("address", "address", _URI, REQUIRED),
+)
+_SERVICE = _Table(
+    ServiceDecl,
+    _Field("name", "name", _NCNAME, REQUIRED),
+    _Field("interface", "interface_ref", _STRING, REQUIRED),
+    _Field("endpoints", "endpoints", _list_of(_ENDPOINT), WRITTEN),
+)
+_PARAMETER = _Table(
+    _Parameter,
+    _Field("name", "name", _NCNAME, REQUIRED),
+    _Field("value", "value", _Codec(_param_value, _as_is), REQUIRED),
+)
+_PARAMETERS = _distinct(
+    _PARAMETER, lambda p: p.name, lambda p: f"duplicate parameter name {p.name!r}"
+)
+_ASSERTION_REF = _Table(
+    AssertionRef,
+    _Field("qname", "qname", _QNAME, REQUIRED),
+    _Field("optional", "optional", _Codec(_boolean, _as_is)),
+    # AssertionRef holds its parameters as plain (name, value) pairs.
+    _Field("parameters", "parameters",
+           _Codec(_PARAMETERS.parse, lambda pairs: _PARAMETERS.dump(map(_Parameter._make, pairs)))),
+    _Field("nested", "nested", _Codec(_nested_policy, _policy_json)),
+)
+_SUBJECT = _Table(
+    SubjectRef,
+    _Field("kind", "kind", _one_of(SUBJECT_KINDS), REQUIRED),
+    _Field("path", "path", _IDENTIFIERS, REQUIRED),
+)
+_ATTACHMENT = _Table(
+    PolicyAttachment,
+    _Field("subject", "subject", _SUBJECT, REQUIRED),
+    _Field("policy", "policy", _Codec(_root_policy, _policy_json), REQUIRED),
+)
+_EXTERNAL_NAMESPACE = _Table(
+    ExternalNamespace,
+    _Field("namespace", "namespace", _URI, REQUIRED),
+    _Field("prefix", "prefix", _Codec(_prefix, _as_is)),
+)
+_MODEL = _Table(
+    ServiceModel,
+    _Field("modelName", "model_name", _STRING, REQUIRED),
+    _Field("targetNamespace", "target_namespace", _URI, REQUIRED),
+    _Field("externalNamespaces", "external_namespaces", _list_of(_EXTERNAL_NAMESPACE)),
+    _Field("domains", "domains", _list_of(_DOMAIN)),
+    _Field("interfaces", "interfaces", _list_of(_INTERFACE)),
+    _Field("bindings", "bindings", _list_of(_BINDING)),
+    _Field("services", "services", _list_of(_SERVICE)),
+    _Field("attachments", "attachments", _distinct(
+        _ATTACHMENT,
+        lambda a: a.subject,
+        lambda a: f"second attachment for subject {a.subject.path_string()!r}; "
+                  "pre-merge policies instead",
+    )),
+)
+_MODEL.keys |= {"formatVersion"}
+
+
+def _check_version(doc: dict) -> None:
+    if "formatVersion" not in doc:
+        raise _Fault("missing required field 'formatVersion'")
+    try:
+        version = _string(doc["formatVersion"], 0)
+    except _Fault as fault:
+        fault.segments.append(".formatVersion")
+        raise
+    if version != FORMAT_VERSION:
+        raise _Fault(f"unrecognized version {version!r}, expected {FORMAT_VERSION!r}",
+                     ".formatVersion")
 
 
 def parse_model(data: bytes) -> ServiceModel:
     """Parse a model document into a fully linked ServiceModel.
 
     Reference checking is validate_model's job; this only enforces the file
-    schema (types, required fields, unknown keys, URI syntax, one attachment
-    per subject).
+    schema (types, required fields, unknown keys, URI syntax, policy depth,
+    one attachment per subject).
     """
     try:
         text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
@@ -352,194 +472,19 @@ def parse_model(data: bytes) -> ServiceModel:
         raise ModelSyntaxError(f"not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
+        if isinstance(doc, dict):
+            _check_version(doc)
+        return _MODEL.parse(doc, 0)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
-
-    obj = _require_object(doc, "", _TOP_KEYS)
-    version = _require_string(obj, "", "formatVersion")
-    if version != FORMAT_VERSION:
-        _fail("formatVersion", f"unrecognized version {version!r}, expected {FORMAT_VERSION!r}")
-
-    externals = []
-    for i, item in enumerate(_require_list(obj, "", "externalNamespaces")):
-        epath = f"externalNamespaces[{i}]"
-        eobj = _require_object(item, epath, ("namespace", "prefix"))
-        namespace = _absolute_uri(eobj, epath, "namespace")
-        prefix = eobj.get("prefix")
-        if prefix is not None and (not isinstance(prefix, str) or not is_ncname(prefix)):
-            _fail(f"{epath}.prefix", f"not an NCName: {prefix!r}")
-        externals.append(ExternalNamespace(namespace, prefix))
-
-    attachments = []
-    seen_subjects: set[tuple[str, tuple[str, ...]]] = set()
-    for i, item in enumerate(_require_list(obj, "", "attachments")):
-        attachment = _attachment(item, f"attachments[{i}]")
-        key = (attachment.subject.kind, attachment.subject.path)
-        if key in seen_subjects:
-            _fail(f"attachments[{i}]",
-                  f"second attachment for subject {attachment.subject.path_string()!r}; "
-                  "pre-merge policies instead")
-        seen_subjects.add(key)
-        attachments.append(attachment)
-
-    return ServiceModel(
-        model_name=_require_string(obj, "", "modelName"),
-        target_namespace=_absolute_uri(obj, "", "targetNamespace"),
-        domains=tuple(
-            _domain(item, f"domains[{i}]")
-            for i, item in enumerate(_require_list(obj, "", "domains"))
-        ),
-        interfaces=tuple(
-            _interface(item, f"interfaces[{i}]")
-            for i, item in enumerate(_require_list(obj, "", "interfaces"))
-        ),
-        bindings=tuple(
-            _binding(item, f"bindings[{i}]")
-            for i, item in enumerate(_require_list(obj, "", "bindings"))
-        ),
-        services=tuple(
-            _service(item, f"services[{i}]")
-            for i, item in enumerate(_require_list(obj, "", "services"))
-        ),
-        attachments=tuple(attachments),
-        external_namespaces=tuple(externals),
-    )
-
-
-def _qname_json(qname: QName) -> dict:
-    return {"namespace": qname.namespace, "local": qname.local}
-
-
-def _annotation_json(annotation: SemanticAnnotation) -> dict:
-    out: dict[str, Any] = {"modelReference": list(annotation.model_reference)}
-    if annotation.lowering_schema is not None:
-        out["loweringSchema"] = annotation.lowering_schema
-    if annotation.lifting_schema is not None:
-        out["liftingSchema"] = annotation.lifting_schema
-    return out
-
-
-def policy_expr_json(expr: PolicyExpr) -> dict:
-    """Inverse of parse_policy_expr."""
-    if isinstance(expr, Policy):
-        return {"policy": [policy_expr_json(c) for c in expr.children]}
-    if isinstance(expr, All):
-        return {"all": [policy_expr_json(c) for c in expr.children]}
-    if isinstance(expr, ExactlyOne):
-        return {"exactlyOne": [policy_expr_json(c) for c in expr.children]}
-    assert isinstance(expr, AssertionRef)
-    body: dict[str, Any] = {"qname": _qname_json(expr.qname)}
-    if expr.optional:
-        body["optional"] = True
-    if expr.parameters:
-        body["parameters"] = [{"name": n, "value": v} for n, v in expr.parameters]
-    if expr.nested is not None:
-        body["nested"] = policy_expr_json(expr.nested)
-    return {"assertion": body}
-
-
-def _assertion_json(decl: AssertionDecl) -> dict:
-    out: dict[str, Any] = {"name": decl.name, "typeKind": decl.type_kind}
-    if decl.simple_type is not None:
-        out["simpleType"] = _qname_json(decl.simple_type)
-    if decl.attributes:
-        attrs = []
-        for attr in decl.attributes:
-            aobj: dict[str, Any] = {"name": attr.name, "simpleType": _qname_json(attr.simple_type)}
-            if attr.annotation is not None:
-                aobj["annotation"] = _annotation_json(attr.annotation)
-            attrs.append(aobj)
-        out["attributes"] = attrs
-    if decl.nestable_children:
-        out["nestableChildren"] = list(decl.nestable_children)
-    if decl.annotation is not None:
-        out["annotation"] = _annotation_json(decl.annotation)
-    return out
+    except RecursionError:
+        # json.loads, or the repr of a deeply nested value in a message.
+        raise ModelSyntaxError("document nested too deeply to parse") from None
+    except _Fault as fault:
+        raise fault.error() from None
 
 
 def serialize_model(model: ServiceModel) -> bytes:
-    """Canonical document bytes; empty collections are omitted entirely."""
-    doc: dict[str, Any] = {
-        "formatVersion": FORMAT_VERSION,
-        "modelName": model.model_name,
-        "targetNamespace": model.target_namespace,
-    }
-    if model.external_namespaces:
-        doc["externalNamespaces"] = [
-            {"namespace": ext.namespace, **({"prefix": ext.prefix} if ext.prefix else {})}
-            for ext in model.external_namespaces
-        ]
-    if model.domains:
-        doc["domains"] = [
-            {
-                "name": d.domain_name,
-                "targetNamespace": d.target_namespace,
-                "prefix": d.prefix,
-                "assertions": [_assertion_json(a) for a in d.assertions],
-            }
-            for d in model.domains
-        ]
-    if model.interfaces:
-        doc["interfaces"] = [_interface_json(i) for i in model.interfaces]
-    if model.bindings:
-        doc["bindings"] = [
-            {
-                "name": b.name,
-                "interface": b.interface_ref,
-                "transportProtocol": b.transport_protocol,
-                "messageEncoding": b.message_encoding,
-            }
-            for b in model.bindings
-        ]
-    if model.services:
-        doc["services"] = [
-            {
-                "name": s.name,
-                "interface": s.interface_ref,
-                "endpoints": [
-                    {"name": e.name, "binding": e.binding_ref, "address": e.address}
-                    for e in s.endpoints
-                ],
-            }
-            for s in model.services
-        ]
-    if model.attachments:
-        doc["attachments"] = [
-            {
-                "subject": {"kind": a.subject.kind, "path": list(a.subject.path)},
-                "policy": policy_expr_json(a.policy),
-            }
-            for a in model.attachments
-        ]
+    """Canonical document bytes; empty optional collections are omitted."""
+    doc = {"formatVersion": FORMAT_VERSION, **_MODEL.dump(model)}
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-
-
-def _interface_json(iface: InterfaceDecl) -> dict:
-    out: dict[str, Any] = {"name": iface.name}
-    if iface.operations:
-        ops = []
-        for op in iface.operations:
-            oobj: dict[str, Any] = {"name": op.name}
-            if op.inputs:
-                oobj["inputs"] = [
-                    {"name": m.name, "elementType": _qname_json(m.element_type)}
-                    for m in op.inputs
-                ]
-            if op.outputs:
-                oobj["outputs"] = [
-                    {"name": m.name, "elementType": _qname_json(m.element_type)}
-                    for m in op.outputs
-                ]
-            if op.fault_refs:
-                oobj["faultRefs"] = list(op.fault_refs)
-            ops.append(oobj)
-        out["operations"] = ops
-    if iface.faults:
-        faults = []
-        for fault in iface.faults:
-            fobj: dict[str, Any] = {"name": fault.name}
-            if fault.element_type is not None:
-                fobj["elementType"] = _qname_json(fault.element_type)
-            faults.append(fobj)
-        out["faults"] = faults
-    return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import All, AssertionRef, ExactlyOne, Policy, PolicyExpr, iter_refs
+from .algebra import MAX_POLICY_DEPTH, All, AssertionRef, ExactlyOne, Policy, PolicyExpr, iter_refs
 from .emit import DOMAIN_NAME_APPINFO, NESTABLE_APPINFO
 from .errors import PolicyXmlError, XmlParseError
 from .model import (
@@ -36,12 +36,6 @@ _WSP_POLICY = QName(WSP_NS, "Policy")
 _WSP_ALL = QName(WSP_NS, "All")
 _WSP_EXACTLY_ONE = QName(WSP_NS, "ExactlyOne")
 _WSP_OPTIONAL = QName(WSP_NS, "Optional")
-
-# Element levels a policy may nest, counting the root wsp:Policy as 1 and
-# every operator, assertion and nested policy below it.  The parser and the
-# algebra recurse once or more per level, so this keeps both far from
-# Python's recursion limit.
-MAX_POLICY_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -260,13 +254,20 @@ def parse_wsdl(data: bytes, companion_schemas=()) -> ParsedArtifacts:
     services: list[ServiceDecl] = []
     attachments: list[PolicyAttachment] = []
     consumed: set[int] = set()
+    attached: set[SubjectRef] = set()
 
     def take_policy(element: XmlElement, kind: str, *path: str):
+        subject = SubjectRef(kind, tuple(path))
         for child in element.find_all(_WSP_POLICY):
+            # One policy per subject, as in the model format.
+            if subject in attached:
+                raise XmlParseError(
+                    f"second wsp:Policy for subject {subject.path_string()!r}; "
+                    "pre-merge policies instead"
+                )
+            attached.add(subject)
             consumed.add(id(child))
-            attachments.append(
-                PolicyAttachment(SubjectRef(kind, tuple(path)), parse_policy_element(child))
-            )
+            attachments.append(PolicyAttachment(subject, parse_policy_element(child)))
 
     for section in root.element_children():
         if section.name == QName(WSDL_NS, "types"):

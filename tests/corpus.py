@@ -127,3 +127,37 @@ def deep_policy(levels: int, nested_policies: bool = False) -> bytes:
         f'<wsp:Policy xmlns:wsp="http://www.w3.org/ns/ws-policy" xmlns:sp="{SEC_NS}">'
         f"{opening}{closing}</wsp:Policy>"
     ).encode()
+
+
+def deep_model(levels: int, nested_policies: bool = False) -> bytes:
+    """The fixture with an endpoint policy ``levels`` levels deep, root included.
+
+    Levels count as in ``deep_policy``: the root policy object is 1 and every
+    policy-expression object below it adds one; the chain has the same shape.
+    The text is built directly, since ``json.dumps`` itself recurses.
+    """
+    qname = json.dumps({"namespace": SEC_NS, "local": "HashPassword"})
+    if nested_policies and levels % 2:
+        inner = '{"policy": []}'
+    else:
+        inner = '{"assertion": {"qname": %s}}' % qname
+    for level in range(levels - 1, 1, -1):
+        if not nested_policies:
+            inner = '{"all": [%s]}' % inner
+        elif level % 2:
+            inner = '{"policy": [%s]}' % inner
+        else:
+            inner = '{"assertion": {"qname": %s, "nested": %s}}' % (qname, inner)
+    doc = travel_agency_json()
+    doc["attachments"][0]["policy"] = "@policy@"
+    return json.dumps(doc).replace('"@policy@"', '{"policy": [%s]}' % inner).encode()
+
+
+def wsdl_with_second_endpoint_policy() -> bytes:
+    """The golden WSDL with an unsatisfiable second wsp:Policy on its endpoint."""
+    wsdl = (GOLDEN / "TravelAgency.wsdl").read_bytes()
+    closing = b"    </wsdl:endpoint>"
+    assert wsdl.count(closing) == 1
+    return wsdl.replace(
+        closing, b"      <wsp:Policy><wsp:ExactlyOne/></wsp:Policy>\n" + closing
+    )

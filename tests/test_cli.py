@@ -26,11 +26,13 @@ from corpus import (
     acme_domain,
     acme_requester_policy,
     conflicting_security_domain,
+    deep_model,
     deep_policy,
     sp,
     travel_agency_bytes,
     travel_agency_json,
     travel_agency_model,
+    wsdl_with_second_endpoint_policy,
 )
 
 FRAGMENT = "endpoint/TravelAgencyService/TravelAgencyEndpoint"
@@ -192,6 +194,17 @@ def test_normalize_requires_fragment_for_models(runner, model_path):
     assert result.exit_code == 2
 
 
+def test_normalize_refuses_second_policy_on_one_subject(runner, tmp_path):
+    wsdl = tmp_path / "TravelAgency.wsdl"
+    wsdl.write_bytes(wsdl_with_second_endpoint_policy())
+    result = runner.invoke(cli, ["normalize", f"{wsdl}#{FRAGMENT}"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"{wsdl}: second wsp:Policy for subject '{FRAGMENT}'; pre-merge policies instead\n"
+    )
+
+
 def test_deep_policy_exits_1_without_traceback(tmp_path):
     # Run in a child process, as a user would: a RecursionError would print a
     # traceback on stderr, which CliRunner hides.
@@ -211,6 +224,33 @@ def test_deep_policy_exits_1_without_traceback(tmp_path):
         assert "Traceback" not in done.stdout + done.stderr
         if code == 1:
             assert done.stderr.startswith(f"{deep}: policy nested deeper than")
+
+
+def test_deep_model_exits_1_without_traceback(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(wspolicy.__file__).parents[1])}
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(deep_model(600))
+    doc = travel_agency_json()
+    doc["domains"][0]["assertions"][0]["annotation"]["modelReference"] = "@value@"
+    deep_value = tmp_path / "deep_value.json"
+    deep_value.write_text(
+        json.dumps(doc).replace('"@value@"', "[" * 3000 + '"http://x/"' + "]" * 3000)
+    )
+    past_cap = tmp_path / "past_cap.json"
+    past_cap.write_bytes(deep_model(MAX_POLICY_DEPTH + 1))
+    for args in (
+        ["validate", str(deep)],
+        ["normalize", f"{deep}#{FRAGMENT}"],
+        ["generate", str(deep_value), "--output-dir", str(tmp_path / "out")],
+        ["validate", str(deep_value)],
+        ["normalize", f"{past_cap}#{FRAGMENT}"],
+    ):
+        done = subprocess.run([sys.executable, "-m", "wspolicy.cli"] + args,
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stdout + done.stderr
+        assert done.stderr.startswith("error model-s"), done.stderr
+    assert done.stderr.endswith(f"policy nested deeper than {MAX_POLICY_DEPTH} levels\n")
 
 
 def test_undeclared_assertion_error_names_the_least_qname(tmp_path):

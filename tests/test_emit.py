@@ -11,7 +11,6 @@ from wspolicy import (
     AssertionRef,
     AttributeDecl,
     DomainSchema,
-    EmitOptions,
     ExactlyOne,
     Policy,
     QName,
@@ -36,8 +35,8 @@ XS_ELEMENT = QName(XS_NS, "element")
 MODEL_REF = QName(SAWSDL_NS, "modelReference")
 
 
-def emitted_files(model, options=EmitOptions()):
-    return {name: write_canonical(doc) for name, doc in emit_wsdl(model, options)}
+def emitted_files(model):
+    return {name: write_canonical(doc) for name, doc in emit_wsdl(model)}
 
 
 def security_domain():
@@ -344,23 +343,3 @@ def test_policy_subjects_other_than_endpoint():
     assert binding.element_children()[0].name == QName(WSP_NS, "Policy")
     service = root.find(QName(WSDL_NS, "service"))
     assert service.element_children()[0].name == QName(WSP_NS, "Policy")
-
-
-def test_prefix_table_override_and_collisions():
-    options = EmitOptions(prefix_table={SEC_NS: "sec"})
-    files = {n: write_canonical(d) for n, d in emit_wsdl(travel_agency_model(), options)}
-    wsdl = files["TravelAgency.wsdl"].decode()
-    assert "xmlns:sec=" in wsdl
-    assert "<sec:UsernameToken>" in wsdl
-    with pytest.raises(ValueError):
-        EmitOptions(prefix_table={SEC_NS: "not a prefix"})
-    with pytest.raises(ValueError):
-        EmitOptions(prefix_table={SEC_NS: "p", "http://other/": "p"})
-
-
-def test_xsd_file_name_pattern():
-    options = EmitOptions(xsd_file_name_pattern="{domain}-policy.xsd")
-    files = dict(emit_wsdl(travel_agency_model(), options))
-    assert "security-policy.xsd" in files
-    wsdl = write_canonical(files["TravelAgency.wsdl"]).decode()
-    assert 'schemaLocation="security-policy.xsd"' in wsdl

@@ -28,6 +28,7 @@ from corpus import (
     sp,
     travel_agency_json,
     travel_agency_model,
+    wsdl_with_second_endpoint_policy,
 )
 from randgen import rand_model, rand_policy_expr
 
@@ -105,6 +106,25 @@ def test_stray_policy_is_an_error():
         "</wsdl:description>"
     ).encode()
     with pytest.raises(XmlParseError):
+        parse_wsdl(payload)
+
+
+def test_second_policy_on_one_subject_is_an_error():
+    # Both policies apply to the endpoint; reading only the first would drop
+    # the second, here an unsatisfiable one.
+    with pytest.raises(XmlParseError, match="second wsp:Policy for subject "
+                                            "'endpoint/TravelAgencyService/TravelAgencyEndpoint'"):
+        parse_wsdl(wsdl_with_second_endpoint_policy())
+
+    # Two elements addressing one subject, each with a policy, are refused too.
+    payload = (
+        '<wsdl:description xmlns:wsdl="http://www.w3.org/ns/wsdl" '
+        f'xmlns:wsp="{WSP}" targetNamespace="http://x/">'
+        '<wsdl:binding name="B" interface="I" type="http://x/t"><wsp:Policy/></wsdl:binding>'
+        '<wsdl:binding name="B" interface="I" type="http://x/t"><wsp:Policy/></wsdl:binding>'
+        "</wsdl:description>"
+    ).encode()
+    with pytest.raises(XmlParseError, match="second wsp:Policy for subject 'binding/B'"):
         parse_wsdl(payload)
 
 
