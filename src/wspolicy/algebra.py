@@ -254,6 +254,17 @@ def normalize(expr: PolicyExpr) -> NormalForm:
     return NormalForm.of(_distribute(expand_optional(expr)))
 
 
+def satisfiable(expr: PolicyExpr) -> bool:
+    """``normalize(expr).satisfiable``, read off the tree without expanding it:
+    an assertion always yields an alternative, ExactlyOne needs one
+    satisfiable child, and Policy and All need every child satisfiable."""
+    if isinstance(expr, AssertionRef):
+        return True
+    if isinstance(expr, ExactlyOne):
+        return any(satisfiable(child) for child in expr.children)
+    return all(satisfiable(child) for child in expr.children)
+
+
 ORACLE_LIMIT = 16
 
 

@@ -201,17 +201,13 @@ def validate(model_path: str):
 def generate(model_path: str, output_dir: str):
     """Generate the WSDL and domain XSD files for a model (all-or-nothing)."""
     model = _parse_model_or_die(_read_bytes(model_path))
-    diagnostics = validate_model(model)
-    for diagnostic in diagnostics:
-        click.echo(str(diagnostic), err=True)
-    if any(d.severity == "error" for d in diagnostics):
-        sys.exit(EXIT_INVALID)
+    try:
+        docs = emit_wsdl(model)
+    except GenerationError as exc:
+        _die(EXIT_INVALID, "\n".join(map(str, exc.diagnostics)))
     if not model.services:
         _die(EXIT_INVALID, "error nothing-to-generate services: the model declares no services")
-    try:
-        files = [(name, write_canonical(doc)) for name, doc in emit_wsdl(model)]
-    except GenerationError as exc:
-        _die(EXIT_INVALID, f"error generation: {exc}")
+    files = [(name, write_canonical(doc)) for name, doc in docs]
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, payload in files:

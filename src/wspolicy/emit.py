@@ -18,14 +18,14 @@ from .algebra import (
     PolicyExpr,
     iter_refs,
     lexical_value,
-    normalize,
+    normalize,  # unused here; benchmarks/spans.py wraps emit.normalize
+    satisfiable,
 )
 from .errors import GenerationError
 from .model import (
     AssertionDecl,
     DomainSchema,
     ServiceModel,
-    assertion_vocabulary,
     validate_domain,
     validate_model,
 )
@@ -194,7 +194,7 @@ def emit_policy_element(expr: PolicyExpr) -> XmlElement:
     elements in their own namespace with parameters as attributes; optional
     flags become wsp:Optional="true" rather than being pre-expanded.
     """
-    if not normalize(expr).satisfiable:
+    if not satisfiable(expr):
         raise GenerationError("refusing to emit an unsatisfiable policy (no alternatives)")
     return _policy_root(expr)
 
@@ -244,29 +244,17 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
 
     The WSDL imports exactly the domains whose assertions appear in attached
     policies; each attachment is embedded as the first wsp:Policy child of its
-    subject element.  The model is validated once and each attachment checked
-    once, so the policy and domain XML are built without checking again.
+    subject element.  validate_model is the one check: a model it passes is
+    emitted without checking again, and one it fails raises GenerationError
+    carrying its error diagnostics.
     """
     problems = [d for d in validate_model(model) if d.severity == "error"]
     if problems:
-        raise GenerationError(f"model failed validation: {problems[0]}")
-    vocab = assertion_vocabulary(model.domains)
+        raise GenerationError(f"model failed validation: {problems[0]}", tuple(problems))
 
-    used_namespaces: set[str] = set()
-    for attachment in model.attachments:
-        qnames = {ref.qname for ref in iter_refs(attachment.policy)}
-        undeclared = [qname for qname in qnames if qname not in vocab]
-        if undeclared:
-            raise GenerationError(
-                f"policy on {attachment.subject.path_string()} references an "
-                f"assertion declared in no domain: {min(undeclared)}"
-            )
-        if not normalize(attachment.policy).satisfiable:
-            raise GenerationError(
-                f"policy on {attachment.subject.path_string()} is unsatisfiable "
-                "(zero alternatives); refusing to emit"
-            )
-        used_namespaces.update(qname.namespace for qname in qnames)
+    used_namespaces = {
+        ref.qname.namespace for a in model.attachments for ref in iter_refs(a.policy)
+    }
     used_namespaces.discard(WSP_NS)
 
     imported = [d for d in model.domains if d.target_namespace in used_namespaces]

@@ -41,7 +41,13 @@ class PolicyXmlError(WspolicyError):
 
 
 class GenerationError(WspolicyError):
-    """Emission refused: precondition failed or the model is not emittable."""
+    """Emission refused: precondition failed or the model is not emittable.
+
+    ``diagnostics`` holds the validation errors behind the refusal, if any."""
+
+    def __init__(self, message: str, diagnostics: tuple = ()):
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 class VocabularyError(WspolicyError):

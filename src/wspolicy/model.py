@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .algebra import PolicyExpr
+from .algebra import PolicyExpr, iter_refs, satisfiable
 from .errors import VocabularyError
 from .names import QName, XS_NS, is_absolute_uri, is_ncname
 
@@ -512,10 +512,17 @@ def _check_services(out: _Collector, model: ServiceModel):
 
 
 def _check_attachments(out: _Collector, model: ServiceModel):
+    declared = {QName(d.target_namespace, a.name) for d in model.domains for a in d.assertions}
     seen: set[tuple[str, tuple[str, ...]]] = set()
     for attachment in model.attachments:
         subject = attachment.subject
         path = f"attachments[{subject.path_string()}]"
+        undeclared = {ref.qname for ref in iter_refs(attachment.policy)} - declared
+        if undeclared:
+            out.error("assertion-undeclared", path, "policy references an assertion "
+                      f"declared in no domain: {min(undeclared)}")
+        if not satisfiable(attachment.policy):
+            out.error("policy-unsatisfiable", path, "policy is unsatisfiable (no alternatives)")
         if subject.kind not in SUBJECT_KINDS:
             out.error("subject-unresolved", path, f"unknown subject kind {subject.kind!r}")
             continue

@@ -64,15 +64,9 @@ class _Fault(Exception):
         super().__init__(message)
         self.message = message
         self.segments = list(segments)   # innermost first
-        self.bare = not segments
 
     def error(self) -> ModelSchemaError:
-        path = "".join(reversed(self.segments))
-        # Paths start with their first key, except that a bad value of a
-        # top-level key reads ".key" (".modelName"), as it always has.
-        if not (self.bare and len(self.segments) == 1):
-            path = path.lstrip(".")
-        return ModelSchemaError(path, self.message)
+        return ModelSchemaError("".join(reversed(self.segments)).lstrip("."), self.message)
 
 
 class _Codec(NamedTuple):

@@ -330,15 +330,19 @@ def parse_wsdl(data: bytes, companion_schemas=()) -> ParsedArtifacts:
     return ParsedArtifacts(model, domains, tuple(attachments), tuple(warnings))
 
 
-def _reject_stray_policies(element: XmlElement, consumed: set[int]):
-    for child in element.element_children():
-        if id(child) in consumed:
-            continue
-        if child.name == _WSP_POLICY:
-            raise XmlParseError(
-                "wsp:Policy attached to an element that is not a policy subject"
-            )
-        _reject_stray_policies(child, consumed)
+def _reject_stray_policies(root: XmlElement, consumed: set[int]):
+    # An explicit stack, as in algebra.iter_refs: WSDL content outside any
+    # policy has no depth cap, so recursion could exhaust interpreter frames.
+    stack = [root]
+    while stack:
+        for child in stack.pop().element_children():
+            if id(child) in consumed:
+                continue
+            if child.name == _WSP_POLICY:
+                raise XmlParseError(
+                    "wsp:Policy attached to an element that is not a policy subject"
+                )
+            stack.append(child)
 
 
 def _parse_interface(section: XmlElement, take_policy) -> InterfaceDecl:

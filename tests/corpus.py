@@ -60,6 +60,18 @@ def endpoint_policy():
     return model.attachments[0].policy
 
 
+def wide_optional_json(count: int) -> dict:
+    """The fixture with ``count`` optional HashPassword assertions appended to
+    its endpoint policy, told apart by a parameter: 2**count alternatives."""
+    doc = travel_agency_json()
+    doc["attachments"][0]["policy"]["policy"] += [
+        {"assertion": {"qname": {"namespace": SEC_NS, "local": "HashPassword"},
+                       "optional": True, "parameters": [{"name": "level", "value": i}]}}
+        for i in range(count)
+    ]
+    return doc
+
+
 def conflicting_security_domain() -> DomainSchema:
     """The corpus security domain with UsernameToken annotated differently."""
     (domain,) = travel_agency_model().domains
@@ -161,3 +173,14 @@ def wsdl_with_second_endpoint_policy() -> bytes:
     return wsdl.replace(
         closing, b"      <wsp:Policy><wsp:ExactlyOne/></wsp:Policy>\n" + closing
     )
+
+
+def wsdl_with_deep_documentation(levels: int, stray_policy: bool = False) -> bytes:
+    """The golden WSDL with a chain of ``levels`` nested wsdl:documentation
+    elements as its last child, ending in a wsp:Policy with ``stray_policy``."""
+    wsdl = (GOLDEN / "TravelAgency.wsdl").read_bytes()
+    closing = b"</wsdl:description>"
+    assert wsdl.count(closing) == 1
+    chain = (b"<wsdl:documentation>" * levels + (b"<wsp:Policy/>" if stray_policy else b"")
+             + b"</wsdl:documentation>" * levels)
+    return wsdl.replace(closing, chain + closing)

@@ -154,7 +154,9 @@ def _rand_domain(rng: random.Random, index: int) -> DomainSchema:
 
 
 def rand_model(rng: random.Random, require_satisfiable_policies: bool = False) -> ServiceModel:
-    """A random but valid service model (validate_model returns no errors)."""
+    """A random service model.  validate_model finds no errors in it, except
+    one policy-unsatisfiable per attachment without alternatives, which
+    ``require_satisfiable_policies`` leaves out."""
     from wspolicy import normalize
 
     ext = ExternalNamespace("http://example.org/types.xsd", "t")

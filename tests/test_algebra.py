@@ -24,6 +24,7 @@ from wspolicy.algebra import (
     alternatives_compatible,
     assertions_compatible,
     iter_refs,
+    satisfiable,
     semantic_match_uris,
 )
 from wspolicy.errors import OracleLimitError, VocabularyError
@@ -159,6 +160,26 @@ def test_normalize_random_trees_match_oracle():
     for _ in range(300):
         expr = rand_policy_expr(rng)
         assert normalize(expr) == enumerate_alternatives_oracle(expr)
+
+
+def test_satisfiable_equals_normalize_on_random_trees():
+    rng = random.Random(6006)
+    unsatisfiable = 0
+    for _ in range(3000):
+        expr = rand_policy_expr(rng)
+        expected = normalize(expr).satisfiable
+        assert satisfiable(expr) == expected, expr
+        unsatisfiable += not expected
+    assert unsatisfiable > 200
+
+
+def test_satisfiable_base_cases():
+    assert satisfiable(Policy()) and satisfiable(All()) and satisfiable(A)
+    assert not satisfiable(ExactlyOne())
+    assert not satisfiable(Policy(A, ExactlyOne()))
+    assert satisfiable(ExactlyOne(ExactlyOne(), All()))
+    # An assertion yields an alternative even when its nested policy has none.
+    assert satisfiable(AssertionRef(QName(NS, "A"), optional=True, nested=Policy(ExactlyOne())))
 
 
 def test_parameters_are_canonicalized_lexically():
@@ -549,7 +570,9 @@ _trees = st.recursive(
 
 @given(_trees)
 def test_hypothesis_normalize_equals_oracle(expr):
-    assert normalize(expr) == enumerate_alternatives_oracle(expr)
+    nf = normalize(expr)
+    assert nf == enumerate_alternatives_oracle(expr)
+    assert satisfiable(expr) == nf.satisfiable
 
 
 @given(_trees)

@@ -17,6 +17,7 @@ from wspolicy import (
     write_canonical,
 )
 import wspolicy
+import wspolicy.emit
 from wspolicy.cli import cli
 from wspolicy.reader import MAX_POLICY_DEPTH
 
@@ -32,6 +33,7 @@ from corpus import (
     travel_agency_bytes,
     travel_agency_json,
     travel_agency_model,
+    wsdl_with_deep_documentation,
     wsdl_with_second_endpoint_policy,
 )
 
@@ -144,6 +146,47 @@ def test_generate_all_or_nothing_on_validation_errors(runner, tmp_path):
     assert not outdir.exists()
 
 
+POLICY_FAULTS = {
+    "assertion-undeclared": (
+        lambda policy: policy[0]["assertion"]["qname"].update(local="Ghost"),
+        f"policy references an assertion declared in no domain: {sp('Ghost')}",
+    ),
+    "policy-unsatisfiable": (
+        lambda policy: policy.append({"exactlyOne": []}),
+        "policy is unsatisfiable (no alternatives)",
+    ),
+}
+
+
+@pytest.mark.parametrize("code", sorted(POLICY_FAULTS))
+def test_validate_and_generate_report_policy_faults(runner, tmp_path, code):
+    break_policy, message = POLICY_FAULTS[code]
+    doc = travel_agency_json()
+    break_policy(doc["attachments"][0]["policy"]["policy"])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    line = f"error {code} attachments[{FRAGMENT}]: {message}\n"
+    validated = runner.invoke(cli, ["validate", str(path)])
+    assert (validated.exit_code, validated.stdout, validated.stderr) == (1, "", line)
+    outdir = tmp_path / "never"
+    generated = runner.invoke(cli, ["generate", str(path), "--output-dir", str(outdir)])
+    assert (generated.exit_code, generated.stdout, generated.stderr) == (1, "", line)
+    assert not outdir.exists()
+
+
+def test_generate_validates_once(runner, model_path, tmp_path, monkeypatch):
+    calls = []
+    for module in (wspolicy.cli, wspolicy.emit):
+        def counted(model, validate=module.validate_model):
+            calls.append(model)
+            return validate(model)
+
+        monkeypatch.setattr(module, "validate_model", counted)
+    result = runner.invoke(cli, ["generate", str(model_path), "--output-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
 # --- normalize ---------------------------------------------------------------
 
 def test_normalize_model_fragment_text(runner, model_path):
@@ -224,6 +267,24 @@ def test_deep_policy_exits_1_without_traceback(tmp_path):
         assert "Traceback" not in done.stdout + done.stderr
         if code == 1:
             assert done.stderr.startswith(f"{deep}: policy nested deeper than")
+
+
+def test_deep_wsdl_exits_without_traceback(tmp_path):
+    # WSDL content outside policies has no depth cap; walking it must not
+    # recurse once per level.
+    env = {**os.environ, "PYTHONPATH": str(Path(wspolicy.__file__).parents[1])}
+    for levels, stray_policy, code in ((1000, False, 0), (5000, False, 0), (1000, True, 1)):
+        wsdl = tmp_path / f"deep{levels}{stray_policy}.wsdl"
+        wsdl.write_bytes(wsdl_with_deep_documentation(levels, stray_policy))
+        done = subprocess.run([sys.executable, "-m", "wspolicy.cli", "normalize",
+                               f"{wsdl}#{FRAGMENT}"], capture_output=True, text=True, env=env)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stdout + done.stderr
+        if stray_policy:
+            assert done.stderr == (
+                f"{wsdl}: wsp:Policy attached to an element that is not a policy subject\n")
+        else:
+            assert done.stdout.startswith(str(sp("UsernameToken")))
 
 
 def test_deep_model_exits_1_without_traceback(tmp_path):

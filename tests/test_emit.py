@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import wspolicy.algebra
 import wspolicy.emit
 import wspolicy.model
 
@@ -22,13 +23,23 @@ from wspolicy import (
     normalize,
     parse_policy_element,
     policy_document,
+    validate_model,
     write_canonical,
 )
 from wspolicy.errors import GenerationError
 from wspolicy.names import SAWSDL_NS, WSDL_NS, WSP_NS, XS_NS
 from wspolicy.xmltree import parse_xml
 
-from corpus import GOLDEN, SEC_NS, endpoint_policy, model_from_json, sp, travel_agency_json, travel_agency_model
+from corpus import (
+    GOLDEN,
+    SEC_NS,
+    endpoint_policy,
+    model_from_json,
+    sp,
+    travel_agency_json,
+    travel_agency_model,
+    wide_optional_json,
+)
 from randgen import rand_model
 
 XS_ELEMENT = QName(XS_NS, "element")
@@ -241,6 +252,7 @@ def test_unknown_assertion_qname_refused():
     with pytest.raises(GenerationError) as err:
         emit_wsdl(model_from_json(doc))
     assert "Ghost" in str(err.value)
+    assert [d.code for d in err.value.diagnostics] == ["assertion-undeclared"]
 
 
 def test_validation_errors_refuse_generation():
@@ -250,7 +262,20 @@ def test_validation_errors_refuse_generation():
         emit_wsdl(model_from_json(doc))
 
 
+def forbid_normalize(monkeypatch):
+    """Make every normalize binding generation could reach raise."""
+    def refuse(expr):
+        raise AssertionError("generation expanded a policy")
+
+    monkeypatch.setattr(wspolicy.algebra, "normalize", refuse)
+    monkeypatch.setattr(wspolicy.emit, "normalize", refuse)
+
+
 def test_emit_wsdl_checks_each_attachment_and_domain_once(monkeypatch):
+    rng = random.Random(31337)
+    models = [travel_agency_model()] + [rand_model(rng, require_satisfiable_policies=True)
+                                        for _ in range(5)]
+    forbid_normalize(monkeypatch)
     calls = Counter()
 
     def count(module, name):
@@ -262,21 +287,25 @@ def test_emit_wsdl_checks_each_attachment_and_domain_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((wspolicy.emit, "normalize"), (wspolicy.emit, "validate_model"),
-                         (wspolicy.emit, "validate_domain"), (wspolicy.model, "validate_domain")):
+    for module, name in ((wspolicy.emit, "validate_model"), (wspolicy.emit, "validate_domain"),
+                         (wspolicy.model, "validate_domain")):
         count(module, name)
-    rng = random.Random(31337)
-    models = [travel_agency_model()] + [rand_model(rng, require_satisfiable_policies=True)
-                                        for _ in range(5)]
     for model in models:
         calls.clear()
         emit_wsdl(model)
         # validate_domain runs only inside validate_model, once per domain.
         assert calls == Counter({
-            ("wspolicy.emit", "normalize"): len(model.attachments),
             ("wspolicy.emit", "validate_model"): 1,
             ("wspolicy.model", "validate_domain"): len(model.domains),
         })
+
+
+def test_wide_optional_policy_validates_and_emits_without_expansion(monkeypatch):
+    model = model_from_json(wide_optional_json(40))   # 2**40 alternatives
+    forbid_normalize(monkeypatch)
+    assert validate_model(model) == []
+    wsdl = emitted_files(model)["TravelAgency.wsdl"]
+    assert wsdl.count(b'wsp:Optional="true"') == 40
 
 
 def test_emission_is_byte_deterministic():

@@ -7,6 +7,7 @@ from wspolicy import (
     AssertionDecl,
     AttributeDecl,
     BindingDecl,
+    Diagnostic,
     DomainSchema,
     Endpoint,
     InterfaceDecl,
@@ -18,6 +19,7 @@ from wspolicy import (
     SubjectRef,
     VocabularyError,
     assertion_vocabulary,
+    normalize,
     resolve_subject,
     validate_model,
 )
@@ -272,4 +274,47 @@ def test_model_types_are_immutable():
 def test_random_models_validate_cleanly():
     rng = random.Random(5150)
     for _ in range(25):
-        assert validate_model(rand_model(rng)) == []
+        assert validate_model(rand_model(rng, require_satisfiable_policies=True)) == []
+    # Unfiltered, a model's only faults are its attachments without alternatives.
+    rng = random.Random(5150)
+    unsatisfiable = 0
+    for _ in range(100):
+        model = rand_model(rng)
+        expected = sorted(
+            (unsatisfiable_diagnostic(a.subject.path_string())
+             for a in model.attachments if not normalize(a.policy).satisfiable),
+            key=lambda d: d.subject_path,
+        )
+        assert validate_model(model) == expected
+        unsatisfiable += len(expected)
+    assert unsatisfiable > 0
+
+
+ENDPOINT = "endpoint/TravelAgencyService/TravelAgencyEndpoint"
+
+
+def unsatisfiable_diagnostic(subject: str) -> Diagnostic:
+    return Diagnostic("error", "policy-unsatisfiable", f"attachments[{subject}]",
+                      "policy is unsatisfiable (no alternatives)")
+
+
+def test_undeclared_assertion_flagged():
+    doc = travel_agency_json()
+    policy = doc["attachments"][0]["policy"]["policy"]
+    policy[0]["assertion"]["qname"]["local"] = "Ghost"
+    # The least undeclared QName sits in the nested policy.
+    policy[0]["assertion"]["nested"]["policy"].append(
+        {"assertion": {"qname": {"namespace": SEC_NS, "local": "Banshee"}}})
+    assert validate_model(model_from_json(doc)) == [
+        Diagnostic("error", "assertion-undeclared", f"attachments[{ENDPOINT}]",
+                   f"policy references an assertion declared in no domain: {sp('Banshee')}")
+    ]
+
+
+def test_unsatisfiable_attachment_flagged():
+    doc = travel_agency_json()
+    doc["attachments"][0]["policy"]["policy"].append({"exactlyOne": []})
+    assert validate_model(model_from_json(doc)) == [unsatisfiable_diagnostic(ENDPOINT)]
+    doc["attachments"][0]["policy"]["policy"][0]["assertion"]["qname"]["local"] = "Ghost"
+    assert codes(validate_model(model_from_json(doc))) == [
+        "assertion-undeclared", "policy-unsatisfiable"]
