@@ -11,7 +11,7 @@ semantic-concept URIs taken from the assertion vocabulary (semantic).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
@@ -116,8 +116,30 @@ class AssertionRef(PolicyExpr):
         return f"AssertionRef({inner})"
 
 
-@dataclass(frozen=True)
-class AssertionInstance:
+class Keyed:
+    """Base of frozen dataclasses whose equality and hash read a key set by ``_freeze``."""
+
+    def _freeze(self, key: tuple, identity: object) -> None:
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(identity))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self._key == other._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def sort_key(self) -> tuple:
+        return self._key
+
+    def __reduce__(self):  # rebuilt from the fields: a str hash differs between processes
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class AssertionInstance(Keyed):
     """One assertion occurrence inside an alternative.
 
     Parameter values are stored in lexical form and sorted by name so equal
@@ -133,25 +155,18 @@ class AssertionInstance:
             sorted((name, lexical_value(value)) for name, value in self.parameters)
         )
         object.__setattr__(self, "parameters", canon)
-
-    def sort_key(self):
         # The presence flag keeps the key injective: an absent nested policy
         # must not collide with a present-but-unsatisfiable one.
-        nested_key = self.nested.sort_key() if self.nested is not None else ()
-        return (
-            self.qname.namespace,
-            self.qname.local,
-            self.parameters,
-            self.nested is not None,
-            nested_key,
-        )
+        nested = self.nested
+        key = (canon, nested is not None, nested.sort_key() if nested is not None else ())
+        self._freeze(self.qname.sort_key() + key, (self.qname, canon, nested))
 
 
 Alternative = tuple[AssertionInstance, ...]
 
 
-@dataclass(frozen=True)
-class NormalForm:
+@dataclass(frozen=True, eq=False)
+class NormalForm(Keyed):
     """Canonical choice-of-conjunctions.
 
     Alternatives are kept as sorted tuples of unique instances, themselves
@@ -161,22 +176,29 @@ class NormalForm:
     alternatives: tuple[Alternative, ...] = ()
 
     def __post_init__(self):
-        unique = {
-            tuple(sorted(set(alt), key=AssertionInstance.sort_key))
-            for alt in self.alternatives
-        }
-        object.__setattr__(
-            self,
-            "alternatives",
-            tuple(sorted(unique, key=lambda alt: tuple(i.sort_key() for i in alt))),
-        )
+        ids: dict[AssertionInstance, int] = {}
+        sets = {frozenset(ids.setdefault(i, len(ids)) for i in alt) for alt in self.alternatives}
+        self._canonical(sets, ids)
+
+    def _canonical(self, sets: set[frozenset[int]], ids: dict[AssertionInstance, int]) -> None:
+        """Set the alternatives from distinct sets of instance ``ids``, emptying
+        ``sets``: sorting them as tuples of ranks orders them by instance keys."""
+        by_rank = sorted(ids, key=Keyed.sort_key)
+        rank = [0] * len(by_rank)
+        for r, instance in enumerate(by_rank):
+            rank[ids[instance]] = r
+        ranked = sorted(tuple(sorted(map(rank.__getitem__, alt))) for alt in sets)
+        sets.clear()  # the id sets of a wide policy are large: free them first
+        alternatives = tuple(tuple(map(by_rank.__getitem__, alt)) for alt in ranked)
+        object.__setattr__(self, "alternatives", alternatives)
+        self._freeze(alternatives, alternatives)
+
+    def sort_key(self) -> tuple:
+        return tuple(tuple(i._key for i in alt) for alt in self.alternatives)
 
     @staticmethod
     def of(alternatives: Iterable[Iterable[AssertionInstance]]) -> "NormalForm":
         return NormalForm(tuple(tuple(alt) for alt in alternatives))
-
-    def sort_key(self):
-        return tuple(tuple(i.sort_key() for i in alt) for alt in self.alternatives)
 
     @property
     def satisfiable(self) -> bool:
@@ -229,19 +251,20 @@ def _instance_of(ref: AssertionRef) -> AssertionInstance:
     return AssertionInstance(ref.qname, ref.parameters, nested)
 
 
-def _distribute(expr: PolicyExpr) -> list[frozenset[AssertionInstance]]:
+def _distribute(expr: PolicyExpr, ids: dict[AssertionInstance, int]) -> list[frozenset[int]]:
+    """Alternatives as sets of the ids ``ids`` gives each distinct instance."""
     if isinstance(expr, AssertionRef):
-        return [frozenset({_instance_of(expr)})]
+        return [frozenset((ids.setdefault(_instance_of(expr), len(ids)),))]
     if isinstance(expr, ExactlyOne):
-        out: list[frozenset[AssertionInstance]] = []
+        out: list[frozenset[int]] = []
         for child in expr.children:
-            out.extend(_distribute(child))
+            out.extend(_distribute(child, ids))
         return out
     # Policy and All take the pairwise union over the children's alternatives.
-    acc: list[frozenset[AssertionInstance]] = [frozenset()]
+    acc: list[frozenset[int]] = [frozenset()]
     for child in expr.children:
-        child_alts = _distribute(child)
-        acc = [a | b for a in acc for b in child_alts]
+        child_alts = _distribute(child, ids)
+        acc = [a | b if b else a for a in acc for b in child_alts]
     return acc
 
 
@@ -251,7 +274,9 @@ def normalize(expr: PolicyExpr) -> NormalForm:
     ``All()`` contributes the single empty alternative, ``ExactlyOne()``
     contributes no alternative at all (the unsatisfiable policy).
     """
-    return NormalForm.of(_distribute(expand_optional(expr)))
+    nf, ids = object.__new__(NormalForm), {}
+    nf._canonical(set(_distribute(expand_optional(expr), ids)), ids)
+    return nf
 
 
 def satisfiable(expr: PolicyExpr) -> bool:
@@ -320,17 +345,20 @@ def _model_reference_set(decl: Any) -> frozenset[str]:
     return _normalized_uris(tuple(annotation.model_reference))
 
 
-def semantic_match_uris(
-    a: QName, b: QName, vocab: Optional[Vocabulary]
-) -> tuple[str, ...]:
-    """Shared modelReference URIs (normalized, sorted) between two declared
-    assertions; raises when either declaration is missing."""
+def _declared_uris(a: QName, b: QName, vocab: Optional[Vocabulary]):
+    """Both declarations' normalized modelReference sets; raises if one is missing."""
     if vocab is None:
         raise VocabularyError("semantic matching requires an assertion vocabulary")
     for qname in (a, b):
         if qname not in vocab:
             raise VocabularyError(f"no declaration for assertion {qname}")
-    return tuple(sorted(_model_reference_set(vocab[a]) & _model_reference_set(vocab[b])))
+    return _model_reference_set(vocab[a]), _model_reference_set(vocab[b])
+
+
+def semantic_match_uris(a: QName, b: QName, vocab: Optional[Vocabulary]) -> tuple[str, ...]:
+    """Shared modelReference URIs (normalized, sorted) between two declared
+    assertions; raises when either declaration is missing."""
+    return tuple(sorted(frozenset.intersection(*_declared_uris(a, b, vocab))))
 
 
 def assertions_compatible(
@@ -338,6 +366,7 @@ def assertions_compatible(
     b: AssertionInstance,
     mode: MatchMode = MatchMode.STRICT,
     vocab: Optional[Vocabulary] = None,
+    *, _memo: Optional[dict] = None,
 ) -> bool:
     """Instance compatibility.
 
@@ -349,14 +378,16 @@ def assertions_compatible(
     if a.qname != b.qname:
         if mode is MatchMode.STRICT:
             return False
-        if not semantic_match_uris(a.qname, b.qname, vocab):
+        uris_a, uris_b = _declared_uris(a.qname, b.qname, vocab)
+        if uris_a.isdisjoint(uris_b):
             return False
-    if (a.nested is None) != (b.nested is None):
-        return False
-    if a.nested is not None and b.nested is not None:
-        if not intersect(a.nested, b.nested, mode, vocab).satisfiable:
-            return False
-    return True
+    if a.nested is None or b.nested is None:
+        return a.nested is None and b.nested is None
+    memo = {} if _memo is None else _memo
+    pair = (a.nested, b.nested)
+    if pair not in memo:
+        memo[pair] = intersect(a.nested, b.nested, mode, vocab, _memo=memo).satisfiable
+    return memo[pair]
 
 
 def alternatives_compatible(
@@ -364,14 +395,15 @@ def alternatives_compatible(
     alt_b: Iterable[AssertionInstance],
     mode: MatchMode = MatchMode.STRICT,
     vocab: Optional[Vocabulary] = None,
+    *, _memo: Optional[dict] = None,
 ) -> bool:
     """Every instance on each side must have a compatible partner on the other."""
     alt_a = tuple(alt_a)
     alt_b = tuple(alt_b)
     return all(
-        any(assertions_compatible(a, b, mode, vocab) for b in alt_b) for a in alt_a
+        any(assertions_compatible(a, b, mode, vocab, _memo=_memo) for b in alt_b) for a in alt_a
     ) and all(
-        any(assertions_compatible(b, a, mode, vocab) for a in alt_a) for b in alt_b
+        any(assertions_compatible(b, a, mode, vocab, _memo=_memo) for a in alt_a) for b in alt_b
     )
 
 
@@ -418,6 +450,7 @@ def intersect(
     q: NormalForm,
     mode: MatchMode = MatchMode.STRICT,
     vocab: Optional[Vocabulary] = None,
+    *, _memo: Optional[dict] = None,
 ) -> NormalForm:
     """Alternatives acceptable to both policies.
 
@@ -432,29 +465,44 @@ def intersect(
     compatible pair every instance has a partner sharing a key with it, so
     both alternatives have the same signature.  Sharing a URI is not
     transitive, so equal signatures only select the pairs that
-    ``alternatives_compatible`` then decides, in the nested-loop order.
+    ``alternatives_compatible`` then decides, in the nested-loop order.  In
+    strict mode, equal signatures make two alternatives without nested
+    policies compatible, unchecked.
 
     In semantic mode without a vocabulary, or with a QName at any depth of
     ``p`` or ``q`` undeclared, a check may raise VocabularyError.  Then every
     non-empty alternative shares one bucket, so the pairs that can raise are
     tried in the same order as a full nested loop and raise the same error.
+
+    One top-level call intersects each ordered pair of nested forms once and
+    keeps the answer until it returns, as a repeat would redo the same checks.
+    Where no check can raise, compatibility is symmetric and the answer also
+    stands for the reversed pair.  Nesting costs time linear in depth, not 2^depth.
     """
     components = _match_components(p, q, mode, vocab)
+    memo = {} if _memo is None else _memo
 
     def signature(alt: Alternative):
         if components is None:
             return bool(alt)
         return frozenset(components[i.qname] for i in alt)
 
-    buckets: dict[Any, list[Alternative]] = {}
+    def flat(alt: Alternative) -> bool:
+        return mode is MatchMode.STRICT and all(i.nested is None for i in alt)
+
+    buckets: dict[Any, list[tuple[Alternative, bool]]] = {}
     for alt_b in q.alternatives:
-        buckets.setdefault(signature(alt_b), []).append(alt_b)
+        buckets.setdefault(signature(alt_b), []).append((alt_b, flat(alt_b)))
     found: list[Alternative] = []
     for alt_a in p.alternatives:
-        for alt_b in buckets.get(signature(alt_a), ()):
-            if alternatives_compatible(alt_a, alt_b, mode, vocab):
+        flat_a = flat(alt_a)
+        for alt_b, flat_b in buckets.get(signature(alt_a), ()):
+            if flat_a and flat_b or alternatives_compatible(alt_a, alt_b, mode, vocab, _memo=memo):
                 found.append(alt_a + alt_b)
-    return NormalForm.of(found)
+    result = NormalForm.of(found)
+    if components is not None:
+        memo[q, p] = result.satisfiable
+    return result
 
 
 def merge(p: PolicyExpr, q: PolicyExpr) -> PolicyExpr:

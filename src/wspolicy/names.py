@@ -25,6 +25,18 @@ class QName:
 
     namespace: str
     local: str
+    _hash = 0  # not a field: kept from the first __hash__, as most are never hashed
+
+    def __hash__(self) -> int:
+        if not self._hash:
+            object.__setattr__(self, "_hash", hash((self.namespace, self.local)))
+        return self._hash
+
+    def sort_key(self) -> tuple[str, str]:
+        return (self.namespace, self.local)
+
+    def __reduce__(self):  # never carry a hash to a process with another hash seed
+        return QName, (self.namespace, self.local)
 
     def __str__(self) -> str:
         if self.namespace:

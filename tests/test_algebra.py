@@ -1,4 +1,10 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +17,7 @@ from wspolicy import (
     MatchMode,
     NormalForm,
     Policy,
+    PolicyExpr,
     QName,
     denormalize,
     enumerate_alternatives_oracle,
@@ -20,6 +27,7 @@ from wspolicy import (
     normal_forms_equal,
     normalize,
 )
+from wspolicy import algebra
 from wspolicy.algebra import (
     alternatives_compatible,
     assertions_compatible,
@@ -586,3 +594,286 @@ def test_hypothesis_merge_cross_product(p, q):
     assert merged == NormalForm.of(
         [a + b for a in normalize(p).alternatives for b in normalize(q).alternatives]
     )
+
+
+# --- nested chains and the per-call memo ---------------------------------------
+
+def _chain(depth: int, qname_at=lambda level: QName(NS, f"L{level}")) -> PolicyExpr:
+    """``depth`` nested policies, one assertion each: the outermost assertion
+    is level 0 and the innermost, level ``depth - 1``, has no nested policy."""
+    expr = None
+    for level in reversed(range(depth)):
+        expr = Policy(AssertionRef(qname_at(level), nested=expr))
+    return expr
+
+
+def _chain_vocab(depth: int) -> dict:
+    """Declarations for every L<level> and an alias M<level> sharing its URI."""
+    return {
+        QName(NS, f"{prefix}{level}"): AssertionDecl(
+            f"{prefix}{level}", "empty", annotation=SemanticAnnotation((f"urn:level{level}",))
+        )
+        for level in range(depth)
+        for prefix in ("L", "M")
+    }
+
+
+def _count_intersect_calls(monkeypatch, p, q, mode, vocab) -> tuple[NormalForm, int]:
+    # Nested intersections call the module global, so wrapping it counts them.
+    calls = [0]
+    original = algebra.intersect
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "intersect", counted)
+    try:
+        return algebra.intersect(p, q, mode, vocab), calls[0]
+    finally:
+        monkeypatch.setattr(algebra, "intersect", original)
+
+
+def test_nested_chain_intersections_grow_linearly(monkeypatch):
+    # Without the memo each level checks its pair in both directions and the
+    # call count doubles per level: 2^50 at the reader's depth cap.
+    alias = lambda level: QName(NS, f"M{level}")  # noqa: E731
+    for depth in (10, 20, 50):
+        chain = normalize(_chain(depth))
+        vocab = _chain_vocab(depth)
+        cases = (
+            (chain, MatchMode.STRICT, None),
+            (chain, MatchMode.SEMANTIC, vocab),
+            (normalize(_chain(depth, alias)), MatchMode.SEMANTIC, vocab),
+            # Undeclared, so a check could raise; equal QNames never do.
+            (chain, MatchMode.SEMANTIC, {}),
+            (chain, MatchMode.SEMANTIC, None),
+        )
+        for other, mode, v in cases:
+            got, calls = _count_intersect_calls(monkeypatch, chain, other, mode, v)
+            assert got.satisfiable
+            assert calls <= depth, (depth, mode, calls)
+
+
+def test_nested_chain_with_undeclared_level_raises_like_reference():
+    depth, undeclared = 20, QName(NS, "U")
+    vocab = _chain_vocab(depth)
+    p = normalize(_chain(depth))
+    for level in (0, 7, depth - 1):
+        q = normalize(_chain(depth, lambda at: undeclared if at == level else QName(NS, f"M{at}")))
+        want = _outcome(_intersect_reference, p, q, MatchMode.SEMANTIC, vocab)
+        assert want == f"VocabularyError: no declaration for assertion {undeclared}"
+        assert _outcome(intersect, p, q, MatchMode.SEMANTIC, vocab) == want
+        assert _outcome(intersect, q, p, MatchMode.SEMANTIC, vocab) == want
+
+
+def test_reverse_pair_is_not_reused_when_a_check_could_raise():
+    # With A1 undeclared, intersect(left, right) matches [A2] with [A2]
+    # without raising, while intersect(right, left) first checks A2 against
+    # A1 and raises.  A memo that reused the first answer for the reversed
+    # pair would hide the error.
+    a0, a1, a2, t = (QName(NS, name) for name in ("A0", "A1", "A2", "T"))
+    vocab = {q: AssertionDecl(q.local, "empty", annotation=SemanticAnnotation((f"urn:{q.local}",)))
+             for q in (a0, a2, t)}
+    left = nf([AssertionInstance(a0), AssertionInstance(a1)], [AssertionInstance(a2)])
+    right = nf([AssertionInstance(a2)])
+    assert _intersect_reference(left, right, MatchMode.SEMANTIC, vocab).satisfiable
+    error = f"VocabularyError: no declaration for assertion {a1}"
+    assert _outcome(_intersect_reference, right, left, MatchMode.SEMANTIC, vocab) == error
+    # The pair's check asks (left, right) first, then (right, left).
+    p, q = nf([AssertionInstance(t, nested=left)]), nf([AssertionInstance(t, nested=right)])
+    assert _outcome(_intersect_reference, p, q, MatchMode.SEMANTIC, vocab) == error
+    assert _outcome(intersect, p, q, MatchMode.SEMANTIC, vocab) == error
+
+
+def _shared_nesting_form(rng, qnames, pool) -> NormalForm:
+    """A random form whose nested policies come from ``pool``, so the same
+    pair of nested forms recurs across alternatives and calls."""
+    alternatives = []
+    for _ in range(rng.randint(0, 4)):
+        alternatives.append([
+            AssertionInstance(rng.choice(qnames), (), rng.choice(pool) if rng.random() < 0.6 else None)
+            for _ in range(rng.randint(0, 3))
+        ])
+    return NormalForm.of(alternatives)
+
+
+def _full_vocab(rng, qnames):
+    return {
+        qname: AssertionDecl(qname.local, "empty", annotation=(
+            SemanticAnnotation(tuple(rng.sample(_CONCEPT_URIS, rng.randint(1, 2))))
+            if rng.random() < 0.8 else None))
+        for qname in qnames
+    }
+
+
+def test_intersect_equals_reference_with_shared_nested_forms():
+    rng = random.Random(6021)
+    qnames = default_pool(4)
+    outcomes = {"empty": 0, "matched": 0, "raised": 0}
+    for round_ in range(90):
+        # Nesting depth 3: a pool form (max_nesting=2) under a top-level instance.
+        pool = [rand_normal_form(rng, qnames, max_nesting=2) for _ in range(3)]
+        pool.append(NormalForm.of([[]]))
+        for _ in range(10):
+            p = _shared_nesting_form(rng, qnames, pool)
+            q = _shared_nesting_form(rng, qnames, pool)
+            vocab = (_full_vocab(rng, qnames), _rand_vocab(rng, qnames), None)[round_ % 3]
+            for mode in MatchMode:
+                want = _outcome(_intersect_reference, p, q, mode, vocab)
+                assert _outcome(intersect, p, q, mode, vocab) == want, (p, q, mode, vocab)
+                if isinstance(want, str):
+                    outcomes["raised"] += 1
+                else:
+                    outcomes["matched" if want.satisfiable else "empty"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_intersect_satisfiability_is_symmetric():
+    # The memo shares one result between (a, b) and (b, a).
+    rng = random.Random(8088)
+    qnames = default_pool(4)
+    for _ in range(300):
+        pool = [rand_normal_form(rng, qnames, max_nesting=2) for _ in range(3)]
+        p = _shared_nesting_form(rng, qnames, pool)
+        q = _shared_nesting_form(rng, qnames, pool)
+        vocab = _full_vocab(rng, qnames)
+        for mode in MatchMode:
+            assert intersect(p, q, mode, vocab).satisfiable == intersect(q, p, mode, vocab).satisfiable
+
+
+def test_semantic_compat_errors_are_unchanged():
+    x, y = QName(NS, "X"), QName(NS, "Y")
+    a, b = AssertionInstance(x), AssertionInstance(y)
+    declared = {x: AssertionDecl("X", "empty", annotation=SemanticAnnotation(("urn:u",)))}
+    with pytest.raises(VocabularyError, match="^semantic matching requires an assertion vocabulary$"):
+        assertions_compatible(a, b, MatchMode.SEMANTIC, None)
+    for vocab in (declared, {y: declared[x]}):
+        missing = y if vocab is declared else x
+        with pytest.raises(VocabularyError, match=f"^no declaration for assertion {{{NS}}}{missing.local}$"):
+            assertions_compatible(a, b, MatchMode.SEMANTIC, vocab)
+    both = {x: declared[x], y: AssertionDecl("Y", "empty", annotation=SemanticAnnotation(("urn:v",)))}
+    assert not assertions_compatible(a, b, MatchMode.SEMANTIC, both)
+    assert semantic_match_uris(x, y, both) == ()
+
+
+# --- the identity contract ------------------------------------------------------
+
+def _fields_equal(a, b) -> bool:
+    """Field-by-field comparison, as the frozen dataclasses compared before
+    keys were cached."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, QName):
+        return (a.namespace, a.local) == (b.namespace, b.local)
+    if isinstance(a, AssertionInstance):
+        if a.nested is None or b.nested is None:
+            nested_equal = a.nested is b.nested
+        else:
+            nested_equal = _fields_equal(a.nested, b.nested)
+        return _fields_equal(a.qname, b.qname) and a.parameters == b.parameters and nested_equal
+    return len(a.alternatives) == len(b.alternatives) and all(
+        len(x) == len(y) and all(map(_fields_equal, x, y))
+        for x, y in zip(a.alternatives, b.alternatives)
+    )
+
+
+def _rand_values(rng):
+    """A QName, an instance and a normal form from small spaces, so that
+    equal values built separately are common."""
+    qnames = [QName(ns, local) for ns in ("", "urn:a", "urn:b") for local in ("x", "y")]
+    form = rand_normal_form(rng, qnames, max_nesting=2)
+    instances = [i for alt in form.alternatives for i in alt] or [AssertionInstance(qnames[0])]
+    return rng.choice(qnames), rng.choice(instances), form
+
+
+def test_identity_contract_on_random_values():
+    values = []
+    for seed in range(2000):
+        # Each seed twice: equal values that are distinct objects.
+        values.append(_rand_values(random.Random(seed % 700)))
+    for kind in range(3):
+        column = [v[kind] for v in values]
+        rng = random.Random(kind)
+        for _ in range(2000):
+            a, b = rng.choice(column), rng.choice(column)
+            same = a == b
+            assert same == (a.sort_key() == b.sort_key()) == _fields_equal(a, b)
+            if same:
+                assert hash(a) == hash(b)
+        assert sum(a == b and a is not b for a, b in zip(column, column[700:])) > 100
+        # Equality never trusts the hash alone: forge a collision.
+        for a, b in zip(column, column[1:100]):
+            if a != b:
+                forged = copy.copy(b)
+                object.__setattr__(forged, "_hash", a._hash)
+                assert a != forged and forged != a
+
+
+def test_qname_order_and_foreign_comparisons():
+    rng = random.Random(99)
+    qnames = [QName(rng.choice("abc"), rng.choice("xyz")) for _ in range(2000)]
+    assert sorted(qnames) == sorted(qnames, key=lambda q: (q.namespace, q.local))
+    assert sorted(qnames, key=QName.sort_key) == sorted(qnames)
+    # Instances order by QName first, so alternatives list them that way.
+    (alt,) = NormalForm.of([[AssertionInstance(q) for q in qnames]]).alternatives
+    assert [i.qname for i in alt] == sorted(set(qnames))
+    for q in qnames[:50]:
+        assert q != (q.namespace, q.local) and q != str(q) and q != q.local
+        with pytest.raises(TypeError):
+            q < (q.namespace, q.local)  # noqa: B015
+
+
+def test_values_are_immutable():
+    nested = nf([inst(A)])
+    instance = AssertionInstance(QName(NS, "T"), (("p", 1),), nested)
+    for value, fields in ((QName(NS, "T"), ("namespace", "local")),
+                          (instance, ("qname", "parameters", "nested")),
+                          (nested, ("alternatives",))):
+        for field in fields + ("_key", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+    assert repr(QName("urn:a", "x")) == "QName(namespace='urn:a', local='x')"
+    assert repr(instance).startswith(
+        "AssertionInstance(qname=QName(namespace='http://example.org/test-policy.xsd', "
+        "local='T'), parameters=(('p', '1'),), nested=NormalForm(alternatives=((")
+    assert copy.deepcopy(instance) == instance and pickle.loads(pickle.dumps(nested)) == nested
+
+
+_PICKLE_CHILD = """
+import pickle, sys
+from wspolicy import AssertionInstance, NormalForm, QName
+q = QName("urn:a", "x")
+i = AssertionInstance(q, (("p", "1"),), NormalForm.of([[AssertionInstance(q)]]))
+values = (q, i, NormalForm.of([[i]]))
+if sys.argv[1] == "dump":
+    [hash(v) for v in values]
+    sys.stdout.buffer.write(pickle.dumps(values))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    assert loaded == values
+    assert [hash(v) for v in loaded] == [hash(v) for v in values]
+    assert all({v: None for v in values}.keys() >= {v} for v in loaded)
+"""
+
+
+def test_pickled_values_hash_as_fresh_ones_in_another_process():
+    # A str hash differs between processes, so a value that carried its cached
+    # hash through pickle would miss equal keys in the process that loads it.
+    env = {**os.environ, "PYTHONPATH": str(Path(algebra.__file__).parents[1])}
+    dumped = subprocess.run([sys.executable, "-c", _PICKLE_CHILD, "dump"], capture_output=True,
+                            env={**env, "PYTHONHASHSEED": "1"}, check=True, timeout=60).stdout
+    loaded = subprocess.run([sys.executable, "-c", _PICKLE_CHILD, "load"], input=dumped,
+                            capture_output=True, env={**env, "PYTHONHASHSEED": "2"}, timeout=60)
+    assert loaded.returncode == 0, loaded.stderr.decode()
+
+
+def test_normalize_output_is_already_canonical():
+    rng = random.Random(2718)
+    for _ in range(1000):
+        got = normalize(rand_policy_expr(rng))
+        again = NormalForm.of(got.alternatives)
+        assert again.alternatives == got.alternatives
+        assert [list(map(id, alt)) for alt in again.alternatives] == [
+            list(map(id, alt)) for alt in got.alternatives
+        ]

@@ -269,6 +269,21 @@ def test_deep_policy_exits_1_without_traceback(tmp_path):
             assert done.stderr.startswith(f"{deep}: policy nested deeper than")
 
 
+def test_intersect_nested_chain_at_cap_finishes(tmp_path):
+    # 50 nested policies, the reader's cap: without the per-call memo of
+    # nested intersections this took 2^50 steps and never finished.
+    env = {**os.environ, "PYTHONPATH": str(Path(wspolicy.__file__).parents[1])}
+    nest = tmp_path / "nest.xml"
+    nest.write_bytes(deep_policy(MAX_POLICY_DEPTH, nested_policies=True))
+    for mode in ("strict", "semantic"):
+        done = subprocess.run([sys.executable, "-m", "wspolicy.cli", "intersect", "--mode", mode,
+                               str(nest), str(nest)],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stdout + done.stderr
+        assert done.stdout.startswith(f"{sp('A')}\n  {sp('A')}\n")
+
+
 def test_deep_wsdl_exits_without_traceback(tmp_path):
     # WSDL content outside policies has no depth cap; walking it must not
     # recurse once per level.
