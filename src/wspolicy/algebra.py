@@ -415,17 +415,28 @@ def _all_qnames(nf: NormalForm) -> Iterator[QName]:
                 yield from _all_qnames(instance.nested)
 
 
+# The memo key under which a top-level intersect call keeps whether every
+# QName of its two forms, at every depth, is declared; no pair of forms equals it.
+_DECLARED = object()
+
+
 def _match_components(
-    p: NormalForm, q: NormalForm, mode: MatchMode, vocab: Optional[Vocabulary]
+    p: NormalForm, q: NormalForm, mode: MatchMode, vocab: Optional[Vocabulary], memo: dict
 ) -> Optional[dict[QName, Any]]:
     """Component of every top-level QName of ``p`` and ``q``; None when a
-    semantic check could raise, i.e. a declaration is missing at any depth."""
+    semantic check could raise, i.e. a declaration is missing at any depth of
+    the two forms the top-level intersect call was given.
+
+    Nested calls share that call's ``memo`` and intersect forms nested in its
+    two, so only the top-level call walks every depth."""
     qnames = {i.qname for nf in (p, q) for alt in nf.alternatives for i in alt}
     if mode is MatchMode.STRICT:
         return {qname: qname for qname in qnames}
-    if vocab is None or any(
-        qname not in vocab for nf in (p, q) for qname in _all_qnames(nf)
-    ):
+    if vocab is None:
+        return None
+    if _DECLARED not in memo:
+        memo[_DECLARED] = all(qname in vocab for nf in (p, q) for qname in _all_qnames(nf))
+    if not memo[_DECLARED]:
         return None
     # Union-find over URIs, joining the URIs of each declaration.  A QName's
     # component is that of its URIs; one without URIs matches only itself, so
@@ -479,8 +490,8 @@ def intersect(
     Where no check can raise, compatibility is symmetric and the answer also
     stands for the reversed pair.  Nesting costs time linear in depth, not 2^depth.
     """
-    components = _match_components(p, q, mode, vocab)
     memo = {} if _memo is None else _memo
+    components = _match_components(p, q, mode, vocab, memo)
 
     def signature(alt: Alternative):
         if components is None:

@@ -47,6 +47,59 @@ XSD_FILE_NAME = "ws-semantic{domain}policy.xsd"
 
 _BUILTIN_PREFIXES = {WSDL_NS: "wsdl", XS_NS: "xs", WSP_NS: "wsp", SAWSDL_NS: "sawsdl"}
 
+# Every fixed element and attribute name, built once: one model's emission
+# writes them tens of thousands of times.  Parameter names are the model's own
+# data and are built per call.
+_XS_ANNOTATION = QName(XS_NS, "annotation")
+_XS_ANY = QName(XS_NS, "any")
+_XS_APPINFO = QName(XS_NS, "appinfo")
+_XS_ATTRIBUTE = QName(XS_NS, "attribute")
+_XS_COMPLEX_TYPE = QName(XS_NS, "complexType")
+_XS_ELEMENT = QName(XS_NS, "element")
+_XS_IMPORT = QName(XS_NS, "import")
+_XS_SCHEMA = QName(XS_NS, "schema")
+_XS_SEQUENCE = QName(XS_NS, "sequence")
+
+_WSDL_BINDING = QName(WSDL_NS, "binding")
+_WSDL_DESCRIPTION = QName(WSDL_NS, "description")
+_WSDL_ENDPOINT = QName(WSDL_NS, "endpoint")
+_WSDL_FAULT = QName(WSDL_NS, "fault")
+_WSDL_INPUT = QName(WSDL_NS, "input")
+_WSDL_INTERFACE = QName(WSDL_NS, "interface")
+_WSDL_OPERATION = QName(WSDL_NS, "operation")
+_WSDL_OUTFAULT = QName(WSDL_NS, "outfault")
+_WSDL_OUTPUT = QName(WSDL_NS, "output")
+_WSDL_SERVICE = QName(WSDL_NS, "service")
+_WSDL_TYPES = QName(WSDL_NS, "types")
+
+_WSP_OPTIONAL = QName(WSP_NS, "Optional")
+_WSP_OPERATORS = {
+    Policy: QName(WSP_NS, "Policy"),
+    All: QName(WSP_NS, "All"),
+    ExactlyOne: QName(WSP_NS, "ExactlyOne"),
+}
+
+_SAWSDL_MODEL_REFERENCE = QName(SAWSDL_NS, "modelReference")
+_SAWSDL_LIFTING = QName(SAWSDL_NS, "liftingSchemaMapping")
+_SAWSDL_LOWERING = QName(SAWSDL_NS, "loweringSchemaMapping")
+
+_ATTR_ADDRESS = QName("", "address")
+_ATTR_BINDING = QName("", "binding")
+_ATTR_ELEMENT = QName("", "element")
+_ATTR_ELEMENT_FORM_DEFAULT = QName("", "elementFormDefault")
+_ATTR_INTERFACE = QName("", "interface")
+_ATTR_MESSAGE_LABEL = QName("", "messageLabel")
+_ATTR_MIN_OCCURS = QName("", "minOccurs")
+_ATTR_NAME = QName("", "name")
+_ATTR_NAMESPACE = QName("", "namespace")
+_ATTR_PATTERN = QName("", "pattern")
+_ATTR_PROCESS_CONTENTS = QName("", "processContents")
+_ATTR_REF = QName("", "ref")
+_ATTR_SCHEMA_LOCATION = QName("", "schemaLocation")
+_ATTR_SOURCE = QName("", "source")
+_ATTR_TARGET_NAMESPACE = QName("", "targetNamespace")
+_ATTR_TYPE = QName("", "type")
+
 
 def _xsd_file_name(domain: DomainSchema) -> str:
     return XSD_FILE_NAME.format(domain=domain.domain_name)
@@ -80,68 +133,57 @@ def _preferred_prefixes(model: ServiceModel) -> dict[str, str]:
     return preferred
 
 
-def _el(name: QName, attrs=(), children=()) -> XmlElement:
-    return XmlElement(name, attrs, children)
-
-
-def _xs(local: str) -> QName:
-    return QName(XS_NS, local)
-
-
-def _wsdl(local: str) -> QName:
-    return QName(WSDL_NS, local)
-
-
 def _appinfo(source: str, text: str) -> XmlElement:
-    return _el(_xs("annotation"), (), [_el(_xs("appinfo"), [(QName("", "source"), source)], [text])])
+    appinfo = XmlElement(_XS_APPINFO, [(_ATTR_SOURCE, source)], [text])
+    return XmlElement(_XS_ANNOTATION, (), [appinfo])
 
 
 def _sawsdl_attrs(decl) -> list[tuple[QName, str]]:
     annotation = decl.annotation
     if annotation is None:
         return []
-    attrs = [(QName(SAWSDL_NS, "modelReference"), " ".join(annotation.model_reference))]
+    attrs = [(_SAWSDL_MODEL_REFERENCE, " ".join(annotation.model_reference))]
     if annotation.lifting_schema is not None:
-        attrs.append((QName(SAWSDL_NS, "liftingSchemaMapping"), annotation.lifting_schema))
+        attrs.append((_SAWSDL_LIFTING, annotation.lifting_schema))
     if annotation.lowering_schema is not None:
-        attrs.append((QName(SAWSDL_NS, "loweringSchemaMapping"), annotation.lowering_schema))
+        attrs.append((_SAWSDL_LOWERING, annotation.lowering_schema))
     return attrs
 
 
 def _assertion_element(decl: AssertionDecl, qname_str) -> XmlElement:
-    attrs: list[tuple[QName, str]] = [(QName("", "name"), decl.name)]
+    attrs: list[tuple[QName, str]] = [(_ATTR_NAME, decl.name)]
     attrs.extend(_sawsdl_attrs(decl))
     children: list[XmlElement] = []
     if decl.type_kind == "simple":
-        attrs.append((QName("", "type"), qname_str(decl.simple_type)))
+        attrs.append((_ATTR_TYPE, qname_str(decl.simple_type)))
     elif decl.type_kind == "empty":
-        children.append(_el(_xs("complexType")))
+        children.append(XmlElement(_XS_COMPLEX_TYPE))
     else:
         if decl.nestable_children:
             children.append(_appinfo(NESTABLE_APPINFO, " ".join(decl.nestable_children)))
         content: list[XmlElement] = []
         if decl.nestable_children:
-            wildcard = _el(
-                _xs("any"),
+            wildcard = XmlElement(
+                _XS_ANY,
                 [
-                    (QName("", "minOccurs"), "0"),
-                    (QName("", "namespace"), "##other"),
-                    (QName("", "processContents"), "lax"),
+                    (_ATTR_MIN_OCCURS, "0"),
+                    (_ATTR_NAMESPACE, "##other"),
+                    (_ATTR_PROCESS_CONTENTS, "lax"),
                 ],
             )
-            content.append(_el(_xs("sequence"), (), [wildcard]))
+            content.append(XmlElement(_XS_SEQUENCE, (), [wildcard]))
         for attr_decl in decl.attributes:
-            xs_attr = _el(
-                _xs("attribute"),
+            xs_attr = XmlElement(
+                _XS_ATTRIBUTE,
                 [
-                    (QName("", "name"), attr_decl.name),
-                    (QName("", "type"), qname_str(attr_decl.simple_type)),
+                    (_ATTR_NAME, attr_decl.name),
+                    (_ATTR_TYPE, qname_str(attr_decl.simple_type)),
                 ]
                 + _sawsdl_attrs(attr_decl),
             )
             content.append(xs_attr)
-        children.append(_el(_xs("complexType"), (), content))
-    return _el(_xs("element"), attrs, children)
+        children.append(XmlElement(_XS_COMPLEX_TYPE, (), content))
+    return XmlElement(_XS_ELEMENT, attrs, children)
 
 
 def emit_domain_xsd(domain: DomainSchema) -> XmlDocument:
@@ -176,11 +218,11 @@ def _domain_xsd(domain: DomainSchema) -> XmlDocument:
     children: list[XmlElement] = [_appinfo(DOMAIN_NAME_APPINFO, domain.domain_name)]
     for decl in domain.assertions:
         children.append(_assertion_element(decl, qname_str))
-    root = _el(
-        _xs("schema"),
+    root = XmlElement(
+        _XS_SCHEMA,
         [
-            (QName("", "elementFormDefault"), "qualified"),
-            (QName("", "targetNamespace"), domain.target_namespace),
+            (_ATTR_ELEMENT_FORM_DEFAULT, "qualified"),
+            (_ATTR_TARGET_NAMESPACE, domain.target_namespace),
         ],
         children,
     )
@@ -209,13 +251,14 @@ def _policy_node(expr: PolicyExpr) -> XmlElement:
             (QName("", name), lexical_value(value)) for name, value in expr.parameters
         ]
         if expr.optional:
-            attrs.append((QName(WSP_NS, "Optional"), "true"))
+            attrs.append((_WSP_OPTIONAL, "true"))
         children = []
         if expr.nested is not None:
             children.append(_policy_root(expr.nested))
-        return _el(expr.qname, attrs, children)
-    local = {Policy: "Policy", All: "All", ExactlyOne: "ExactlyOne"}[type(expr)]
-    return _el(QName(WSP_NS, local), (), [_policy_node(child) for child in expr.children])
+        return XmlElement(expr.qname, attrs, children)
+    return XmlElement(
+        _WSP_OPERATORS[type(expr)], (), [_policy_node(child) for child in expr.children]
+    )
 
 
 def policy_document(
@@ -289,56 +332,56 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
     children: list[XmlElement] = []
     if imported:
         imports = [
-            _el(
-                _xs("import"),
+            XmlElement(
+                _XS_IMPORT,
                 [
-                    (QName("", "namespace"), d.target_namespace),
-                    (QName("", "schemaLocation"), _xsd_file_name(d)),
+                    (_ATTR_NAMESPACE, d.target_namespace),
+                    (_ATTR_SCHEMA_LOCATION, _xsd_file_name(d)),
                 ],
             )
             for d in imported
         ]
-        children.append(_el(_wsdl("types"), (), imports))
+        children.append(XmlElement(_WSDL_TYPES, (), imports))
 
     for iface in model.interfaces:
         iface_children = policy_child("interface", iface.name)
         for fault in iface.faults:
-            attrs = [(QName("", "name"), fault.name)]
+            attrs = [(_ATTR_NAME, fault.name)]
             if fault.element_type is not None:
-                attrs.append((QName("", "element"), qname_str(fault.element_type)))
-            iface_children.append(_el(_wsdl("fault"), attrs))
+                attrs.append((_ATTR_ELEMENT, qname_str(fault.element_type)))
+            iface_children.append(XmlElement(_WSDL_FAULT, attrs))
         for op in iface.operations:
             op_children = policy_child("operation", iface.name, op.name)
-            for role, refs in (("input", op.inputs), ("output", op.outputs)):
+            for role, refs in ((_WSDL_INPUT, op.inputs), (_WSDL_OUTPUT, op.outputs)):
                 for ref in refs:
                     op_children.append(
-                        _el(
-                            _wsdl(role),
+                        XmlElement(
+                            role,
                             [
-                                (QName("", "element"), qname_str(ref.element_type)),
-                                (QName("", "messageLabel"), ref.name),
+                                (_ATTR_ELEMENT, qname_str(ref.element_type)),
+                                (_ATTR_MESSAGE_LABEL, ref.name),
                             ],
                         )
                     )
             for fault_ref in op.fault_refs:
-                op_children.append(_el(_wsdl("outfault"), [(QName("", "ref"), fault_ref)]))
+                op_children.append(XmlElement(_WSDL_OUTFAULT, [(_ATTR_REF, fault_ref)]))
             iface_children.append(
-                _el(
-                    _wsdl("operation"),
-                    [(QName("", "name"), op.name), (QName("", "pattern"), _mep_for(op))],
+                XmlElement(
+                    _WSDL_OPERATION,
+                    [(_ATTR_NAME, op.name), (_ATTR_PATTERN, _mep_for(op))],
                     op_children,
                 )
             )
-        children.append(_el(_wsdl("interface"), [(QName("", "name"), iface.name)], iface_children))
+        children.append(XmlElement(_WSDL_INTERFACE, [(_ATTR_NAME, iface.name)], iface_children))
 
     for binding in model.bindings:
         children.append(
-            _el(
-                _wsdl("binding"),
+            XmlElement(
+                _WSDL_BINDING,
                 [
-                    (QName("", "interface"), binding.interface_ref),
-                    (QName("", "name"), binding.name),
-                    (QName("", "type"), binding.transport_protocol),
+                    (_ATTR_INTERFACE, binding.interface_ref),
+                    (_ATTR_NAME, binding.name),
+                    (_ATTR_TYPE, binding.transport_protocol),
                 ],
                 policy_child("binding", binding.name),
             )
@@ -348,27 +391,27 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
         service_children = policy_child("service", service.name)
         for ep in service.endpoints:
             service_children.append(
-                _el(
-                    _wsdl("endpoint"),
+                XmlElement(
+                    _WSDL_ENDPOINT,
                     [
-                        (QName("", "address"), ep.address),
-                        (QName("", "binding"), ep.binding_ref),
-                        (QName("", "name"), ep.name),
+                        (_ATTR_ADDRESS, ep.address),
+                        (_ATTR_BINDING, ep.binding_ref),
+                        (_ATTR_NAME, ep.name),
                     ],
                     policy_child("endpoint", service.name, ep.name),
                 )
             )
         children.append(
-            _el(
-                _wsdl("service"),
-                [(QName("", "interface"), service.interface_ref), (QName("", "name"), service.name)],
+            XmlElement(
+                _WSDL_SERVICE,
+                [(_ATTR_INTERFACE, service.interface_ref), (_ATTR_NAME, service.name)],
                 service_children,
             )
         )
 
-    root = _el(
-        _wsdl("description"),
-        [(QName("", "targetNamespace"), model.target_namespace)],
+    root = XmlElement(
+        _WSDL_DESCRIPTION,
+        [(_ATTR_TARGET_NAMESPACE, model.target_namespace)],
         children,
     )
     files: list[tuple[str, XmlDocument]] = [

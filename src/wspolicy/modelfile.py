@@ -40,7 +40,7 @@ from .model import (
     SUBJECT_KINDS,
     TYPE_KINDS,
 )
-from .names import QName, is_absolute_uri, is_ncname
+from .names import QName, check_xml_chars, is_absolute_uri, is_ncname
 
 FORMAT_VERSION = "1.0"
 
@@ -126,20 +126,29 @@ def _as_is(value):
     return value
 
 
-def _string(raw, depth: int) -> str:
+def _any_string(raw, depth: int) -> str:
+    """Any string: NCNames, URIs and fixed choices refuse non-XML characters themselves."""
     if not isinstance(raw, str):
         raise _Fault(f"expected a string, got {type(raw).__name__}")
     return raw
 
 
+def _string(raw, depth: int) -> str:
+    """A string that XML can carry: every character in XML 1.0's Char production."""
+    try:
+        return check_xml_chars(_any_string(raw, depth))
+    except ValueError as exc:
+        raise _Fault(str(exc)) from None
+
+
 def _ncname(raw, depth: int) -> str:
-    if not is_ncname(_string(raw, depth)):
+    if not is_ncname(_any_string(raw, depth)):
         raise _Fault(f"not an NCName: {raw!r}")
     return raw
 
 
 def _uri(raw, depth: int) -> str:
-    if not is_absolute_uri(_string(raw, depth)):
+    if not is_absolute_uri(_any_string(raw, depth)):
         raise _Fault(f"not an absolute URI: {raw!r}")
     return raw
 
@@ -152,7 +161,7 @@ def _token(raw, depth: int) -> str:
 
 def _one_of(choices: tuple[str, ...]) -> _Codec:
     def parse(raw, depth: int) -> str:
-        if _string(raw, depth) not in choices:
+        if _any_string(raw, depth) not in choices:
             raise _Fault(f"expected one of {choices}, got {raw!r}")
         return raw
 
@@ -184,8 +193,10 @@ def _prefix(raw, depth: int) -> Optional[str]:
 
 
 def _param_value(raw, depth: int) -> ParamValue:
-    if isinstance(raw, (bool, str)):
+    if isinstance(raw, bool):
         return raw
+    if isinstance(raw, str):
+        return _string(raw, depth)
     if isinstance(raw, (int, float)):
         if isinstance(raw, float) and not math.isfinite(raw):
             raise _Fault("parameter values must be finite")
@@ -238,7 +249,7 @@ def _uris(raw, depth: int) -> tuple:
 def _identifiers(raw, depth: int) -> tuple:
     if not isinstance(raw, list) or not all(isinstance(part, str) for part in raw):
         raise _Fault(_IDENTIFIERS.missing)
-    return tuple(raw)
+    return _items(raw, _string, depth)
 
 
 _STRING = _Codec(_string, _as_is)
@@ -444,7 +455,7 @@ def _check_version(doc: dict) -> None:
     if "formatVersion" not in doc:
         raise _Fault("missing required field 'formatVersion'")
     try:
-        version = _string(doc["formatVersion"], 0)
+        version = _any_string(doc["formatVersion"], 0)
     except _Fault as fault:
         fault.segments.append(".formatVersion")
         raise

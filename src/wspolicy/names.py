@@ -49,8 +49,14 @@ _NCNAME_RE = re.compile(r"^[^\W\d][\w.\-]*$", re.UNICODE)
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*$")
 
-# Whitespace (str.isspace) or a C0 control character: never inside a URI.
-_URI_BAD_CHAR_RE = re.compile(r"[\s\x00-\x1f]")
+# Code points outside XML 1.0's Char production, as a regex class body: no
+# escape can carry them, so no string written to XML may hold one.
+NON_XML_CHARS = "\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+_NON_XML_CHAR_RE = re.compile(f"[{NON_XML_CHARS}]")
+
+# Whitespace (str.isspace), a C0 control character or a non-XML character:
+# never inside a URI.
+_URI_BAD_CHAR_RE = re.compile(f"[\\s\x00-\x1f{NON_XML_CHARS}]")
 
 _HEX = set("0123456789abcdefABCDEF")
 
@@ -61,6 +67,14 @@ _UNRESERVED = set(
 
 def is_ncname(s: str) -> bool:
     return bool(s) and ":" not in s and bool(_NCNAME_RE.match(s))
+
+
+def check_xml_chars(text: str) -> str:
+    """``text`` itself; ValueError naming its first non-XML character, if any."""
+    bad = _NON_XML_CHAR_RE.search(text)
+    if bad is not None:
+        raise ValueError(f"character U+{ord(bad.group()):04X} is not allowed in XML 1.0")
+    return text
 
 
 def is_absolute_uri(s: str) -> bool:

@@ -9,12 +9,13 @@ prefix map on every element for resolving QName-valued attributes.
 """
 from __future__ import annotations
 
+import re
 import xml.parsers.expat
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .errors import XmlParseError
-from .names import QName, is_ncname
+from .names import NON_XML_CHARS, QName, check_xml_chars, is_ncname
 
 Child = Union["XmlElement", str]
 
@@ -164,9 +165,16 @@ _ATTR_ESCAPES = {
     "\t": "&#9;",
     "\r": "&#13;",
 }
+# One search finds any character that needs an escape or must be refused.
+_TEXT_SPECIAL_RE = re.compile(f"[&<>\r{NON_XML_CHARS}]")
+_ATTR_SPECIAL_RE = re.compile(f'[&<>"\n\t\r{NON_XML_CHARS}]')
 
 
-def _escape(text: str, table: dict[str, str]) -> str:
+def _escape(text: str, special: re.Pattern, table: dict[str, str]) -> str:
+    """``text`` with each key of ``table`` replaced; ValueError for a non-XML character."""
+    if special.search(text) is None:
+        return text
+    check_xml_chars(text)
     for raw, escaped in table.items():
         text = text.replace(raw, escaped)
     return text
@@ -177,62 +185,94 @@ def write_canonical(doc: XmlDocument) -> bytes:
 
     Every namespace used by an element or qualified attribute must be declared
     in the document table, and attribute names must be unique per element.
+    Text, attribute values and namespace URIs must hold only XML 1.0
+    characters: any other code point raises ValueError, as no escape can
+    carry it.  Each distinct name is checked and qualified once per call and
+    remembered in a dict local to the call; the checks run in document order,
+    so the first fault met raises.
     """
+    declarations = sorted(doc.namespaces.items())
     prefix_of: dict[str, str] = {}
-    for prefix, uri in sorted(doc.namespaces.items()):
+    for prefix, uri in declarations:
         prefix_of.setdefault(uri, prefix)
+    element_names: dict[QName, str] = {}
+    attribute_names: dict[QName, str] = {}
 
     def qualified(name: QName, attribute: bool) -> str:
         if not is_ncname(name.local):
             raise ValueError(f"not a valid XML name: {name.local!r}")
         if not name.namespace:
-            return name.local
-        prefix = prefix_of.get(name.namespace)
-        if prefix is None:
-            raise ValueError(f"namespace not declared on the document: {name.namespace!r}")
-        if prefix == "":
-            if attribute:
-                raise ValueError(
-                    f"qualified attribute {name} needs an explicit prefix, not the default namespace"
-                )
-            return name.local
-        return f"{prefix}:{name.local}"
+            result = name.local
+        else:
+            prefix = prefix_of.get(name.namespace)
+            if prefix is None:
+                raise ValueError(f"namespace not declared on the document: {name.namespace!r}")
+            if prefix == "":
+                if attribute:
+                    raise ValueError(f"qualified attribute {name} needs an explicit prefix, "
+                                     "not the default namespace")
+                result = name.local
+            else:
+                result = f"{prefix}:{name.local}"
+        (attribute_names if attribute else element_names)[name] = result
+        return result
 
-    lines: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
-
-    def render(element: XmlElement, depth: int, declare: bool):
-        indent = "  " * depth
-        parts = [qualified(element.name, attribute=False)]
-        if declare:
-            for prefix, uri in sorted(doc.namespaces.items()):
-                attr = f'xmlns:{prefix}' if prefix else "xmlns"
-                parts.append(f'{attr}="{_escape(uri, _ATTR_ESCAPES)}"')
+    def attribute_fault(element: XmlElement):
+        """Raise the first fault of the element's attribute names, in insertion order."""
         seen: set[str] = set()
-        rendered = []
-        for qname, value in element.attributes:
-            qualified_name = qualified(qname, attribute=True)
+        for qname, _ in element.attributes:
+            qualified_name = attribute_names.get(qname) or qualified(qname, attribute=True)
             if qualified_name in seen:
                 raise ValueError(f"duplicate attribute {qualified_name!r} on {element.name}")
             seen.add(qualified_name)
-            rendered.append((qualified_name, value))
-        for qualified_name, value in sorted(rendered):
-            parts.append(f'{qualified_name}="{_escape(value, _ATTR_ESCAPES)}"')
+
+    lines: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
+
+    def render(element: XmlElement, indent: str, declare: bool):
+        tag = element_names.get(element.name) or qualified(element.name, attribute=False)
+        parts = [tag]
+        if declare:
+            for prefix, uri in declarations:
+                attr = f'xmlns:{prefix}' if prefix else "xmlns"
+                parts.append(f'{attr}="{_escape(uri, _ATTR_SPECIAL_RE, _ATTR_ESCAPES)}"')
+        if element.attributes:
+            try:
+                rendered = [
+                    (attribute_names.get(qname) or qualified(qname, attribute=True), value)
+                    for qname, value in element.attributes
+                ]
+            except ValueError:
+                rendered = []
+            if len(dict(rendered)) < len(element.attributes):
+                # A bad name or a duplicate: raise what an in-order check meets first.
+                attribute_fault(element)
+            rendered.sort()
+            for qualified_name, value in rendered:
+                value = _escape(value, _ATTR_SPECIAL_RE, _ATTR_ESCAPES)
+                parts.append(f'{qualified_name}="{value}"')
         open_tag = " ".join(parts)
 
-        elements = element.element_children()
-        text = element.text()
+        elements: list[XmlElement] = []
+        texts: list[str] = []
+        for child in element.children:
+            if isinstance(child, XmlElement):
+                elements.append(child)
+            elif isinstance(child, str):
+                texts.append(child)
+        text = "".join(texts)
         if elements and text.strip():
             raise ValueError(f"mixed content is not supported (element {element.name})")
         if not elements and not text:
             lines.append(f"{indent}<{open_tag}/>")
         elif not elements:
-            closing = qualified(element.name, attribute=False)
-            lines.append(f"{indent}<{open_tag}>{_escape(text, _TEXT_ESCAPES)}</{closing}>")
+            text = _escape(text, _TEXT_SPECIAL_RE, _TEXT_ESCAPES)
+            lines.append(f"{indent}<{open_tag}>{text}</{tag}>")
         else:
             lines.append(f"{indent}<{open_tag}>")
+            child_indent = indent + "  "
             for child in elements:
-                render(child, depth + 1, declare=False)
-            lines.append(f"{indent}</{qualified(element.name, attribute=False)}>")
+                render(child, child_indent, declare=False)
+            lines.append(f"{indent}</{tag}>")
 
-    render(doc.root, 0, declare=True)
+    render(doc.root, "", declare=True)
     return ("\n".join(lines) + "\n").encode("utf-8")

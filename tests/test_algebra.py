@@ -655,6 +655,37 @@ def test_nested_chain_intersections_grow_linearly(monkeypatch):
             assert calls <= depth, (depth, mode, calls)
 
 
+class _CountingVocab(dict):
+    """A vocabulary that counts its lookups, by ``in`` and by key."""
+
+    lookups = 0
+
+    def __contains__(self, qname):
+        self.lookups += 1
+        return super().__contains__(qname)
+
+    def __getitem__(self, qname):
+        self.lookups += 1
+        return super().__getitem__(qname)
+
+
+def test_semantic_chain_vocabulary_lookups_grow_linearly():
+    # The top-level call checks every depth for undeclared QNames once; a
+    # nested call that walked again made O(depth^2) lookups (52 per level at
+    # depth 50 against 12 at depth 10).
+    same = lambda level: QName(NS, f"L{level}")  # noqa: E731
+    alias = lambda level: QName(NS, f"M{level}")  # noqa: E731
+    for other_at in (same, alias):
+        per_level = {}
+        for depth in (10, 20, 50):
+            chain = normalize(_chain(depth))
+            other = normalize(_chain(depth, other_at))
+            vocab = _CountingVocab(_chain_vocab(depth))
+            assert intersect(chain, other, MatchMode.SEMANTIC, vocab).satisfiable
+            per_level[depth] = vocab.lookups / depth
+        assert per_level[50] <= per_level[10], per_level
+
+
 def test_nested_chain_with_undeclared_level_raises_like_reference():
     depth, undeclared = 20, QName(NS, "U")
     vocab = _chain_vocab(depth)

@@ -329,6 +329,59 @@ def test_deep_model_exits_1_without_traceback(tmp_path):
     assert done.stderr.endswith(f"policy nested deeper than {MAX_POLICY_DEPTH} levels\n")
 
 
+@pytest.mark.parametrize("where, value", [
+    ("parameter", "a\u0001b"),
+    ("parameter", "a\uffffb"),
+    ("parameter", "a\ud800b"),
+    ("address", "http://emi/\ud800"),
+])
+def test_non_xml_characters_exit_1_without_traceback(tmp_path, where, value):
+    # No escape can carry these characters, so the model is refused as it is
+    # read.  Once they made ill-formed output (exit 0) or a UnicodeEncodeError
+    # traceback; run in child processes, where a traceback would show.
+    doc = travel_agency_json()
+    if where == "parameter":
+        assertion = doc["attachments"][0]["policy"]["policy"][0]["assertion"]
+        assertion["parameters"] = [{"name": "level", "value": value}]
+        line = ("error model-schema attachments[0].policy.policy[0].assertion.parameters[0]"
+                f".value: character U+{ord(value[1]):04X} is not allowed in XML 1.0\n")
+    else:
+        doc["services"][0]["endpoints"][0]["address"] = value
+        line = ("error model-schema services[0].endpoints[0].address: "
+                f"not an absolute URI: {value!r}\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(wspolicy.__file__).parents[1])}
+    for args in (
+        ["generate", str(model), "--output-dir", str(outdir)],
+        ["validate", str(model)],
+        ["normalize", f"{model}#{FRAGMENT}", "--format", "xml"],
+    ):
+        done = subprocess.run([sys.executable, "-m", "wspolicy.cli"] + args,
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", line), args
+    assert not outdir.exists()
+
+
+def test_generate_matches_golden_under_two_hash_seeds(model_path, tmp_path):
+    # The writer memoizes names in dicts keyed by hashed QNames; no hash
+    # order may reach the bytes.
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(wspolicy.__file__).parents[1]),
+               "PYTHONHASHSEED": seed}
+        outdir = tmp_path / f"out{seed}"
+        done = subprocess.run(
+            [sys.executable, "-m", "wspolicy.cli", "generate", str(model_path),
+             "--output-dir", str(outdir)],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(p.name for p in GOLDEN.iterdir())
+        for golden in GOLDEN.iterdir():
+            assert (outdir / golden.name).read_bytes() == golden.read_bytes(), (seed, golden.name)
+
+
 def test_undeclared_assertion_error_names_the_least_qname(tmp_path):
     # The error once named whichever undeclared QName a set yielded first,
     # which follows the hash seed; run under two seeds in child processes.

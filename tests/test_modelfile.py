@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import re
@@ -89,6 +90,38 @@ def test_malformed_json_reports_position():
 def test_not_utf8():
     with pytest.raises(ModelSyntaxError):
         parse_model(b"\xff\xfe{}")
+
+
+@pytest.mark.parametrize("char", ["\x01", "\ud800", "\uffff"])
+def test_every_string_refuses_non_xml_characters(char):
+    # No string of a model may hold a character XML 1.0 cannot carry: each
+    # one, changed in turn, is refused at its own path.
+    for base in (model_faults.fixture(), model_faults.enriched_fixture()):
+        for location, node in model_faults._locations(base):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                if not isinstance(value, str):
+                    continue
+                doc = copy.deepcopy(base)
+                target = doc
+                for part in location:
+                    target = target[part]
+                target[key] = value + char
+                with pytest.raises(ModelSchemaError) as err:
+                    parse_model(json.dumps(doc).encode())
+                assert err.value.path == model_faults._label(location + (key,))
+
+
+def test_xml_characters_at_the_edges_are_accepted():
+    doc = travel_agency_json()
+    edges = "\t\n\r \x7f\ud7ff\ue000\ufffd\U00010000\U0010ffff"
+    doc["modelName"] = f"m{edges}"
+    doc["bindings"][0]["messageEncoding"] = edges
+    assertion = doc["attachments"][0]["policy"]["policy"][0]["assertion"]
+    assertion["parameters"] = [{"name": "level", "value": edges}]
+    model = parse_model(json.dumps(doc).encode())
+    assert model.model_name == f"m{edges}"
+    assert model.attachments[0].policy.children[0].parameters == (("level", edges),)
 
 
 def test_duplicate_attachment_subject_rejected_at_ingest():

@@ -25,7 +25,8 @@ def test_absolute_uri_accepts():
 
 def test_absolute_uri_rejects():
     for uri in ("", "not a uri", "//host/path", "relative/path", "#frag", "http://", ":x",
-                "http://a/\x1cb", "http://a/\u00a0b", "http://a/\u2028b", "http://a/\u3000b"):
+                "http://a/\x1cb", "http://a/\u00a0b", "http://a/\u2028b", "http://a/\u3000b",
+                "http://a/\ud800b", "http://a/\udfffb", "http://a/\ufffeb", "http://a/\uffffb"):
         assert not is_absolute_uri(uri), uri
 
 
