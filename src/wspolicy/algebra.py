@@ -417,6 +417,10 @@ def _all_qnames(nf: NormalForm) -> Iterator[QName]:
 
 # The memo key under which a top-level intersect call keeps whether every
 # QName of its two forms, at every depth, is declared; no pair of forms equals it.
+# Every later call on that memo intersects forms nested in those two, so a
+# True answer holds for them and spares their walk; after a False answer each
+# nested call walks its own forms, and one whose forms are declared still
+# buckets its alternatives.
 _DECLARED = object()
 
 
@@ -427,17 +431,18 @@ def _match_components(
     semantic check could raise, i.e. a declaration is missing at any depth of
     the two forms the top-level intersect call was given.
 
-    Nested calls share that call's ``memo`` and intersect forms nested in its
-    two, so only the top-level call walks every depth."""
+    Nested calls share that call's ``memo``; once the top-level call has found
+    every QName declared, they do not walk again."""
     qnames = {i.qname for nf in (p, q) for alt in nf.alternatives for i in alt}
     if mode is MatchMode.STRICT:
         return {qname: qname for qname in qnames}
     if vocab is None:
         return None
-    if _DECLARED not in memo:
-        memo[_DECLARED] = all(qname in vocab for nf in (p, q) for qname in _all_qnames(nf))
-    if not memo[_DECLARED]:
-        return None
+    if not memo.get(_DECLARED):
+        declared = all(qname in vocab for nf in (p, q) for qname in _all_qnames(nf))
+        memo.setdefault(_DECLARED, declared)
+        if not declared:
+            return None
     # Union-find over URIs, joining the URIs of each declaration.  A QName's
     # component is that of its URIs; one without URIs matches only itself, so
     # its QName is its component (a QName never equals a str).

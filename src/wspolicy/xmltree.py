@@ -217,15 +217,6 @@ def write_canonical(doc: XmlDocument) -> bytes:
         (attribute_names if attribute else element_names)[name] = result
         return result
 
-    def attribute_fault(element: XmlElement):
-        """Raise the first fault of the element's attribute names, in insertion order."""
-        seen: set[str] = set()
-        for qname, _ in element.attributes:
-            qualified_name = attribute_names.get(qname) or qualified(qname, attribute=True)
-            if qualified_name in seen:
-                raise ValueError(f"duplicate attribute {qualified_name!r} on {element.name}")
-            seen.add(qualified_name)
-
     lines: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
 
     def render(element: XmlElement, indent: str, declare: bool):
@@ -236,16 +227,14 @@ def write_canonical(doc: XmlDocument) -> bytes:
                 attr = f'xmlns:{prefix}' if prefix else "xmlns"
                 parts.append(f'{attr}="{_escape(uri, _ATTR_SPECIAL_RE, _ATTR_ESCAPES)}"')
         if element.attributes:
-            try:
-                rendered = [
-                    (attribute_names.get(qname) or qualified(qname, attribute=True), value)
-                    for qname, value in element.attributes
-                ]
-            except ValueError:
-                rendered = []
-            if len(dict(rendered)) < len(element.attributes):
-                # A bad name or a duplicate: raise what an in-order check meets first.
-                attribute_fault(element)
+            seen: set[str] = set()
+            rendered = []
+            for qname, value in element.attributes:
+                qualified_name = attribute_names.get(qname) or qualified(qname, attribute=True)
+                if qualified_name in seen:
+                    raise ValueError(f"duplicate attribute {qualified_name!r} on {element.name}")
+                seen.add(qualified_name)
+                rendered.append((qualified_name, value))
             rendered.sort()
             for qualified_name, value in rendered:
                 value = _escape(value, _ATTR_SPECIAL_RE, _ATTR_ESCAPES)

@@ -698,6 +698,51 @@ def test_nested_chain_with_undeclared_level_raises_like_reference():
         assert _outcome(intersect, q, p, MatchMode.SEMANTIC, vocab) == want
 
 
+def _declared(*qnames) -> dict:
+    """Declarations with one URI of their own each."""
+    return {q: AssertionDecl(q.local, "empty", annotation=SemanticAnnotation((f"urn:{q.local}",)))
+            for q in qnames}
+
+
+def test_declared_nested_forms_are_bucketed_under_an_undeclared_qname(monkeypatch):
+    # X is undeclared but only ever meets X, so nothing raises.  The top-level
+    # pairs share one bucket; the nested intersection of the wide, declared
+    # form must still bucket its 20 alternatives (20 checks, not 400).
+    a, b, x = QName(NS, "A"), QName(NS, "B"), QName(NS, "X")
+    wide_names = [QName(NS, f"W{i}") for i in range(20)]
+    vocab = _declared(a, b, *wide_names)
+    wide = nf(*([AssertionInstance(w)] for w in wide_names))
+    p = nf([AssertionInstance(a, nested=nf([AssertionInstance(x)]))],
+           [AssertionInstance(b, nested=wide)])
+    calls = [0]
+    original = algebra.alternatives_compatible
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "alternatives_compatible", counted)
+    got = intersect(p, p, MatchMode.SEMANTIC, vocab)
+    monkeypatch.setattr(algebra, "alternatives_compatible", original)
+    assert got == _intersect_reference(p, p, MatchMode.SEMANTIC, vocab)
+    assert calls[0] <= 4 + 1 + len(wide_names), calls[0]
+
+
+def test_declared_nested_form_does_not_vouch_for_its_sibling():
+    # The nested forms under A and B are checked in that order.  The first is
+    # declared; the second holds the undeclared X and raises when Y meets X.
+    a, b, x, y = (QName(NS, name) for name in ("A", "B", "X", "Y"))
+    w = QName(NS, "W")
+    vocab = _declared(a, b, y, w)
+    declared = nf([AssertionInstance(w)])
+    undeclared = nf([AssertionInstance(x), AssertionInstance(y)])
+    error = f"VocabularyError: no declaration for assertion {x}"
+    for first, second in ((declared, undeclared), (undeclared, declared)):
+        p = nf([AssertionInstance(a, nested=first)], [AssertionInstance(b, nested=second)])
+        assert _outcome(_intersect_reference, p, p, MatchMode.SEMANTIC, vocab) == error
+        assert _outcome(intersect, p, p, MatchMode.SEMANTIC, vocab) == error
+
+
 def test_reverse_pair_is_not_reused_when_a_check_could_raise():
     # With A1 undeclared, intersect(left, right) matches [A2] with [A2]
     # without raising, while intersect(right, left) first checks A2 against
