@@ -196,6 +196,16 @@ class NormalForm(Keyed):
     def sort_key(self) -> tuple:
         return tuple(tuple(i._key for i in alt) for alt in self.alternatives)
 
+    # Intersect's QName sets, kept on first use: no fields, so in no key or pickle.
+    @functools.cached_property
+    def _qnames(self) -> frozenset[QName]:
+        return frozenset(i.qname for alt in self.alternatives for i in alt)
+
+    @functools.cached_property
+    def _deep_qnames(self) -> frozenset[QName]:
+        nested = {i.nested for alt in self.alternatives for i in alt if i.nested is not None}
+        return self._qnames.union(*(n._deep_qnames for n in nested))
+
     @staticmethod
     def of(alternatives: Iterable[Iterable[AssertionInstance]]) -> "NormalForm":
         return NormalForm(tuple(tuple(alt) for alt in alternatives))
@@ -340,13 +350,20 @@ def _normalized_uris(model_reference: tuple[str, ...]) -> frozenset[str]:
 
 def _model_reference_set(decl: Any) -> frozenset[str]:
     annotation = getattr(decl, "annotation", None)
-    if annotation is None:
-        return frozenset()
-    return _normalized_uris(tuple(annotation.model_reference))
+    return _normalized_uris(() if annotation is None else tuple(annotation.model_reference))
 
 
-def _declared_uris(a: QName, b: QName, vocab: Optional[Vocabulary]):
-    """Both declarations' normalized modelReference sets; raises if one is missing."""
+# Memo key of the modelReference sets of every QName, at any depth, of the first
+# intersect call's forms, or None if one is undeclared; no pair of forms equals
+# it.  Later calls meet only forms nested in those, so they read it; after None,
+# each looks up its own forms but records nothing, as a sibling may be undeclared.
+_DECLARED = object()
+
+
+def _declared_uris(a: QName, b: QName, vocab: Optional[Vocabulary], declared=None):
+    """Both declarations' URI sets, from ``declared`` if given; raises if one is missing."""
+    if declared is not None:
+        return declared[a], declared[b]
     if vocab is None:
         raise VocabularyError("semantic matching requires an assertion vocabulary")
     for qname in (a, b):
@@ -375,15 +392,15 @@ def assertions_compatible(
     QNames).  Either way both must lack nested policies or their nested normal
     forms must intersect non-emptily; parameters never participate.
     """
+    memo = {} if _memo is None else _memo
     if a.qname != b.qname:
         if mode is MatchMode.STRICT:
             return False
-        uris_a, uris_b = _declared_uris(a.qname, b.qname, vocab)
+        uris_a, uris_b = _declared_uris(a.qname, b.qname, vocab, memo.get(_DECLARED))
         if uris_a.isdisjoint(uris_b):
             return False
     if a.nested is None or b.nested is None:
         return a.nested is None and b.nested is None
-    memo = {} if _memo is None else _memo
     pair = (a.nested, b.nested)
     if pair not in memo:
         memo[pair] = intersect(a.nested, b.nested, mode, vocab, _memo=memo).satisfiable
@@ -398,8 +415,7 @@ def alternatives_compatible(
     *, _memo: Optional[dict] = None,
 ) -> bool:
     """Every instance on each side must have a compatible partner on the other."""
-    alt_a = tuple(alt_a)
-    alt_b = tuple(alt_b)
+    alt_a, alt_b = tuple(alt_a), tuple(alt_b)
     return all(
         any(assertions_compatible(a, b, mode, vocab, _memo=_memo) for b in alt_b) for a in alt_a
     ) and all(
@@ -407,58 +423,41 @@ def alternatives_compatible(
     )
 
 
-def _all_qnames(nf: NormalForm) -> Iterator[QName]:
-    for alt in nf.alternatives:
-        for instance in alt:
-            yield instance.qname
-            if instance.nested is not None:
-                yield from _all_qnames(instance.nested)
-
-
-# The memo key under which a top-level intersect call keeps whether every
-# QName of its two forms, at every depth, is declared; no pair of forms equals it.
-# Every later call on that memo intersects forms nested in those two, so a
-# True answer holds for them and spares their walk; after a False answer each
-# nested call walks its own forms, and one whose forms are declared still
-# buckets its alternatives.
-_DECLARED = object()
-
-
 def _match_components(
     p: NormalForm, q: NormalForm, mode: MatchMode, vocab: Optional[Vocabulary], memo: dict
 ) -> Optional[dict[QName, Any]]:
-    """Component of every top-level QName of ``p`` and ``q``; None when a
-    semantic check could raise, i.e. a declaration is missing at any depth of
-    the two forms the top-level intersect call was given.
-
-    Nested calls share that call's ``memo``; once the top-level call has found
-    every QName declared, they do not walk again."""
-    qnames = {i.qname for nf in (p, q) for alt in nf.alternatives for i in alt}
+    """Component of every top-level QName of ``p`` and ``q``; None when a semantic
+    check could raise: no vocabulary, or one of their QNames, at any depth, undeclared."""
     if mode is MatchMode.STRICT:
-        return {qname: qname for qname in qnames}
+        return {qname: qname for qname in p._qnames | q._qnames}
     if vocab is None:
         return None
-    if not memo.get(_DECLARED):
-        declared = all(qname in vocab for nf in (p, q) for qname in _all_qnames(nf))
-        memo.setdefault(_DECLARED, declared)
-        if not declared:
+    uris = memo.get(_DECLARED)
+    if uris is None:
+        try:
+            uris = {n: _model_reference_set(vocab[n]) for n in p._deep_qnames | q._deep_qnames}
+        except KeyError:
+            pass
+        memo.setdefault(_DECLARED, uris)
+        if uris is None:
             return None
-    # Union-find over URIs, joining the URIs of each declaration.  A QName's
-    # component is that of its URIs; one without URIs matches only itself, so
-    # its QName is its component (a QName never equals a str).
+    # Union-find joining the URIs of each declaration.  A QName's component is
+    # their root; one without URIs is its own (a QName never equals a str).
     parent: dict[str, str] = {}
-
-    def find(uri: str) -> str:
-        while parent.setdefault(uri, uri) != uri:
-            parent[uri] = parent[parent[uri]]
-            uri = parent[uri]
-        return uri
-
-    uris = {qname: list(_model_reference_set(vocab[qname])) for qname in qnames}
-    for refs in uris.values():
-        for uri in refs[1:]:
-            parent[find(uri)] = find(refs[0])
-    return {qname: find(refs[0]) if refs else qname for qname, refs in uris.items()}
+    heads = []
+    for qname in p._qnames | q._qnames:
+        head = qname
+        for uri in uris[qname]:
+            while parent.setdefault(uri, uri) != uri:
+                parent[uri] = uri = parent[parent[uri]]
+            parent[uri] = head = uri if head is qname else head
+        heads.append((qname, head))
+    components = {}
+    for qname, head in heads:
+        while parent.get(head, head) != head:
+            head = parent[head]
+        components[qname] = head
+    return components
 
 
 def intersect(
@@ -491,7 +490,8 @@ def intersect(
     tried in the same order as a full nested loop and raise the same error.
 
     One top-level call intersects each ordered pair of nested forms once and
-    keeps the answer until it returns, as a repeat would redo the same checks.
+    keeps the answer until it returns, as a repeat would redo the same checks;
+    when every QName is declared, it also reads each from ``vocab`` just once.
     Where no check can raise, compatibility is symmetric and the answer also
     stands for the reversed pair.  Nesting costs time linear in depth, not 2^depth.
     """

@@ -30,9 +30,11 @@ from .model import (
     validate_model,
 )
 from .names import (
+    DOMAIN_NAME_APPINFO,
     MEP_IN_ONLY,
     MEP_IN_OUT,
     MEP_OUT_ONLY,
+    NESTABLE_APPINFO,
     QName,
     SAWSDL_NS,
     WSDL_NS,
@@ -41,8 +43,6 @@ from .names import (
 )
 from .xmltree import XmlDocument, XmlElement
 
-DOMAIN_NAME_APPINFO = "urn:x-wspolicy:domain-name"
-NESTABLE_APPINFO = "urn:x-wspolicy:nestable-assertions"
 XSD_FILE_NAME = "ws-semantic{domain}policy.xsd"
 
 _BUILTIN_PREFIXES = {WSDL_NS: "wsdl", XS_NS: "xs", WSP_NS: "wsp", SAWSDL_NS: "sawsdl"}

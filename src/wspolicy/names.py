@@ -14,6 +14,10 @@ MEP_IN_OUT = "http://www.w3.org/ns/wsdl/in-out"
 MEP_IN_ONLY = "http://www.w3.org/ns/wsdl/in-only"
 MEP_OUT_ONLY = "http://www.w3.org/ns/wsdl/out-only"
 
+# xs:appinfo sources of the schema annotations written by emit and read back by reader.
+DOMAIN_NAME_APPINFO = "urn:x-wspolicy:domain-name"
+NESTABLE_APPINFO = "urn:x-wspolicy:nestable-assertions"
+
 
 @dataclass(frozen=True, order=True)
 class QName:
@@ -31,6 +35,13 @@ class QName:
         if not self._hash:
             object.__setattr__(self, "_hash", hash((self.namespace, self.local)))
         return self._hash
+
+    def __eq__(self, other: object) -> bool:  # identity first, and no tuples: dict lookups run it
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.local == other.local and self.namespace == other.namespace
 
     def sort_key(self) -> tuple[str, str]:
         return (self.namespace, self.local)

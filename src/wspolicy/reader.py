@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import MAX_POLICY_DEPTH, All, AssertionRef, ExactlyOne, Policy, PolicyExpr, iter_refs
-from .emit import DOMAIN_NAME_APPINFO, NESTABLE_APPINFO
 from .errors import PolicyXmlError, XmlParseError
 from .model import (
     AssertionDecl,
@@ -29,7 +28,9 @@ from .model import (
     ServiceModel,
     SubjectRef,
 )
-from .names import QName, SAWSDL_NS, WSDL_NS, WSP_NS, XS_NS, is_ncname
+from .names import (
+    DOMAIN_NAME_APPINFO, NESTABLE_APPINFO, QName, SAWSDL_NS, WSDL_NS, WSP_NS, XS_NS, is_ncname,
+)
 from .xmltree import XmlElement, parse_xml
 
 _WSP_POLICY = QName(WSP_NS, "Policy")

@@ -698,6 +698,138 @@ def test_nested_chain_with_undeclared_level_raises_like_reference():
         assert _outcome(intersect, q, p, MatchMode.SEMANTIC, vocab) == want
 
 
+def _registry_pair():
+    """A provider and a query shaped like a registry entry and its query: 3x3
+    forms, the query spelling each provider QName Pk as an alias Qk whose
+    declaration shares one of its two URIs.  The first instance of each
+    carries a nested form, holding NP or NQ."""
+    provider, query, vocab = [], [], {}
+    for side, out in (("P", provider), ("Q", query)):
+        for alt in range(3):
+            instances = []
+            for slot in range(3):
+                k = 3 * alt + slot
+                qname = QName(NS, f"{side}{k}")
+                uris = ((f"urn:P{k}", f"http://example.org/onto#c{k}") if side == "P"
+                        else (f"HTTP://Example.ORG/./onto#c{k}", f"urn:Q{k}"))
+                vocab[qname] = AssertionDecl(
+                    qname.local, "empty", annotation=SemanticAnnotation(uris))
+                nested = None
+                if k == 0:
+                    inner = QName(NS, f"N{side}")
+                    nested = nf([AssertionInstance(inner)])
+                    vocab[inner] = AssertionDecl(inner.local, "empty", annotation=SemanticAnnotation(
+                        ("urn:inner", f"urn:{side}")))
+                instances.append(AssertionInstance(qname, nested=nested))
+            out.append(instances)
+    return nf(*provider), nf(*query), vocab
+
+
+def _distinct_qnames(*forms) -> set:
+    return {ref.qname for form in forms for ref in iter_refs(denormalize(form))}
+
+
+def test_semantic_intersect_looks_up_each_qname_once():
+    # One vocabulary lookup per distinct QName, at any depth, per top-level
+    # call: the pair checks and the nested call read the call's sets.
+    p, q, declarations = _registry_pair()
+    want = _intersect_reference(p, q, MatchMode.SEMANTIC, declarations)
+    assert want.satisfiable
+    for left, right in ((p, q), (q, p)):
+        vocab = _CountingVocab(declarations)
+        assert intersect(left, right, MatchMode.SEMANTIC, vocab) == _intersect_reference(
+            left, right, MatchMode.SEMANTIC, declarations)
+        assert vocab.lookups == len(_distinct_qnames(p, q)) == 20
+    depth = 30
+    chain = normalize(_chain(depth))
+    for other in (chain, normalize(_chain(depth, lambda level: QName(NS, f"M{level}")))):
+        vocab = _CountingVocab(_chain_vocab(depth))
+        assert intersect(chain, other, MatchMode.SEMANTIC, vocab).satisfiable
+        assert vocab.lookups == len(_distinct_qnames(chain, other))
+
+
+def test_undeclared_qname_at_any_depth_outcome_equals_reference():
+    p, q, declarations = _registry_pair()
+    raised = set()
+    for missing in ("P4", "Q8", "NP", "NQ"):
+        vocab = {k: v for k, v in declarations.items() if k.local != missing}
+        for left, right in ((p, q), (q, p), (p, p), (q, q)):
+            want = _outcome(_intersect_reference, left, right, MatchMode.SEMANTIC, vocab)
+            assert _outcome(intersect, left, right, MatchMode.SEMANTIC, vocab) == want
+            if isinstance(want, str):
+                raised.add((missing, left is right))
+    # An undeclared nested QName raises only where it meets another QName.
+    assert raised == {(missing, same) for missing in ("P4", "Q8") for same in (True, False)} | {
+        ("NP", False), ("NQ", False)}
+
+
+# Twelve spellings of eight concepts: the union-find merges components through
+# declarations of up to three of them, in whatever order it meets the QNames,
+# and chains of such declarations build trees deep enough to halve paths.
+_SPELLINGS = _CONCEPT_URIS + (
+    "urn:x-concept:D",
+    "URN:x-concept:D",
+    "http://example.org/onto#E",
+    "http://example.org/a/../onto#E",
+    "urn:x-concept:F",
+    "urn:x-concept:G",
+    "urn:x-concept:H",
+)
+
+
+def _wide_form(rng, pool) -> NormalForm:
+    """Up to five alternatives of up to four instances, some with a nested form."""
+    def nested():
+        return rand_normal_form(rng, pool) if rng.random() < 0.2 else None
+
+    return NormalForm.of([
+        [AssertionInstance(rng.choice(pool), nested=nested()) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 5))
+    ])
+
+
+def test_semantic_intersect_equals_reference_with_merging_components():
+    rng = random.Random(4242)
+    outcomes = {"empty": 0, "matched": 0, "raised": 0}
+    for _ in range(600):
+        pool = default_pool(rng.randint(3, 10))
+        vocab = {}
+        for i, qname in enumerate(pool):
+            roll = rng.random()
+            if roll < 0.05:
+                continue
+            # Overlapping windows of spellings chain the declarations together.
+            window = _SPELLINGS[i % 9:i % 9 + 4] if roll < 0.6 else _SPELLINGS
+            uris = tuple(rng.sample(window, rng.randint(1, 3))) if roll > 0.12 else None
+            vocab[qname] = AssertionDecl(
+                qname.local, "empty", annotation=uris and SemanticAnnotation(uris))
+        p, q = _wide_form(rng, pool), _wide_form(rng, pool)
+        want = _outcome(_intersect_reference, p, q, MatchMode.SEMANTIC, vocab)
+        assert _outcome(intersect, p, q, MatchMode.SEMANTIC, vocab) == want, (p, q, vocab)
+        if isinstance(want, str):
+            outcomes["raised"] += 1
+        else:
+            outcomes["matched" if want.satisfiable else "empty"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+def test_cached_qname_sets_stay_out_of_identity():
+    rng = random.Random(77)
+    pool = default_pool(4)
+    for _ in range(300):
+        form = rand_normal_form(rng, pool, max_nesting=2)
+        before = (hash(form), repr(form), pickle.dumps(form), form.sort_key())
+        assert form._deep_qnames == _distinct_qnames(form)
+        assert form._qnames == {i.qname for alt in form.alternatives for i in alt}
+        fresh = NormalForm.of(form.alternatives)
+        assert "_deep_qnames" in vars(form) and "_qnames" not in vars(fresh)
+        assert form == fresh and fresh == form and hash(form) == hash(fresh)
+        assert (hash(form), repr(form), pickle.dumps(form), form.sort_key()) == before
+        for twin in (copy.copy(form), copy.deepcopy(form), pickle.loads(before[2])):
+            assert twin == form
+            assert not {"_qnames", "_deep_qnames"} & set(vars(twin))
+
+
 def _declared(*qnames) -> dict:
     """Declarations with one URI of their own each."""
     return {q: AssertionDecl(q.local, "empty", annotation=SemanticAnnotation((f"urn:{q.local}",)))

@@ -494,6 +494,24 @@ def test_intersect_explain_semantic(runner, model_path, tmp_path):
     assert any("via http://example.org/sec-onto#UsernameToken" in l for l in matches)
 
 
+def test_intersect_explain_semantic_under_two_hash_seeds(runner, model_path, tmp_path):
+    # Semantic matching walks hash-ordered QName sets; no hash order may reach
+    # the output.  Run under two seeds in child processes.
+    wsdl, requester, vocab = alias_setup(runner, model_path, tmp_path)
+    runs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(wspolicy.__file__).parents[1]),
+               "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-m", "wspolicy.cli", "intersect", str(wsdl), str(requester),
+             "--mode", "semantic", "--vocab", str(vocab), "--explain"],
+            capture_output=True, env=env, timeout=60,
+        )
+        runs.append((done.returncode, done.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and b"match: " in runs[0][1], runs[0]
+
+
 def test_intersect_model_fragment_sources(runner, model_path):
     spec = f"{model_path}#{FRAGMENT}"
     result = runner.invoke(cli, ["intersect", spec, spec])
