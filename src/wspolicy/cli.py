@@ -65,6 +65,13 @@ def _read_bytes(path: str, exit_code: int = EXIT_IO) -> bytes:
         _die(exit_code, f"cannot read {path}: {exc}")
 
 
+def _write_or_die(path: Path, write) -> None:
+    try:
+        write()
+    except OSError as exc:
+        _die(EXIT_IO, f"cannot write {path}: {exc}")
+
+
 def _parse_model_or_die(data: bytes) -> ServiceModel:
     try:
         return parse_model(data)
@@ -120,7 +127,7 @@ def _companion_schemas(wsdl_path: str, doc) -> list[bytes]:
                 continue
             candidate = base / location
             if candidate.is_file():
-                schemas.append(candidate.read_bytes())
+                schemas.append(_read_bytes(str(candidate)))
     return schemas
 
 
@@ -209,10 +216,10 @@ def generate(model_path: str, output_dir: str):
         _die(EXIT_INVALID, "error nothing-to-generate services: the model declares no services")
     files = [(name, write_canonical(doc)) for name, doc in docs]
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _write_or_die(out, lambda: out.mkdir(parents=True, exist_ok=True))
     for name, payload in files:
         target = out / name
-        target.write_bytes(payload)
+        _write_or_die(target, lambda: target.write_bytes(payload))
         click.echo(str(target))
     sys.exit(EXIT_OK)
 

@@ -40,6 +40,7 @@ from .names import (
     WSDL_NS,
     WSP_NS,
     XS_NS,
+    nogc,
 )
 from .xmltree import XmlDocument, XmlElement
 
@@ -282,6 +283,7 @@ def _mep_for(op) -> str:
     return MEP_IN_OUT
 
 
+@nogc
 def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
     """The full file set for a model: one WSDL document plus one XSD per domain.
 
@@ -289,7 +291,8 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
     policies; each attachment is embedded as the first wsp:Policy child of its
     subject element.  validate_model is the one check: a model it passes is
     emitted without checking again, and one it fails raises GenerationError
-    carrying its error diagnostics.
+    carrying its error diagnostics.  The cyclic garbage collector is paused
+    while it runs (see ``names.nogc``).
     """
     problems = [d for d in validate_model(model) if d.severity == "error"]
     if problems:

@@ -40,7 +40,7 @@ from .model import (
     SUBJECT_KINDS,
     TYPE_KINDS,
 )
-from .names import QName, check_xml_chars, is_absolute_uri, is_ncname
+from .names import QName, check_xml_chars, is_absolute_uri, is_ncname, nogc
 
 FORMAT_VERSION = "1.0"
 
@@ -464,12 +464,14 @@ def _check_version(doc: dict) -> None:
                      ".formatVersion")
 
 
+@nogc
 def parse_model(data: bytes) -> ServiceModel:
     """Parse a model document into a fully linked ServiceModel.
 
     Reference checking is validate_model's job; this only enforces the file
     schema (types, required fields, unknown keys, URI syntax, policy depth,
-    one attachment per subject).
+    one attachment per subject).  The cyclic garbage collector is paused
+    while it runs (see ``names.nogc``).
     """
     try:
         text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data

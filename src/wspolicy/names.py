@@ -1,8 +1,10 @@
-"""Qualified names, namespace constants and URI helpers shared by every layer."""
+"""Qualified names, namespace constants, name and URI helpers shared by every layer."""
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from urllib.parse import urlsplit, urlunsplit
 
 XS_NS = "http://www.w3.org/2001/XMLSchema"
@@ -76,6 +78,26 @@ _UNRESERVED = set(
 )
 
 
+# Distinct strings whose answers each memoized name predicate keeps.
+NAME_CACHE_SIZE = 4096
+
+
+def _str_memo(predicate):
+    """``predicate`` with its answers for ``str`` arguments kept in a bounded
+    cache; any other value reaches ``predicate`` itself, as before."""
+    cached = lru_cache(maxsize=NAME_CACHE_SIZE)(predicate)
+
+    @wraps(predicate)
+    def check(s):
+        if s.__class__ is str:
+            return cached(s)
+        return predicate(s)
+
+    check.cache_info = cached.cache_info
+    return check
+
+
+@_str_memo
 def is_ncname(s: str) -> bool:
     return bool(s) and ":" not in s and bool(_NCNAME_RE.match(s))
 
@@ -88,6 +110,7 @@ def check_xml_chars(text: str) -> str:
     return text
 
 
+@_str_memo
 def is_absolute_uri(s: str) -> bool:
     """True for absolute URI references: a scheme is required, a fragment is allowed."""
     if not s:
@@ -179,3 +202,25 @@ def normalize_uri(s: str) -> str:
     query = _normalize_percent(parts.query)
     fragment = _normalize_percent(parts.fragment)
     return urlunsplit((scheme, netloc, path, query, fragment))
+
+
+def nogc(fn):
+    """``fn`` run with the cyclic garbage collector paused, if it was running.
+
+    For calls that build large trees of acyclic objects that all stay
+    reachable, which the collector would scan again and again for nothing.
+    The collector is process-wide: a caller that disabled it, or a call nested
+    in another paused one, finds it stopped and leaves it so.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused

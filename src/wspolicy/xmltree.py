@@ -149,7 +149,8 @@ def parse_xml(data: bytes) -> XmlDocument:
     try:
         parser.Parse(data, True)
     except xml.parsers.expat.ExpatError as exc:
-        raise XmlParseError(str(exc), exc.lineno, exc.offset) from exc
+        # str(exc) already ends in the position, which XmlParseError appends.
+        raise XmlParseError(xml.parsers.expat.ErrorString(exc.code), exc.lineno, exc.offset) from exc
     if not root:
         raise XmlParseError("no root element")
     return XmlDocument(root[0], root_decls)

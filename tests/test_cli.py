@@ -187,6 +187,27 @@ def test_generate_validates_once(runner, model_path, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_generate_output_dir_that_is_a_file_exits_2(runner, model_path, tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    result = runner.invoke(cli, ["generate", str(model_path), "--output-dir", str(blocker)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"cannot write {blocker}: ")
+    assert result.stderr.count("\n") == 1
+    assert blocker.read_text() == "not a directory"
+
+
+def test_generate_target_that_is_a_directory_exits_2(runner, model_path, tmp_path):
+    outdir = tmp_path / "gen"
+    (outdir / "TravelAgency.wsdl").mkdir(parents=True)
+    result = runner.invoke(cli, ["generate", str(model_path), "--output-dir", str(outdir)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"cannot write {outdir / 'TravelAgency.wsdl'}: ")
+    assert result.stderr.count("\n") == 1
+
+
 # --- normalize ---------------------------------------------------------------
 
 def test_normalize_model_fragment_text(runner, model_path):
@@ -535,6 +556,31 @@ def test_intersect_vocabulary_repeat_accepted_conflict_refused(runner, model_pat
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"conflicting declarations for {sp('UsernameToken')}\n"
+
+
+def test_malformed_xml_reports_its_position_once(runner, tmp_path):
+    bad = tmp_path / "bad.xml"
+    bad.write_bytes(b"<a<")
+    result = runner.invoke(cli, ["normalize", str(bad)])
+    assert result.exit_code == 1
+    assert result.stderr == f"{bad}: not well-formed (invalid token) (line 1, column 2)\n"
+
+
+def test_unreadable_companion_schema_exits_2(runner, model_path, tmp_path, monkeypatch):
+    outdir = generated_corpus(tmp_path, runner, model_path)
+    schema = outdir / "ws-semanticsecuritypolicy.xsd"
+    read_bytes = Path.read_bytes
+
+    def refuse_schema(path):
+        if path == schema:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse_schema)
+    result = runner.invoke(cli, ["normalize", str(outdir / "TravelAgency.wsdl") + "#" + FRAGMENT])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"cannot read {schema}: [Errno 13] Permission denied: '{schema}'\n"
 
 
 def test_intersect_missing_file(runner, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 import wspolicy.algebra
 import wspolicy.emit
 import wspolicy.model
+import wspolicy.modelfile
 
 from wspolicy import (
     AssertionDecl,
@@ -21,12 +23,13 @@ from wspolicy import (
     emit_wsdl,
     expand_optional,
     normalize,
+    parse_model,
     parse_policy_element,
     policy_document,
     validate_model,
     write_canonical,
 )
-from wspolicy.errors import GenerationError
+from wspolicy.errors import GenerationError, ModelSchemaError, ModelSyntaxError
 from wspolicy.names import SAWSDL_NS, WSDL_NS, WSP_NS, XS_NS
 from wspolicy.xmltree import parse_xml
 
@@ -36,6 +39,7 @@ from corpus import (
     endpoint_policy,
     model_from_json,
     sp,
+    travel_agency_bytes,
     travel_agency_json,
     travel_agency_model,
     wide_optional_json,
@@ -372,3 +376,42 @@ def test_policy_subjects_other_than_endpoint():
     assert binding.element_children()[0].name == QName(WSP_NS, "Policy")
     service = root.find(QName(WSDL_NS, "service"))
     assert service.element_children()[0].name == QName(WSP_NS, "Policy")
+
+
+# --- the paused collector ------------------------------------------------------
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_and_emit_pause_the_collector_and_leave_it_as_found(collector, enabled, monkeypatch):
+    good = travel_agency_model()
+    doc = travel_agency_json()
+    doc["services"][0]["endpoints"][0]["binding"] = "Nowhere"
+    unemittable = model_from_json(doc)
+    calls = [
+        (lambda: parse_model(travel_agency_bytes()), None),
+        (lambda: parse_model(b"{"), ModelSyntaxError),
+        (lambda: parse_model(b"{}"), ModelSchemaError),
+        (lambda: emit_wsdl(good), None),
+        (lambda: emit_wsdl(unemittable), GenerationError),
+    ]
+    during = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def recorded(*args):
+            during.append(gc.isenabled())
+            return original(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    spy(wspolicy.modelfile, "_check_version")
+    spy(wspolicy.emit, "validate_model")
+    collector(enabled)
+    for call, raises in calls:
+        if raises is None:
+            call()
+        else:
+            with pytest.raises(raises):
+                call()
+        assert gc.isenabled() is enabled
+    assert during == [False] * 4   # b"{" fails before the version check

@@ -1,33 +1,113 @@
-from wspolicy.names import QName, is_absolute_uri, is_ncname, normalize_uri
+import gc
+import random
+
+import pytest
+
+from wspolicy.names import NAME_CACHE_SIZE, QName, is_absolute_uri, is_ncname, nogc, normalize_uri
+
+NCNAMES = ("TravelAgency", "sp", "_x", "a-b.c", "HashPassword", "ns0")
+NOT_NCNAMES = ("", "9bad", "a:b", "has space", "-x", ".x")
+URIS = (
+    "http://emi/TravelAgencyService",
+    "http://example.org/sec-onto#HashPassword",
+    "urn:x-wspolicy:domain-name",
+    "mailto:someone@example.org",
+    "http://a/b?c=d#e",
+    "http://a/\x7fb",
+)
+NOT_URIS = ("", "not a uri", "//host/path", "relative/path", "#frag", "http://", ":x",
+            "http://a/\x1cb", "http://a/\u00a0b", "http://a/\u2028b", "http://a/\u3000b",
+            "http://a/\ud800b", "http://a/\udfffb", "http://a/\ufffeb", "http://a/\uffffb")
 
 
 def test_ncname_accepts_ordinary_identifiers():
-    for name in ("TravelAgency", "sp", "_x", "a-b.c", "HashPassword", "ns0"):
+    for name in NCNAMES:
         assert is_ncname(name), name
 
 
 def test_ncname_rejects_bad_identifiers():
-    for name in ("", "9bad", "a:b", "has space", "-x", ".x"):
+    for name in NOT_NCNAMES:
         assert not is_ncname(name), name
 
 
 def test_absolute_uri_accepts():
-    for uri in (
-        "http://emi/TravelAgencyService",
-        "http://example.org/sec-onto#HashPassword",
-        "urn:x-wspolicy:domain-name",
-        "mailto:someone@example.org",
-        "http://a/b?c=d#e",
-        "http://a/\x7fb",
-    ):
+    for uri in URIS:
         assert is_absolute_uri(uri), uri
 
 
 def test_absolute_uri_rejects():
-    for uri in ("", "not a uri", "//host/path", "relative/path", "#frag", "http://", ":x",
-                "http://a/\x1cb", "http://a/\u00a0b", "http://a/\u2028b", "http://a/\u3000b",
-                "http://a/\ud800b", "http://a/\udfffb", "http://a/\ufffeb", "http://a/\uffffb"):
+    for uri in NOT_URIS:
         assert not is_absolute_uri(uri), uri
+
+
+# --- memoized predicates and the paused collector ------------------------------
+
+def outcome(fn, value):
+    try:
+        return ("returned", fn(value))
+    except Exception as exc:
+        return ("raised", type(exc))
+
+
+def random_strings(seed: int, count: int) -> list[str]:
+    rng = random.Random(seed)
+    alphabet = "aZ_9:-./#?%@ \t\x00\u00e9\u2028\ud800\ufffe"
+    prefixes = ("", "http://", "urn:", "x:", "_")
+    return [rng.choice(prefixes) + "".join(rng.choices(alphabet, k=rng.randrange(8)))
+            for _ in range(count)]
+
+
+class StrSubclass(str):
+    pass
+
+
+NON_STR = (None, 0, 7, 1.5, b"abc", b"http://a/b", [], ["a"], {}, {"a": 1}, (), ("a",),
+           frozenset(), StrSubclass("ok"), StrSubclass("a:b"), StrSubclass("http://a/b"))
+
+
+@pytest.mark.parametrize("predicate", [is_ncname, is_absolute_uri])
+def test_memoized_predicates_answer_as_their_originals(predicate):
+    original = predicate.__wrapped__
+    strings = [*NCNAMES, *NOT_NCNAMES, *URIS, *NOT_URIS, *random_strings(3, 2000)]
+    for value in strings + strings:   # the second pass answers from the cache
+        assert predicate(value) is original(value), repr(value)
+    for value in NON_STR:   # unhashable or not: the original's answer, or its exception
+        assert outcome(predicate, value) == outcome(original, value), repr(value)
+
+
+@pytest.mark.parametrize("predicate", [is_ncname, is_absolute_uri])
+def test_memoized_predicates_keep_a_bounded_cache(predicate):
+    for value in random_strings(4, 2 * NAME_CACHE_SIZE):
+        predicate(value)
+    info = predicate.cache_info()
+    assert info.maxsize == NAME_CACHE_SIZE
+    assert info.currsize <= NAME_CACHE_SIZE
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_nogc_pauses_a_running_collector_and_restores_it(collector, enabled):
+    seen = []
+
+    @nogc
+    def inner():
+        seen.append(("inner", gc.isenabled()))
+
+    @nogc
+    def outer(fail: bool):
+        seen.append(("outer", gc.isenabled()))
+        inner()
+        seen.append(("after inner", gc.isenabled()))
+        if fail:
+            raise KeyError("boom")
+        return "done"
+
+    collector(enabled)
+    assert outer(False) == "done"
+    assert gc.isenabled() is enabled
+    with pytest.raises(KeyError):
+        outer(True)
+    assert gc.isenabled() is enabled
+    assert set(seen) == {("outer", False), ("inner", False), ("after inner", False)}
 
 
 def test_normalize_uri_cases():
