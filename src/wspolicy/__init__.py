@@ -18,13 +18,12 @@ _EXPORTS = {
     "algebra": (
         "All", "AssertionInstance", "AssertionRef", "ExactlyOne", "MatchMode", "NormalForm",
         "Policy", "PolicyExpr", "assertions_compatible", "alternatives_compatible",
-        "denormalize", "enumerate_alternatives_oracle", "expand_optional", "intersect", "merge",
-        "normal_forms_equal", "normalize",
+        "denormalize", "intersect", "merge", "normal_forms_equal", "normalize",
     ),
     "emit": ("emit_domain_xsd", "emit_policy_element", "emit_wsdl", "policy_document"),
     "errors": (
-        "GenerationError", "ModelSchemaError", "ModelSyntaxError", "OracleLimitError",
-        "PolicyXmlError", "VocabularyError", "WspolicyError", "XmlParseError",
+        "GenerationError", "ModelSchemaError", "ModelSyntaxError", "PolicyXmlError",
+        "VocabularyError", "WspolicyError", "XmlParseError",
     ),
     "model": (
         "AssertionDecl", "AttributeDecl", "BindingDecl", "Diagnostic", "DomainSchema", "Endpoint",

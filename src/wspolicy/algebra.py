@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import OracleLimitError, VocabularyError
+from .errors import VocabularyError
 from .names import QName, normalize_uri
 
 ParamValue = Union[str, int, float, bool]
@@ -240,31 +240,17 @@ def iter_refs(expr: PolicyExpr) -> Iterator[AssertionRef]:
             stack.extend(reversed(node.children))
 
 
-def expand_optional(expr: PolicyExpr) -> PolicyExpr:
-    """Rewrite away every optional flag.
-
-    An optional reference becomes the two-way choice between an alternative
-    containing it and an empty alternative; nested policies are rewritten too.
-    """
-    if isinstance(expr, AssertionRef):
-        nested = expand_optional(expr.nested) if expr.nested is not None else None
-        base = AssertionRef(expr.qname, optional=False, parameters=expr.parameters, nested=nested)
-        if expr.optional:
-            return ExactlyOne(All(base), All())
-        return base
-    ctor = type(expr)
-    return ctor(*(expand_optional(child) for child in expr.children))
-
-
 def _instance_of(ref: AssertionRef) -> AssertionInstance:
     nested = normalize(ref.nested) if ref.nested is not None else None
     return AssertionInstance(ref.qname, ref.parameters, nested)
 
 
 def _distribute(expr: PolicyExpr, ids: dict[AssertionInstance, int]) -> list[frozenset[int]]:
-    """Alternatives as sets of the ids ``ids`` gives each distinct instance."""
+    """Alternatives as sets of the ids ``ids`` gives each distinct instance.
+    An optional reference offers two: with its instance and without."""
     if isinstance(expr, AssertionRef):
-        return [frozenset((ids.setdefault(_instance_of(expr), len(ids)),))]
+        one = frozenset((ids.setdefault(_instance_of(expr), len(ids)),))
+        return [one, frozenset()] if expr.optional else [one]
     if isinstance(expr, ExactlyOne):
         out: list[frozenset[int]] = []
         for child in expr.children:
@@ -282,10 +268,12 @@ def normalize(expr: PolicyExpr) -> NormalForm:
     """Reduce a policy tree to its canonical set of alternatives.
 
     ``All()`` contributes the single empty alternative, ``ExactlyOne()``
-    contributes no alternative at all (the unsatisfiable policy).
+    contributes no alternative at all (the unsatisfiable policy).  Optional
+    flags are expanded during distribution, at every depth, as WS-Policy's
+    ``ExactlyOne(All(A), All())``; no rewritten tree is built.
     """
     nf, ids = object.__new__(NormalForm), {}
-    nf._canonical(set(_distribute(expand_optional(expr), ids)), ids)
+    nf._canonical(set(_distribute(expr, ids)), ids)
     return nf
 
 
@@ -298,43 +286,6 @@ def satisfiable(expr: PolicyExpr) -> bool:
     if isinstance(expr, ExactlyOne):
         return any(satisfiable(child) for child in expr.children)
     return all(satisfiable(child) for child in expr.children)
-
-
-ORACLE_LIMIT = 16
-
-
-def _enumerate(expr: PolicyExpr) -> list[list[AssertionInstance]]:
-    if isinstance(expr, AssertionRef):
-        nested = enumerate_alternatives_oracle(expr.nested) if expr.nested is not None else None
-        instance = AssertionInstance(expr.qname, expr.parameters, nested)
-        branches = [[instance]]
-        if expr.optional:
-            branches.append([])
-        return branches
-    if isinstance(expr, ExactlyOne):
-        out: list[list[AssertionInstance]] = []
-        for child in expr.children:
-            out.extend(_enumerate(child))
-        return out
-    combos: list[list[AssertionInstance]] = [[]]
-    for child in expr.children:
-        child_alts = _enumerate(child)
-        combos = [a + b for a in combos for b in child_alts]
-    return combos
-
-
-def enumerate_alternatives_oracle(expr: PolicyExpr) -> NormalForm:
-    """Test-scale oracle: enumerate alternatives exhaustively, without the
-    optional-flag rewrite or any other shortcut used by normalize.
-
-    Refuses trees with more than ORACLE_LIMIT assertion references.
-    """
-    count = sum(1 for _ in iter_refs(expr))
-    if count > ORACLE_LIMIT:
-        raise OracleLimitError(
-            f"oracle limited to {ORACLE_LIMIT} assertion references, tree has {count}"
-        )
-    return NormalForm.of(_enumerate(expr))
 
 
 # Distinct modelReference tuples whose normalized sets are kept.  Entries are

@@ -8,6 +8,8 @@ ordering; diagnostics go to standard error.
 """
 from __future__ import annotations
 
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -70,6 +72,30 @@ def _write_or_die(path: Path, write) -> None:
         write()
     except OSError as exc:
         _die(EXIT_IO, f"cannot write {path}: {exc}")
+
+
+def _write_all(files: list[tuple[Path, bytes]]) -> None:
+    """Put every file in place or none.  Each payload is written to a
+    temporary beside its target first; the temporaries are renamed onto the
+    targets only once all are written and no target is a directory, which a
+    rename cannot replace.  On failure the temporaries are removed."""
+    temps: list[Path] = []
+    try:
+        for target, payload in files:
+            temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            temps.append(temp)
+            with open(fd, "wb") as stream:
+                stream.write(payload)
+        for target, _ in files:
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for temp, (target, _) in zip(temps, files):
+            os.replace(temp, target)
+    except OSError as exc:  # ``target`` is the file whose step failed
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        _die(EXIT_IO, f"cannot write {target}: {exc}")
 
 
 def _parse_model_or_die(data: bytes) -> ServiceModel:
@@ -214,12 +240,11 @@ def generate(model_path: str, output_dir: str):
         _die(EXIT_INVALID, "\n".join(map(str, exc.diagnostics)))
     if not model.services:
         _die(EXIT_INVALID, "error nothing-to-generate services: the model declares no services")
-    files = [(name, write_canonical(doc)) for name, doc in docs]
     out = Path(output_dir)
+    files = [(out / name, write_canonical(doc)) for name, doc in docs]
     _write_or_die(out, lambda: out.mkdir(parents=True, exist_ok=True))
-    for name, payload in files:
-        target = out / name
-        _write_or_die(target, lambda: target.write_bytes(payload))
+    _write_all(files)
+    for target, _ in files:
         click.echo(str(target))
     sys.exit(EXIT_OK)
 

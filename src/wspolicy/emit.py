@@ -8,7 +8,7 @@ nested policy (the lax wildcard slot cannot express that list).
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import (
     All,
@@ -124,6 +124,19 @@ def _assign_prefixes(
     return table
 
 
+def _qualifier(namespaces: Mapping[str, str]) -> Callable[[QName], str]:
+    """The ``prefix:local`` spelling of a QName under the prefix -> URI table
+    ``namespaces``; a name in no namespace keeps its bare local part."""
+    uri_to_prefix = {uri: prefix for prefix, uri in namespaces.items()}
+
+    def qname_str(qname: QName) -> str:
+        if not qname.namespace:
+            return qname.local
+        return f"{uri_to_prefix[qname.namespace]}:{qname.local}"
+
+    return qname_str
+
+
 def _preferred_prefixes(model: ServiceModel) -> dict[str, str]:
     preferred = dict(_BUILTIN_PREFIXES)
     preferred[model.target_namespace] = "tns"
@@ -209,13 +222,7 @@ def _domain_xsd(domain: DomainSchema) -> XmlDocument:
     preferred = dict(_BUILTIN_PREFIXES)
     preferred[domain.target_namespace] = domain.prefix
     namespaces = _assign_prefixes(used, preferred)
-    uri_to_prefix = {uri: prefix for prefix, uri in namespaces.items()}
-
-    def qname_str(qname: QName) -> str:
-        if not qname.namespace:
-            return qname.local
-        return f"{uri_to_prefix[qname.namespace]}:{qname.local}"
-
+    qname_str = _qualifier(namespaces)
     children: list[XmlElement] = [_appinfo(DOMAIN_NAME_APPINFO, domain.domain_name)]
     for decl in domain.assertions:
         children.append(_assertion_element(decl, qname_str))
@@ -317,12 +324,7 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
                     declared.add(ref.element_type.namespace)
 
     namespaces = _assign_prefixes(declared, _preferred_prefixes(model))
-    uri_to_prefix = {uri: prefix for prefix, uri in namespaces.items()}
-
-    def qname_str(qname: QName) -> str:
-        if not qname.namespace:
-            return qname.local
-        return f"{uri_to_prefix[qname.namespace]}:{qname.local}"
+    qname_str = _qualifier(namespaces)
 
     attached: dict[tuple[str, tuple[str, ...]], PolicyExpr] = {
         (a.subject.kind, a.subject.path): a.policy for a in model.attachments

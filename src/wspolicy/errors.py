@@ -6,8 +6,8 @@ class WspolicyError(Exception):
     """Base class for every error this library raises on purpose."""
 
 
-class ModelSyntaxError(WspolicyError):
-    """The model document is not parseable at all (bad UTF-8 or bad JSON)."""
+class _PositionedError(WspolicyError):
+    """An error that may name the line and column of the input where it was found."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
@@ -15,6 +15,10 @@ class ModelSyntaxError(WspolicyError):
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
+
+
+class ModelSyntaxError(_PositionedError):
+    """The model document is not parseable at all (bad UTF-8 or bad JSON)."""
 
 
 class ModelSchemaError(WspolicyError):
@@ -25,15 +29,8 @@ class ModelSchemaError(WspolicyError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-class XmlParseError(WspolicyError):
+class XmlParseError(_PositionedError):
     """An XML input is not well-formed or not the expected document kind."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
 
 
 class PolicyXmlError(WspolicyError):
@@ -52,7 +49,3 @@ class GenerationError(WspolicyError):
 
 class VocabularyError(WspolicyError):
     """Semantic matching needed an assertion declaration that is not available."""
-
-
-class OracleLimitError(WspolicyError):
-    """The enumeration oracle refuses trees above its size limit."""

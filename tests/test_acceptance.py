@@ -21,7 +21,6 @@ from wspolicy import (
     assertion_vocabulary,
     denormalize,
     emit_wsdl,
-    enumerate_alternatives_oracle,
     intersect,
     normal_forms_equal,
     normalize,
@@ -46,6 +45,7 @@ from corpus import (
     travel_agency_model,
 )
 from randgen import default_pool, rand_model, rand_normal_form, rand_policy_expr
+from reference import enumerate_alternatives_oracle
 
 
 @contextmanager

@@ -20,8 +20,6 @@ from wspolicy import (
     PolicyExpr,
     QName,
     denormalize,
-    enumerate_alternatives_oracle,
-    expand_optional,
     intersect,
     merge,
     normal_forms_equal,
@@ -35,12 +33,13 @@ from wspolicy.algebra import (
     satisfiable,
     semantic_match_uris,
 )
-from wspolicy.errors import OracleLimitError, VocabularyError
+from wspolicy.errors import VocabularyError
 from wspolicy.model import AssertionDecl, SemanticAnnotation
 from wspolicy.names import normalize_uri
 
 from corpus import endpoint_policy, sp, acme_domain
 from randgen import default_pool, rand_normal_form, rand_policy_expr
+from reference import enumerate_alternatives_oracle, expand_optional
 
 NS = "http://example.org/test-policy.xsd"
 A = AssertionRef(QName(NS, "A"))
@@ -86,7 +85,7 @@ def test_oracle_corpus_endpoint_policy():
 
 def test_oracle_refuses_large_trees():
     wide = All(*(AssertionRef(QName(NS, f"X{i}")) for i in range(17)))
-    with pytest.raises(OracleLimitError):
+    with pytest.raises(ValueError):
         enumerate_alternatives_oracle(wide)
 
 
@@ -133,6 +132,29 @@ def test_expand_optional_reaches_nested_policies():
     expanded = expand_optional(nested_opt)
     assert isinstance(expanded, AssertionRef)
     assert expanded.nested == Policy(ExactlyOne(All(B), All()))
+
+
+def test_normalize_builds_no_tree_nodes_on_an_optional_chain(monkeypatch):
+    # Rewriting optional flags into operators before distributing rebuilt the
+    # tree below every nested policy again: O(depth^2) nodes on a chain.
+    expr = A
+    for level in range(50):
+        expr = AssertionRef(QName(NS, f"L{level}"), optional=level % 2 == 1, nested=Policy(expr))
+    want = normalize(expand_optional(expr))
+    built = [0]
+
+    def counting(init):
+        def counted(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in (AssertionRef, algebra._Operator):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    got = normalize(expr)
+    monkeypatch.undo()
+    assert built[0] == 0
+    assert got == want
 
 
 # --- normalize ---------------------------------------------------------------

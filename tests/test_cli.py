@@ -108,6 +108,7 @@ def test_generate_writes_file_set(runner, model_path, tmp_path):
         cli, ["generate", str(model_path), "--output-dir", str(outdir)]
     )
     assert result_again.exit_code == 0
+    assert sorted(p.name for p in outdir.iterdir()) == names
     for name in names:
         assert (outdir / name).read_bytes() == (GOLDEN / name).read_bytes()
 
@@ -206,6 +207,45 @@ def test_generate_target_that_is_a_directory_exits_2(runner, model_path, tmp_pat
     assert result.stdout == ""
     assert result.stderr.startswith(f"cannot write {outdir / 'TravelAgency.wsdl'}: ")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("old_wsdl", [None, b"<old/>"])
+def test_generate_writes_nothing_when_a_later_target_fails(runner, model_path, tmp_path,
+                                                            old_wsdl):
+    outdir = tmp_path / "gen"
+    schema = outdir / "ws-semanticsecuritypolicy.xsd"
+    schema.mkdir(parents=True)
+    wsdl = outdir / "TravelAgency.wsdl"
+    if old_wsdl is not None:
+        wsdl.write_bytes(old_wsdl)
+    result = runner.invoke(cli, ["generate", str(model_path), "--output-dir", str(outdir)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"cannot write {schema}: [Errno 21] Is a directory: '{schema}'\n"
+    if old_wsdl is None:
+        assert set(outdir.iterdir()) == {schema}
+    else:
+        assert set(outdir.iterdir()) == {schema, wsdl}
+        assert wsdl.read_bytes() == old_wsdl
+
+
+def test_generate_removes_temporaries_when_a_write_fails(runner, model_path, tmp_path,
+                                                        monkeypatch):
+    outdir = tmp_path / "gen"
+    real_open = os.open
+
+    def full_disk(path, *args):
+        if Path(path).name.startswith(".ws-semanticsecuritypolicy.xsd."):
+            raise OSError(28, "No space left on device")
+        return real_open(path, *args)
+
+    monkeypatch.setattr(os, "open", full_disk)
+    result = runner.invoke(cli, ["generate", str(model_path), "--output-dir", str(outdir)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    schema = outdir / "ws-semanticsecuritypolicy.xsd"
+    assert result.stderr == f"cannot write {schema}: [Errno 28] No space left on device\n"
+    assert list(outdir.iterdir()) == []
 
 
 # --- normalize ---------------------------------------------------------------

@@ -21,7 +21,6 @@ from wspolicy import (
     emit_domain_xsd,
     emit_policy_element,
     emit_wsdl,
-    expand_optional,
     normalize,
     parse_model,
     parse_policy_element,
@@ -45,6 +44,7 @@ from corpus import (
     wide_optional_json,
 )
 from randgen import rand_model
+from reference import expand_optional
 
 XS_ELEMENT = QName(XS_NS, "element")
 MODEL_REF = QName(SAWSDL_NS, "modelReference")

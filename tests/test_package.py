@@ -1,0 +1,66 @@
+"""The package's public surface and its dependencies."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wspolicy
+
+SRC = Path(wspolicy.__file__).parent
+
+
+# Run in a fresh interpreter, so every name goes through the package's
+# first-use loader rather than an attribute an earlier import has set.
+_RESOLVE_CHILD = """
+import importlib, sys
+import wspolicy
+assert not [m for m in sys.modules if m.startswith("wspolicy.")], "eager import"
+for name in wspolicy.__all__:
+    module = wspolicy._MODULE_OF.get(name)
+    home = importlib.import_module(f"wspolicy.{module or name}")
+    assert getattr(wspolicy, name) is (home if module is None else getattr(home, name)), name
+"""
+
+
+def test_every_public_name_resolves_on_first_use():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", _RESOLVE_CHILD], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace: dict = {}
+    exec("from wspolicy import *", namespace)
+    assert set(wspolicy.__all__) <= set(namespace)
+    assert set(wspolicy.__all__) <= set(dir(wspolicy))
+
+
+@pytest.mark.parametrize(
+    "name", ["enumerate_alternatives_oracle", "expand_optional", "OracleLimitError"]
+)
+def test_test_only_names_are_gone(name):
+    assert name not in wspolicy.__all__
+    with pytest.raises(AttributeError):
+        getattr(wspolicy, name)
+
+
+def _imported_roots(path: Path) -> set[str]:
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_library_imports_only_stdlib_click_and_itself():
+    allowed = set(sys.stdlib_module_names) | {"click", "wspolicy"}
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    foreign = {path.name: sorted(_imported_roots(path) - allowed) for path in modules}
+    assert {name: roots for name, roots in foreign.items() if roots} == {}
