@@ -163,6 +163,7 @@ class AssertionInstance(Keyed):
 
 
 Alternative = tuple[AssertionInstance, ...]
+Pair = tuple[Alternative, Alternative]
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,17 +305,8 @@ def _model_reference_set(decl: Any) -> frozenset[str]:
     return _normalized_uris(() if annotation is None else tuple(annotation.model_reference))
 
 
-# Memo key of the modelReference sets of every QName, at any depth, of the first
-# intersect call's forms, or None if one is undeclared; no pair of forms equals
-# it.  Later calls meet only forms nested in those, so they read it; after None,
-# each looks up its own forms but records nothing, as a sibling may be undeclared.
-_DECLARED = object()
-
-
-def _declared_uris(a: QName, b: QName, vocab: Optional[Vocabulary], declared=None):
-    """Both declarations' URI sets, from ``declared`` if given; raises if one is missing."""
-    if declared is not None:
-        return declared[a], declared[b]
+def _declared_uris(a: QName, b: QName, vocab: Optional[Vocabulary]):
+    """Both declarations' URI sets; raises if one is missing."""
     if vocab is None:
         raise VocabularyError("semantic matching requires an assertion vocabulary")
     for qname in (a, b):
@@ -329,13 +321,109 @@ def semantic_match_uris(a: QName, b: QName, vocab: Optional[Vocabulary]) -> tupl
     return tuple(sorted(frozenset.intersection(*_declared_uris(a, b, vocab))))
 
 
-def assertions_compatible(
-    a: AssertionInstance,
-    b: AssertionInstance,
-    mode: MatchMode = MatchMode.STRICT,
-    vocab: Optional[Vocabulary] = None,
-    *, _memo: Optional[dict] = None,
-) -> bool:
+class _Join:
+    """One top-level call's mode, vocabulary, URI table and nested-pair answers.
+    The table maps each QName of the two forms, at any depth, to its
+    modelReference set: empty in strict mode, None where a check could raise
+    (no vocabulary, a QName undeclared, or no forms).  Answers are keyed by
+    the nested forms' ids: each stays reachable from the call's arguments
+    until it returns, so no id is reused and no lookup compares by value."""
+
+    __slots__ = ("mode", "vocab", "uris", "answers")
+
+    def __init__(self, mode: MatchMode, vocab: Optional[Vocabulary], *forms: NormalForm):
+        self.mode, self.vocab, self.answers = mode, vocab, {}
+        self.uris = self.table(*forms) if forms else None
+
+    def table(self, p: NormalForm, q: NormalForm) -> Optional[dict]:
+        if self.mode is MatchMode.STRICT:
+            return {}
+        if self.vocab is None:
+            return None
+        try:
+            return {n: _model_reference_set(self.vocab[n]) for n in p._deep_qnames | q._deep_qnames}
+        except KeyError:
+            return None
+
+    def components(self, p: NormalForm, q: NormalForm, uris) -> Optional[dict[QName, Any]]:
+        """Component of every top-level QName of ``p`` and ``q``; None without a table."""
+        if uris is None:
+            return None
+        if self.mode is MatchMode.STRICT:
+            return {qname: qname for qname in p._qnames | q._qnames}
+        # Union-find joining the URIs of each declaration.  A QName's component is
+        # their root; one without URIs is its own (a QName never equals a str).
+        parent: dict[str, str] = {}
+        heads = []
+        for qname in p._qnames | q._qnames:
+            head = qname
+            for uri in uris[qname]:
+                while parent.setdefault(uri, uri) != uri:
+                    parent[uri] = uri = parent[parent[uri]]
+                parent[uri] = head = uri if head is qname else head
+            heads.append((qname, head))
+        components = {}
+        for qname, head in heads:
+            while parent.get(head, head) != head:
+                head = parent[head]
+            components[qname] = head
+        return components
+
+    def pairs(self, p: NormalForm, q: NormalForm, uris) -> Iterator[Pair]:
+        """The compatible pairs in nested-loop order, joined as ``intersect`` describes."""
+        components = self.components(p, q, uris)
+
+        def signature(alt: Alternative):
+            return bool(alt) if components is None else frozenset(components[i.qname] for i in alt)
+
+        def flat(alt: Alternative) -> bool:
+            return self.mode is MatchMode.STRICT and all(i.nested is None for i in alt)
+
+        buckets: dict[Any, list[tuple[Alternative, bool]]] = {}
+        for alt_b in q.alternatives:
+            buckets.setdefault(signature(alt_b), []).append((alt_b, flat(alt_b)))
+        for alt_a in p.alternatives:
+            flat_a = flat(alt_a)
+            for alt_b, flat_b in buckets.get(signature(alt_a), ()):
+                if flat_a and flat_b or self.alternatives(alt_a, alt_b, uris):
+                    yield alt_a, alt_b
+
+    def alternatives(self, alt_a: Alternative, alt_b: Alternative, uris) -> bool:
+        return all(any(self.assertions(a, b, uris) for b in alt_b) for a in alt_a) and all(
+            any(self.assertions(b, a, uris) for a in alt_a) for b in alt_b)
+
+    def assertions(self, a: AssertionInstance, b: AssertionInstance, uris) -> bool:
+        if a.qname != b.qname:
+            if self.mode is MatchMode.STRICT:
+                return False
+            if uris is None:
+                uris_a, uris_b = _declared_uris(a.qname, b.qname, self.vocab)
+            else:
+                uris_a, uris_b = uris[a.qname], uris[b.qname]
+            if uris_a.isdisjoint(uris_b):
+                return False
+        if a.nested is None or b.nested is None:
+            return a.nested is None and b.nested is None
+        return self.nested(a.nested, b.nested, uris)
+
+    def nested(self, p: NormalForm, q: NormalForm, uris) -> bool:
+        """Whether ``p`` and ``q`` intersect.  Under a table no check can raise,
+        so the first compatible pair answers, for the reversed pair too; without
+        one every pair is tried, to raise as a nested loop would."""
+        key = (id(p), id(q))
+        if key not in self.answers:
+            uris = self.table(p, q) if uris is None else uris
+            found = self.pairs(p, q, uris)
+            if uris is None:
+                self.answers[key] = bool(list(found))
+            else:
+                self.answers[key] = self.answers[id(q), id(p)] = next(found, None) is not None
+        return self.answers[key]
+
+
+def assertions_compatible(a: AssertionInstance, b: AssertionInstance,
+                          mode: MatchMode = MatchMode.STRICT,
+                          vocab: Optional[Vocabulary] = None) -> bool:
     """Instance compatibility.
 
     Strict: equal QNames.  Semantic: equal QNames, or the two declarations
@@ -343,81 +431,27 @@ def assertions_compatible(
     QNames).  Either way both must lack nested policies or their nested normal
     forms must intersect non-emptily; parameters never participate.
     """
-    memo = {} if _memo is None else _memo
-    if a.qname != b.qname:
-        if mode is MatchMode.STRICT:
-            return False
-        uris_a, uris_b = _declared_uris(a.qname, b.qname, vocab, memo.get(_DECLARED))
-        if uris_a.isdisjoint(uris_b):
-            return False
-    if a.nested is None or b.nested is None:
-        return a.nested is None and b.nested is None
-    pair = (a.nested, b.nested)
-    if pair not in memo:
-        memo[pair] = intersect(a.nested, b.nested, mode, vocab, _memo=memo).satisfiable
-    return memo[pair]
+    return _Join(mode, vocab).assertions(a, b, None)
 
 
-def alternatives_compatible(
-    alt_a: Iterable[AssertionInstance],
-    alt_b: Iterable[AssertionInstance],
-    mode: MatchMode = MatchMode.STRICT,
-    vocab: Optional[Vocabulary] = None,
-    *, _memo: Optional[dict] = None,
-) -> bool:
+def alternatives_compatible(alt_a: Iterable[AssertionInstance], alt_b: Iterable[AssertionInstance],
+                            mode: MatchMode = MatchMode.STRICT,
+                            vocab: Optional[Vocabulary] = None) -> bool:
     """Every instance on each side must have a compatible partner on the other."""
-    alt_a, alt_b = tuple(alt_a), tuple(alt_b)
-    return all(
-        any(assertions_compatible(a, b, mode, vocab, _memo=_memo) for b in alt_b) for a in alt_a
-    ) and all(
-        any(assertions_compatible(b, a, mode, vocab, _memo=_memo) for a in alt_a) for b in alt_b
-    )
+    return _Join(mode, vocab).alternatives(tuple(alt_a), tuple(alt_b), None)
 
 
-def _match_components(
-    p: NormalForm, q: NormalForm, mode: MatchMode, vocab: Optional[Vocabulary], memo: dict
-) -> Optional[dict[QName, Any]]:
-    """Component of every top-level QName of ``p`` and ``q``; None when a semantic
-    check could raise: no vocabulary, or one of their QNames, at any depth, undeclared."""
-    if mode is MatchMode.STRICT:
-        return {qname: qname for qname in p._qnames | q._qnames}
-    if vocab is None:
-        return None
-    uris = memo.get(_DECLARED)
-    if uris is None:
-        try:
-            uris = {n: _model_reference_set(vocab[n]) for n in p._deep_qnames | q._deep_qnames}
-        except KeyError:
-            pass
-        memo.setdefault(_DECLARED, uris)
-        if uris is None:
-            return None
-    # Union-find joining the URIs of each declaration.  A QName's component is
-    # their root; one without URIs is its own (a QName never equals a str).
-    parent: dict[str, str] = {}
-    heads = []
-    for qname in p._qnames | q._qnames:
-        head = qname
-        for uri in uris[qname]:
-            while parent.setdefault(uri, uri) != uri:
-                parent[uri] = uri = parent[parent[uri]]
-            parent[uri] = head = uri if head is qname else head
-        heads.append((qname, head))
-    components = {}
-    for qname, head in heads:
-        while parent.get(head, head) != head:
-            head = parent[head]
-        components[qname] = head
-    return components
+def compatible_pairs(p: NormalForm, q: NormalForm, mode: MatchMode = MatchMode.STRICT,
+                     vocab: Optional[Vocabulary] = None) -> Iterator[Pair]:
+    """Each pair of an alternative of ``p`` and one of ``q`` that
+    ``alternatives_compatible`` accepts, in nested-loop order: ``p``'s
+    alternatives outermost.  The pairs ``intersect`` joins."""
+    join = _Join(mode, vocab, p, q)
+    return join.pairs(p, q, join.uris)
 
 
-def intersect(
-    p: NormalForm,
-    q: NormalForm,
-    mode: MatchMode = MatchMode.STRICT,
-    vocab: Optional[Vocabulary] = None,
-    *, _memo: Optional[dict] = None,
-) -> NormalForm:
+def intersect(p: NormalForm, q: NormalForm, mode: MatchMode = MatchMode.STRICT,
+              vocab: Optional[Vocabulary] = None) -> NormalForm:
     """Alternatives acceptable to both policies.
 
     Each compatible pair of alternatives contributes their union, instances
@@ -440,36 +474,13 @@ def intersect(
     non-empty alternative shares one bucket, so the pairs that can raise are
     tried in the same order as a full nested loop and raise the same error.
 
-    One top-level call intersects each ordered pair of nested forms once and
-    keeps the answer until it returns, as a repeat would redo the same checks;
-    when every QName is declared, it also reads each from ``vocab`` just once.
-    Where no check can raise, compatibility is symmetric and the answer also
-    stands for the reversed pair.  Nesting costs time linear in depth, not 2^depth.
+    One top-level call decides each ordered pair of nested forms once, and
+    where no check can raise it stops at the first compatible pair and lets
+    the answer stand for the reversed pair too; when every QName is declared,
+    it also reads each from ``vocab`` just once.  Nesting costs time linear in
+    depth, not 2^depth.
     """
-    memo = {} if _memo is None else _memo
-    components = _match_components(p, q, mode, vocab, memo)
-
-    def signature(alt: Alternative):
-        if components is None:
-            return bool(alt)
-        return frozenset(components[i.qname] for i in alt)
-
-    def flat(alt: Alternative) -> bool:
-        return mode is MatchMode.STRICT and all(i.nested is None for i in alt)
-
-    buckets: dict[Any, list[tuple[Alternative, bool]]] = {}
-    for alt_b in q.alternatives:
-        buckets.setdefault(signature(alt_b), []).append((alt_b, flat(alt_b)))
-    found: list[Alternative] = []
-    for alt_a in p.alternatives:
-        flat_a = flat(alt_a)
-        for alt_b, flat_b in buckets.get(signature(alt_a), ()):
-            if flat_a and flat_b or alternatives_compatible(alt_a, alt_b, mode, vocab, _memo=memo):
-                found.append(alt_a + alt_b)
-    result = NormalForm.of(found)
-    if components is not None:
-        memo[q, p] = result.satisfiable
-    return result
+    return NormalForm.of(a + b for a, b in compatible_pairs(p, q, mode, vocab))
 
 
 def merge(p: PolicyExpr, q: PolicyExpr) -> PolicyExpr:

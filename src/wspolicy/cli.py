@@ -20,8 +20,9 @@ from .algebra import (
     MatchMode,
     NormalForm,
     PolicyExpr,
-    alternatives_compatible,
+    alternatives_compatible,  # unused here; benchmarks/spans.py wraps cli.alternatives_compatible
     assertions_compatible,
+    compatible_pairs,
     denormalize,
     intersect as intersect_forms,
     normalize,
@@ -53,6 +54,12 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_EMPTY = 3
+
+# The fixed names a policy source is told apart by, built once.
+_WSDL_DESCRIPTION = QName(WSDL_NS, "description")
+_WSDL_TYPES = QName(WSDL_NS, "types")
+_WSP_POLICY = QName(WSP_NS, "Policy")
+_XS_IMPORT = QName(XS_NS, "import")
 
 
 def _die(code: int, message: str):
@@ -107,26 +114,23 @@ def _parse_model_or_die(data: bytes) -> ServiceModel:
         _die(EXIT_INVALID, f"error model-schema {exc}")
 
 
+def _alt_label(alt) -> str:
+    return ", ".join(str(i.qname) for i in alt) if alt else "(empty alternative)"
+
+
 def render_normal_form(nf: NormalForm) -> list[str]:
     """One alternative per line as sorted QName lists, nested forms indented."""
     lines: list[str] = []
 
     def walk(form: NormalForm, indent: str):
         for alt in form.alternatives:
-            if not alt:
-                lines.append(indent + "(empty alternative)")
-                continue
-            lines.append(indent + ", ".join(str(i.qname) for i in alt))
+            lines.append(indent + _alt_label(alt))
             for instance in alt:
                 if instance.nested is not None:
                     walk(instance.nested, indent + "  ")
 
     walk(nf, "")
     return lines
-
-
-def _alt_label(alt) -> str:
-    return ", ".join(str(i.qname) for i in alt) if alt else "(empty alternative)"
 
 
 def _split_source(spec: str) -> tuple[str, str | None]:
@@ -146,8 +150,8 @@ def _companion_schemas(wsdl_path: str, doc) -> list[bytes]:
     """Schemas referenced by xs:import, resolved relative to the WSDL file."""
     base = Path(wsdl_path).parent
     schemas: list[bytes] = []
-    for types in doc.root.find_all(QName(WSDL_NS, "types")):
-        for item in types.find_all(QName(XS_NS, "import")):
+    for types in doc.root.find_all(_WSDL_TYPES):
+        for item in types.find_all(_XS_IMPORT):
             location = item.attr("schemaLocation")
             if not location:
                 continue
@@ -180,7 +184,7 @@ def _load_policy_source(spec: str) -> tuple[PolicyExpr, list[DomainSchema], dict
         doc = parse_xml(data)
     except XmlParseError as exc:
         _die(EXIT_INVALID, f"{path_str}: {exc}")
-    if doc.root.name == QName(WSP_NS, "Policy"):
+    if doc.root.name == _WSP_POLICY:
         if frag is not None:
             _die(EXIT_IO, f"{path_str}: fragments only apply to model or WSDL sources")
         try:
@@ -189,7 +193,7 @@ def _load_policy_source(spec: str) -> tuple[PolicyExpr, list[DomainSchema], dict
             _die(EXIT_INVALID, f"{path_str}: {exc}")
         hints = {uri: prefix for prefix, uri in doc.namespaces.items() if prefix}
         return expr, [], hints
-    if doc.root.name == QName(WSDL_NS, "description"):
+    if doc.root.name == _WSDL_DESCRIPTION:
         try:
             parsed = parse_wsdl(data, _companion_schemas(path_str, doc))
         except (XmlParseError, PolicyXmlError) as exc:
@@ -314,18 +318,15 @@ def intersect(source_a: str, source_b: str, mode: str, vocab_paths: tuple[str, .
 
 
 def _print_explanation(nf_a: NormalForm, nf_b: NormalForm, mode: MatchMode, vocab):
-    for alt_a in nf_a.alternatives:
-        for alt_b in nf_b.alternatives:
-            if not alternatives_compatible(alt_a, alt_b, mode, vocab):
-                continue
-            click.echo(f"pair: {_alt_label(alt_a)} ~ {_alt_label(alt_b)}")
-            if mode is not MatchMode.SEMANTIC:
-                continue
-            for a in alt_a:
-                for b in alt_b:
-                    if a.qname != b.qname and assertions_compatible(a, b, mode, vocab):
-                        uris = semantic_match_uris(a.qname, b.qname, vocab)
-                        click.echo(f"match: {a.qname} ~ {b.qname} via {uris[0]}")
+    for alt_a, alt_b in compatible_pairs(nf_a, nf_b, mode, vocab):
+        click.echo(f"pair: {_alt_label(alt_a)} ~ {_alt_label(alt_b)}")
+        if mode is not MatchMode.SEMANTIC:
+            continue
+        for a in alt_a:
+            for b in alt_b:
+                if a.qname != b.qname and assertions_compatible(a, b, mode, vocab):
+                    uris = semantic_match_uris(a.qname, b.qname, vocab)
+                    click.echo(f"match: {a.qname} ~ {b.qname} via {uris[0]}")
 
 
 def main():

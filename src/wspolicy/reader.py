@@ -38,6 +38,28 @@ _WSP_ALL = QName(WSP_NS, "All")
 _WSP_EXACTLY_ONE = QName(WSP_NS, "ExactlyOne")
 _WSP_OPTIONAL = QName(WSP_NS, "Optional")
 
+# The fixed XSD and WSDL names the readers compare against, built once.
+_XS_ANNOTATION = QName(XS_NS, "annotation")
+_XS_APPINFO = QName(XS_NS, "appinfo")
+_XS_ATTRIBUTE = QName(XS_NS, "attribute")
+_XS_COMPLEX_TYPE = QName(XS_NS, "complexType")
+_XS_ELEMENT = QName(XS_NS, "element")
+_XS_IMPORT = QName(XS_NS, "import")
+_XS_SCHEMA = QName(XS_NS, "schema")
+_XS_SEQUENCE = QName(XS_NS, "sequence")
+_XS_STRING = QName(XS_NS, "string")
+_WSDL_BINDING = QName(WSDL_NS, "binding")
+_WSDL_DESCRIPTION = QName(WSDL_NS, "description")
+_WSDL_ENDPOINT = QName(WSDL_NS, "endpoint")
+_WSDL_FAULT = QName(WSDL_NS, "fault")
+_WSDL_FAULT_REFS = (QName(WSDL_NS, "infault"), QName(WSDL_NS, "outfault"))
+_WSDL_INTERFACE = QName(WSDL_NS, "interface")
+_WSDL_MESSAGES = (QName(WSDL_NS, "input"), QName(WSDL_NS, "output"))
+_WSDL_OPERATION = QName(WSDL_NS, "operation")
+_WSDL_SERVICE = QName(WSDL_NS, "service")
+_WSDL_TYPES = QName(WSDL_NS, "types")
+_UNTYPED = QName("", "untyped")  # the element of a message that names none
+
 
 @dataclass(frozen=True)
 class ParsedArtifacts:
@@ -131,8 +153,8 @@ def _parse_assertion_ref(element: XmlElement, depth: int) -> AssertionRef:
 
 
 def _appinfo_text(element: XmlElement, source: str) -> str | None:
-    for annotation in element.find_all(QName(XS_NS, "annotation")):
-        for appinfo in annotation.find_all(QName(XS_NS, "appinfo")):
+    for annotation in element.find_all(_XS_ANNOTATION):
+        for appinfo in annotation.find_all(_XS_APPINFO):
             if appinfo.attr("source") == source:
                 return appinfo.text().strip()
     return None
@@ -154,11 +176,13 @@ def _parse_sawsdl(element: XmlElement) -> SemanticAnnotation | None:
 def parse_domain_xsd(data: bytes, warnings: list[Diagnostic] | None = None) -> DomainSchema:
     """Recover a DomainSchema from an emitted (or compatible) schema document.
 
-    Top-level components other than xs:element are skipped with a warning.
+    Top-level components other than xs:element are skipped with a warning,
+    appended to ``warnings`` when it is given.
     """
+    warnings = [] if warnings is None else warnings
     doc = parse_xml(data)
     root = doc.root
-    if root.name != QName(XS_NS, "schema"):
+    if root.name != _XS_SCHEMA:
         raise XmlParseError(f"expected an xs:schema root, got {root.name}")
     target = root.attr("targetNamespace")
     if not target:
@@ -172,18 +196,11 @@ def parse_domain_xsd(data: bytes, warnings: list[Diagnostic] | None = None) -> D
 
     assertions: list[AssertionDecl] = []
     for child in root.element_children():
-        if child.name == QName(XS_NS, "annotation"):
+        if child.name == _XS_ANNOTATION:
             continue
-        if child.name != QName(XS_NS, "element"):
-            if warnings is not None:
-                warnings.append(
-                    Diagnostic(
-                        "warning",
-                        "schema-component-skipped",
-                        str(child.name),
-                        "only top-level element declarations are read",
-                    )
-                )
+        if child.name != _XS_ELEMENT:
+            warnings.append(Diagnostic("warning", "schema-component-skipped", str(child.name),
+                                       "only top-level element declarations are read"))
             continue
         decl = _parse_assertion_decl(child, warnings)
         if decl is not None:
@@ -191,16 +208,11 @@ def parse_domain_xsd(data: bytes, warnings: list[Diagnostic] | None = None) -> D
     return DomainSchema(name, target, prefix, tuple(assertions))
 
 
-def _parse_assertion_decl(
-    element: XmlElement, warnings: list[Diagnostic] | None
-) -> AssertionDecl | None:
+def _parse_assertion_decl(element: XmlElement, warnings: list[Diagnostic]) -> AssertionDecl | None:
     name = element.attr("name")
     if not name:
-        if warnings is not None:
-            warnings.append(
-                Diagnostic("warning", "schema-component-skipped", str(element.name),
-                           "element declaration without a name")
-            )
+        warnings.append(Diagnostic("warning", "schema-component-skipped", str(element.name),
+                                   "element declaration without a name"))
         return None
     annotation = _parse_sawsdl(element)
     type_attr = element.attr("type")
@@ -212,22 +224,22 @@ def _parse_assertion_decl(
         )
     nestable_text = _appinfo_text(element, NESTABLE_APPINFO)
     nestable = tuple(nestable_text.split()) if nestable_text else ()
-    complex_type = element.find(QName(XS_NS, "complexType"))
+    complex_type = element.find(_XS_COMPLEX_TYPE)
     attributes: list[AttributeDecl] = []
     has_content = False
     if complex_type is not None:
         for part in complex_type.element_children():
-            if part.name == QName(XS_NS, "attribute"):
+            if part.name == _XS_ATTRIBUTE:
                 attr_name = part.attr("name") or ""
                 attr_type = part.attr("type")
                 attributes.append(
                     AttributeDecl(
                         attr_name,
-                        _resolve_qname(attr_type, part.nsmap) if attr_type else QName(XS_NS, "string"),
+                        _resolve_qname(attr_type, part.nsmap) if attr_type else _XS_STRING,
                         _parse_sawsdl(part),
                     )
                 )
-            elif part.name == QName(XS_NS, "sequence"):
+            elif part.name == _XS_SEQUENCE:
                 has_content = True
     if attributes or has_content or nestable:
         return AssertionDecl(
@@ -246,7 +258,7 @@ def parse_wsdl(data: bytes, companion_schemas=()) -> ParsedArtifacts:
 
     doc = parse_xml(data)
     root = doc.root
-    if root.name != QName(WSDL_NS, "description"):
+    if root.name != _WSDL_DESCRIPTION:
         raise XmlParseError(f"expected a wsdl:description root, got {root.name}")
     target = root.attr("targetNamespace") or ""
 
@@ -271,39 +283,28 @@ def parse_wsdl(data: bytes, companion_schemas=()) -> ParsedArtifacts:
             attachments.append(PolicyAttachment(subject, parse_policy_element(child)))
 
     for section in root.element_children():
-        if section.name == QName(WSDL_NS, "types"):
+        if section.name == _WSDL_TYPES:
             for item in section.element_children():
-                if item.name == QName(XS_NS, "import"):
+                if item.name == _XS_IMPORT:
                     namespace = item.attr("namespace") or ""
                     if namespace not in domain_ns:
-                        warnings.append(
-                            Diagnostic("warning", "domain-unresolved", namespace,
-                                       "imported namespace has no companion schema")
-                        )
+                        warnings.append(Diagnostic("warning", "domain-unresolved", namespace,
+                                                   "imported namespace has no companion schema"))
                 else:
-                    warnings.append(
-                        Diagnostic("warning", "types-component-skipped", str(item.name),
-                                   "only xs:import is read from wsdl:types")
-                    )
-        elif section.name == QName(WSDL_NS, "interface"):
+                    warnings.append(Diagnostic("warning", "types-component-skipped", str(item.name),
+                                               "only xs:import is read from wsdl:types"))
+        elif section.name == _WSDL_INTERFACE:
             interfaces.append(_parse_interface(section, take_policy))
-        elif section.name == QName(WSDL_NS, "binding"):
+        elif section.name == _WSDL_BINDING:
             name = section.attr("name") or ""
             take_policy(section, "binding", name)
-            bindings.append(
-                BindingDecl(
-                    name,
-                    _local_ref(section.attr("interface") or ""),
-                    section.attr("type") or "",
-                )
-            )
-        elif section.name == QName(WSDL_NS, "service"):
+            interface = _local_ref(section.attr("interface") or "")
+            bindings.append(BindingDecl(name, interface, section.attr("type") or ""))
+        elif section.name == _WSDL_SERVICE:
             services.append(_parse_service(section, take_policy))
         else:
-            warnings.append(
-                Diagnostic("warning", "extension-skipped", str(section.name),
-                           "unrecognized wsdl:description child")
-            )
+            warnings.append(Diagnostic("warning", "extension-skipped", str(section.name),
+                                       "unrecognized wsdl:description child"))
 
     _reject_stray_policies(root, consumed)
 
@@ -323,10 +324,8 @@ def parse_wsdl(data: bytes, companion_schemas=()) -> ParsedArtifacts:
         unresolved.update(ref.qname for ref in iter_refs(attachment.policy)
                           if ref.qname not in declared)
     for qname in sorted(unresolved):
-        warnings.append(
-            Diagnostic("warning", "assertion-unresolved", str(qname),
-                       "assertion QName has no declaration in the supplied schemas")
-        )
+        warnings.append(Diagnostic("warning", "assertion-unresolved", str(qname),
+                                   "assertion QName has no declaration in the supplied schemas"))
 
     return ParsedArtifacts(model, domains, tuple(attachments), tuple(warnings))
 
@@ -352,38 +351,27 @@ def _parse_interface(section: XmlElement, take_policy) -> InterfaceDecl:
     faults: list[FaultDecl] = []
     operations: list[OperationDecl] = []
     for child in section.element_children():
-        if child.name == QName(WSDL_NS, "fault"):
+        if child.name == _WSDL_FAULT:
             element_attr = child.attr("element")
-            faults.append(
-                FaultDecl(
-                    child.attr("name") or "",
-                    _resolve_qname(element_attr, child.nsmap) if element_attr else None,
-                )
-            )
-        elif child.name == QName(WSDL_NS, "operation"):
+            element = _resolve_qname(element_attr, child.nsmap) if element_attr else None
+            faults.append(FaultDecl(child.attr("name") or "", element))
+        elif child.name == _WSDL_OPERATION:
             op_name = child.attr("name") or ""
             take_policy(child, "operation", name, op_name)
             inputs: list[MessageRef] = []
             outputs: list[MessageRef] = []
             fault_refs: list[str] = []
             for part in child.element_children():
-                if part.name in (QName(WSDL_NS, "input"), QName(WSDL_NS, "output")):
+                if part.name in _WSDL_MESSAGES:
                     bucket = inputs if part.name.local == "input" else outputs
                     element_attr = part.attr("element")
                     label = part.attr("messageLabel") or f"{part.name.local}{len(bucket)}"
-                    bucket.append(
-                        MessageRef(
-                            label,
-                            _resolve_qname(element_attr, part.nsmap)
-                            if element_attr
-                            else QName("", "untyped"),
-                        )
-                    )
-                elif part.name in (QName(WSDL_NS, "infault"), QName(WSDL_NS, "outfault")):
+                    element = _resolve_qname(element_attr, part.nsmap) if element_attr else _UNTYPED
+                    bucket.append(MessageRef(label, element))
+                elif part.name in _WSDL_FAULT_REFS:
                     fault_refs.append(_local_ref(part.attr("ref") or ""))
             operations.append(
-                OperationDecl(op_name, tuple(inputs), tuple(outputs), tuple(fault_refs))
-            )
+                OperationDecl(op_name, tuple(inputs), tuple(outputs), tuple(fault_refs)))
     return InterfaceDecl(name, tuple(operations), tuple(faults))
 
 
@@ -391,7 +379,7 @@ def _parse_service(section: XmlElement, take_policy) -> ServiceDecl:
     name = section.attr("name") or ""
     take_policy(section, "service", name)
     endpoints: list[Endpoint] = []
-    for child in section.find_all(QName(WSDL_NS, "endpoint")):
+    for child in section.find_all(_WSDL_ENDPOINT):
         ep_name = child.attr("name") or ""
         take_policy(child, "endpoint", name, ep_name)
         endpoints.append(

@@ -25,7 +25,8 @@ class XmlElement:
 
     Treated as a value; nothing in this package mutates an element after
     construction.  ``nsmap`` is the prefix table in scope where the parser saw
-    the element (empty for built trees).
+    the element (empty for built trees), kept as given: the parser hands an
+    element that declares no prefix its parent's table.
     """
 
     __slots__ = ("name", "attributes", "children", "nsmap")
@@ -40,7 +41,7 @@ class XmlElement:
         self.name = name
         self.attributes: list[tuple[QName, str]] = list(attributes)
         self.children: list[Child] = list(children)
-        self.nsmap: dict[str, str] = dict(nsmap) if nsmap else {}
+        self.nsmap: dict[str, str] = {} if nsmap is None else nsmap
 
     def attr(self, name: Union[QName, str]) -> Optional[str]:
         if isinstance(name, str):
@@ -91,8 +92,7 @@ def parse_xml(data: bytes) -> XmlDocument:
 
     root: list[XmlElement] = []
     stack: list[XmlElement] = []
-    nsmap_stack: list[dict[str, str]] = [{}]
-    pending_decls: list[tuple[str, str]] = []
+    pending_decls: dict[str, str] = {}
     root_decls: dict[str, str] = {}
     text_parts: list[str] = []
 
@@ -112,15 +112,16 @@ def parse_xml(data: bytes) -> XmlDocument:
         )
 
     def start_ns(prefix, uri):
-        pending_decls.append((prefix or "", uri or ""))
+        pending_decls[prefix or ""] = uri or ""
 
     def start_element(name, attr_list):
         flush_text()
-        nsmap = dict(nsmap_stack[-1])
-        nsmap.update(pending_decls)
-        if not stack:
-            root_decls.update(pending_decls)
-        pending_decls.clear()
+        nsmap = stack[-1].nsmap if stack else {}
+        if pending_decls:
+            if not stack:
+                root_decls.update(pending_decls)
+            nsmap = {**nsmap, **pending_decls}
+            pending_decls.clear()
         attributes = []
         for i in range(0, len(attr_list), 2):
             attributes.append((_split_expat_name(attr_list[i]), attr_list[i + 1]))
@@ -130,12 +131,10 @@ def parse_xml(data: bytes) -> XmlDocument:
         else:
             root.append(element)
         stack.append(element)
-        nsmap_stack.append(nsmap)
 
     def end_element(_name):
         flush_text()
         stack.pop()
-        nsmap_stack.pop()
 
     def char_data(text):
         text_parts.append(text)

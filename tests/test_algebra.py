@@ -29,6 +29,7 @@ from wspolicy import algebra
 from wspolicy.algebra import (
     alternatives_compatible,
     assertions_compatible,
+    compatible_pairs,
     iter_refs,
     satisfiable,
     semantic_match_uris,
@@ -640,25 +641,27 @@ def _chain_vocab(depth: int) -> dict:
     }
 
 
-def _count_intersect_calls(monkeypatch, p, q, mode, vocab) -> tuple[NormalForm, int]:
-    # Nested intersections call the module global, so wrapping it counts them.
-    calls = [0]
-    original = algebra.intersect
+def _count_pair_walks(monkeypatch, p, q, mode, vocab) -> tuple[NormalForm, list]:
+    """``intersect(p, q, mode, vocab)`` and the ids of each pair of forms the
+    join walked, top-level or nested, in order: every walk starts in
+    ``_Join.pairs``, so wrapping it counts them."""
+    walks = []
+    original = algebra._Join.pairs
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def counted(join, left, right, uris):
+        walks.append((id(left), id(right)))
+        return original(join, left, right, uris)
 
-    monkeypatch.setattr(algebra, "intersect", counted)
+    monkeypatch.setattr(algebra._Join, "pairs", counted)
     try:
-        return algebra.intersect(p, q, mode, vocab), calls[0]
+        return intersect(p, q, mode, vocab), walks
     finally:
-        monkeypatch.setattr(algebra, "intersect", original)
+        monkeypatch.setattr(algebra._Join, "pairs", original)
 
 
 def test_nested_chain_intersections_grow_linearly(monkeypatch):
     # Without the memo each level checks its pair in both directions and the
-    # call count doubles per level: 2^50 at the reader's depth cap.
+    # walk count doubles per level: 2^50 at the reader's depth cap.
     alias = lambda level: QName(NS, f"M{level}")  # noqa: E731
     for depth in (10, 20, 50):
         chain = normalize(_chain(depth))
@@ -672,9 +675,10 @@ def test_nested_chain_intersections_grow_linearly(monkeypatch):
             (chain, MatchMode.SEMANTIC, None),
         )
         for other, mode, v in cases:
-            got, calls = _count_intersect_calls(monkeypatch, chain, other, mode, v)
+            got, walks = _count_pair_walks(monkeypatch, chain, other, mode, v)
             assert got.satisfiable
-            assert calls <= depth, (depth, mode, calls)
+            # The top-level walk and at least one nested walk were counted.
+            assert 1 < len(walks) <= depth, (depth, mode, len(walks))
 
 
 class _CountingVocab(dict):
@@ -718,6 +722,55 @@ def test_nested_chain_with_undeclared_level_raises_like_reference():
         assert want == f"VocabularyError: no declaration for assertion {undeclared}"
         assert _outcome(intersect, p, q, MatchMode.SEMANTIC, vocab) == want
         assert _outcome(intersect, q, p, MatchMode.SEMANTIC, vocab) == want
+
+
+def _optional_chain(depth: int, optional=lambda level: level % 2 == 0) -> PolicyExpr:
+    """``depth`` levels, each ``L<k>`` (optional where ``optional(k)``)
+    holding a nested policy of the level below and an optional X: the
+    alternatives of each nested form share the instance of the level below."""
+    x, expr = AssertionRef(QName(NS, "X"), optional=True), None
+    for level in reversed(range(depth)):
+        nested = None if expr is None else Policy(All(expr, x))
+        expr = AssertionRef(QName(NS, f"L{level}"), optional=optional(level), nested=nested)
+    return Policy(expr)
+
+
+def test_separately_built_chains_walk_each_nested_pair_once(monkeypatch):
+    # Two equal chains built apart hold equal, distinct nested forms.  A memo
+    # looked up by value compared them by value, at a cost exponential in
+    # depth; keyed by identity, each ordered pair is walked at most once, no
+    # two forms are compared, and only the result is built: a nested check
+    # builds no NormalForm.  Where a level is optional its nested form offers
+    # an empty alternative, which answers the check at once; with none
+    # optional, the walk reaches the deepest level.
+    depth = 20
+    vocab = {**_chain_vocab(depth), **_declared(QName(NS, "X"))}
+    builds, compared = [0], [0]
+    canonical = NormalForm._canonical
+
+    def counted(form, *args):
+        builds[0] += 1
+        return canonical(form, *args)
+
+    def compare(form, other):
+        compared[0] += form is not other
+        return algebra.Keyed.__eq__(form, other)
+
+    for optional, walked in ((lambda level: level % 2 == 0, 3), (lambda level: False, depth)):
+        a, b = (normalize(_optional_chain(depth, optional)) for _ in range(2))
+        equal = a == b  # a failed assert would print both forms, exponential in depth
+        assert equal and a.alternatives[-1][0] is not b.alternatives[-1][0]
+        for mode in MatchMode:
+            builds[0] = compared[0] = 0
+            monkeypatch.setattr(NormalForm, "_canonical", counted)
+            monkeypatch.setattr(NormalForm, "__eq__", compare)
+            got, walks = _count_pair_walks(monkeypatch, a, b, mode, vocab)
+            monkeypatch.undo()
+            assert builds[0] == 1, (mode, builds[0])
+            assert compared[0] == 0, (mode, compared[0])
+            same = got == a  # the result keeps a's instances: compared by identity
+            assert same
+            assert len(walks) == len(set(walks)) == walked, (mode, len(walks))
 
 
 def _registry_pair():
@@ -860,26 +913,34 @@ def _declared(*qnames) -> dict:
 
 def test_declared_nested_forms_are_bucketed_under_an_undeclared_qname(monkeypatch):
     # X is undeclared but only ever meets X, so nothing raises.  The top-level
-    # pairs share one bucket; the nested intersection of the wide, declared
-    # form must still bucket its 20 alternatives (20 checks, not 400).
+    # pairs share one bucket; the nested walk over the wide, declared form
+    # must still bucket its 20 alternatives (20 checks, not 400).  Against a
+    # form holding only the last of them in order, bucketing makes that walk
+    # 1 check where a nested loop would make 20; the two X forms are distinct,
+    # and without a URI table their reversed pair is walked as well.
     a, b, x = QName(NS, "A"), QName(NS, "B"), QName(NS, "X")
     wide_names = [QName(NS, f"W{i}") for i in range(20)]
     vocab = _declared(a, b, *wide_names)
     wide = nf(*([AssertionInstance(w)] for w in wide_names))
-    p = nf([AssertionInstance(a, nested=nf([AssertionInstance(x)]))],
-           [AssertionInstance(b, nested=wide)])
-    calls = [0]
-    original = algebra.alternatives_compatible
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def form(nested_b):
+        return nf([AssertionInstance(a, nested=nf([AssertionInstance(x)]))],
+                  [AssertionInstance(b, nested=nested_b)])
 
-    monkeypatch.setattr(algebra, "alternatives_compatible", counted)
-    got = intersect(p, p, MatchMode.SEMANTIC, vocab)
-    monkeypatch.setattr(algebra, "alternatives_compatible", original)
-    assert got == _intersect_reference(p, p, MatchMode.SEMANTIC, vocab)
-    assert calls[0] <= 4 + 1 + len(wide_names), calls[0]
+    p, last = form(wide), form(nf(wide.alternatives[-1]))
+    original = algebra._Join.alternatives
+    for q, bound in ((p, 4 + 1 + len(wide_names)), (last, 4 + 2 + 1)):
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(algebra._Join, "alternatives", counted)
+        got = intersect(p, q, MatchMode.SEMANTIC, vocab)
+        monkeypatch.setattr(algebra._Join, "alternatives", original)
+        assert got == _intersect_reference(p, q, MatchMode.SEMANTIC, vocab)
+        assert 1 <= calls[0] <= bound, calls[0]
 
 
 def test_declared_nested_form_does_not_vouch_for_its_sibling():
@@ -1107,3 +1168,46 @@ def test_normalize_output_is_already_canonical():
         assert [list(map(id, alt)) for alt in again.alternatives] == [
             list(map(id, alt)) for alt in got.alternatives
         ]
+
+
+# --- the pair order that intersect and --explain share -----------------------
+
+def _pairs_reference(p, q, mode, vocab) -> list:
+    return [(alt_a, alt_b) for alt_a in p.alternatives for alt_b in q.alternatives
+            if _alternatives_compatible_reference(alt_a, alt_b, mode, vocab)]
+
+
+def _pairs(p, q, mode, vocab) -> list:
+    return list(compatible_pairs(p, q, mode, vocab))
+
+
+def test_compatible_pairs_follow_the_nested_loop_on_random_corpora():
+    # The three random corpora above, each with full, partial and no
+    # vocabulary, in both modes: the same pairs in the same order, or the
+    # same error.
+    rng = random.Random(8128)
+    outcomes = {(kind, outcome): 0 for kind in ("full", "partial", "none")
+                for outcome in ("empty", "matched", "raised")}
+    qnames = default_pool(4)
+    shared = [rand_normal_form(rng, qnames, max_nesting=2) for _ in range(3)] + [nf([])]
+    for round_ in range(900):
+        kind = ("full", "partial", "none")[round_ % 3]
+        corpus = round_ // 3 % 3
+        if corpus == 0:
+            pool = default_pool(6)
+            p, q = (rand_normal_form(rng, pool, max_nesting=2) for _ in range(2))
+        elif corpus == 1:
+            pool = default_pool(rng.randint(3, 10))
+            p, q = _wide_form(rng, pool), _wide_form(rng, pool)
+        else:
+            pool = qnames
+            p, q = (_shared_nesting_form(rng, qnames, shared) for _ in range(2))
+        vocab = {"full": _full_vocab, "partial": _rand_vocab}.get(kind, lambda *_: None)(rng, pool)
+        for mode in MatchMode:
+            want = _outcome(_pairs_reference, p, q, mode, vocab)
+            assert _outcome(_pairs, p, q, mode, vocab) == want, (p, q, mode, vocab)
+            outcome = "raised" if isinstance(want, str) else "matched" if want else "empty"
+            outcomes[kind, outcome] += 1
+    # A full vocabulary never raises; every other cell is reached.
+    assert outcomes.pop(("full", "raised")) == 0
+    assert min(outcomes.values()) > 20, outcomes

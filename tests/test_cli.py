@@ -573,6 +573,36 @@ def test_intersect_explain_semantic_under_two_hash_seeds(runner, model_path, tmp
     assert runs[0][0] == 0 and b"match: " in runs[0][1], runs[0]
 
 
+def test_intersect_explain_strict_prints_pairs_in_nested_loop_order(runner, tmp_path):
+    # Optional UsernameToken (nested NoPassword or HashPassword) and optional
+    # WssUsernameToken10 against three choices; the nested forms differ, so
+    # the UsernameToken pair is decided by their intersection.
+    provider = write_policy(tmp_path, "provider.xml", Policy(
+        AssertionRef(sp("UsernameToken"), optional=True, nested=Policy(ExactlyOne(
+            All(AssertionRef(sp("NoPassword"))), All(AssertionRef(sp("HashPassword")))))),
+        AssertionRef(sp("WssUsernameToken10"), optional=True),
+    ))
+    requester = write_policy(tmp_path, "requester.xml", Policy(ExactlyOne(
+        All(AssertionRef(sp("UsernameToken"), nested=Policy(AssertionRef(sp("HashPassword"))))),
+        All(AssertionRef(sp("WssUsernameToken10"))),
+        All(),
+    )))
+    result = runner.invoke(cli, ["intersect", str(provider), str(requester), "--explain"])
+    assert result.exit_code == 0, result.output
+    token, wss = sp("UsernameToken"), sp("WssUsernameToken10")
+    assert result.stdout == "".join(line + "\n" for line in [
+        "pair: (empty alternative) ~ (empty alternative)",
+        f"pair: {token} ~ {token}",
+        f"pair: {wss} ~ {wss}",
+        "(empty alternative)",
+        f"{token}, {token}",
+        f"  {sp('HashPassword')}",
+        f"  {sp('HashPassword')}",
+        f"  {sp('NoPassword')}",
+        f"{wss}",
+    ])
+
+
 def test_intersect_model_fragment_sources(runner, model_path):
     spec = f"{model_path}#{FRAGMENT}"
     result = runner.invoke(cli, ["intersect", spec, spec])
