@@ -46,7 +46,7 @@ from .model import (
     validate_model,
 )
 from .modelfile import parse_model
-from .names import QName, WSDL_NS, WSP_NS, XS_NS
+from .names import ATTR_SCHEMA_LOCATION, WSDL_DESCRIPTION, WSDL_TYPES, WSP_POLICY, XS_IMPORT
 from .reader import parse_domain_xsd, parse_policy_element, parse_wsdl
 from .xmltree import parse_xml, write_canonical
 
@@ -54,12 +54,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_EMPTY = 3
-
-# The fixed names a policy source is told apart by, built once.
-_WSDL_DESCRIPTION = QName(WSDL_NS, "description")
-_WSDL_TYPES = QName(WSDL_NS, "types")
-_WSP_POLICY = QName(WSP_NS, "Policy")
-_XS_IMPORT = QName(XS_NS, "import")
 
 
 def _die(code: int, message: str):
@@ -150,9 +144,9 @@ def _companion_schemas(wsdl_path: str, doc) -> list[bytes]:
     """Schemas referenced by xs:import, resolved relative to the WSDL file."""
     base = Path(wsdl_path).parent
     schemas: list[bytes] = []
-    for types in doc.root.find_all(_WSDL_TYPES):
-        for item in types.find_all(_XS_IMPORT):
-            location = item.attr("schemaLocation")
+    for types in doc.root.find_all(WSDL_TYPES):
+        for item in types.find_all(XS_IMPORT):
+            location = item.attr(ATTR_SCHEMA_LOCATION)
             if not location:
                 continue
             candidate = base / location
@@ -184,7 +178,7 @@ def _load_policy_source(spec: str) -> tuple[PolicyExpr, list[DomainSchema], dict
         doc = parse_xml(data)
     except XmlParseError as exc:
         _die(EXIT_INVALID, f"{path_str}: {exc}")
-    if doc.root.name == _WSP_POLICY:
+    if doc.root.name == WSP_POLICY:
         if frag is not None:
             _die(EXIT_IO, f"{path_str}: fragments only apply to model or WSDL sources")
         try:
@@ -193,7 +187,7 @@ def _load_policy_source(spec: str) -> tuple[PolicyExpr, list[DomainSchema], dict
             _die(EXIT_INVALID, f"{path_str}: {exc}")
         hints = {uri: prefix for prefix, uri in doc.namespaces.items() if prefix}
         return expr, [], hints
-    if doc.root.name == _WSDL_DESCRIPTION:
+    if doc.root.name == WSDL_DESCRIPTION:
         try:
             parsed = parse_wsdl(data, _companion_schemas(path_str, doc))
         except (XmlParseError, PolicyXmlError) as exc:

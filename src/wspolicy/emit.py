@@ -30,17 +30,16 @@ from .model import (
     validate_model,
 )
 from .names import (
-    DOMAIN_NAME_APPINFO,
-    MEP_IN_ONLY,
-    MEP_IN_OUT,
-    MEP_OUT_ONLY,
-    NESTABLE_APPINFO,
-    QName,
-    SAWSDL_NS,
-    WSDL_NS,
-    WSP_NS,
-    XS_NS,
-    nogc,
+    ATTR_ADDRESS, ATTR_BINDING, ATTR_ELEMENT, ATTR_ELEMENT_FORM_DEFAULT, ATTR_INTERFACE,
+    ATTR_MESSAGE_LABEL, ATTR_MIN_OCCURS, ATTR_NAME, ATTR_NAMESPACE, ATTR_PATTERN,
+    ATTR_PROCESS_CONTENTS, ATTR_REF, ATTR_SCHEMA_LOCATION, ATTR_SOURCE, ATTR_TARGET_NAMESPACE,
+    ATTR_TYPE, DOMAIN_NAME_APPINFO, MEP_IN_ONLY, MEP_IN_OUT, MEP_OUT_ONLY, NESTABLE_APPINFO,
+    QName, SAWSDL_LIFTING, SAWSDL_LOWERING, SAWSDL_MODEL_REFERENCE, SAWSDL_NS, WSDL_BINDING,
+    WSDL_DESCRIPTION, WSDL_ENDPOINT, WSDL_FAULT, WSDL_INPUT, WSDL_INTERFACE, WSDL_NS,
+    WSDL_OPERATION, WSDL_OUTFAULT, WSDL_OUTPUT, WSDL_SERVICE, WSDL_TYPES, WSP_ALL,
+    WSP_EXACTLY_ONE, WSP_NS, WSP_OPTIONAL, WSP_POLICY, XML_NS, XS_ANNOTATION, XS_ANY,
+    XS_APPINFO, XS_ATTRIBUTE, XS_COMPLEX_TYPE, XS_ELEMENT, XS_IMPORT, XS_NS, XS_SCHEMA,
+    XS_SEQUENCE, nogc,
 )
 from .xmltree import XmlDocument, XmlElement
 
@@ -48,58 +47,7 @@ XSD_FILE_NAME = "ws-semantic{domain}policy.xsd"
 
 _BUILTIN_PREFIXES = {WSDL_NS: "wsdl", XS_NS: "xs", WSP_NS: "wsp", SAWSDL_NS: "sawsdl"}
 
-# Every fixed element and attribute name, built once: one model's emission
-# writes them tens of thousands of times.  Parameter names are the model's own
-# data and are built per call.
-_XS_ANNOTATION = QName(XS_NS, "annotation")
-_XS_ANY = QName(XS_NS, "any")
-_XS_APPINFO = QName(XS_NS, "appinfo")
-_XS_ATTRIBUTE = QName(XS_NS, "attribute")
-_XS_COMPLEX_TYPE = QName(XS_NS, "complexType")
-_XS_ELEMENT = QName(XS_NS, "element")
-_XS_IMPORT = QName(XS_NS, "import")
-_XS_SCHEMA = QName(XS_NS, "schema")
-_XS_SEQUENCE = QName(XS_NS, "sequence")
-
-_WSDL_BINDING = QName(WSDL_NS, "binding")
-_WSDL_DESCRIPTION = QName(WSDL_NS, "description")
-_WSDL_ENDPOINT = QName(WSDL_NS, "endpoint")
-_WSDL_FAULT = QName(WSDL_NS, "fault")
-_WSDL_INPUT = QName(WSDL_NS, "input")
-_WSDL_INTERFACE = QName(WSDL_NS, "interface")
-_WSDL_OPERATION = QName(WSDL_NS, "operation")
-_WSDL_OUTFAULT = QName(WSDL_NS, "outfault")
-_WSDL_OUTPUT = QName(WSDL_NS, "output")
-_WSDL_SERVICE = QName(WSDL_NS, "service")
-_WSDL_TYPES = QName(WSDL_NS, "types")
-
-_WSP_OPTIONAL = QName(WSP_NS, "Optional")
-_WSP_OPERATORS = {
-    Policy: QName(WSP_NS, "Policy"),
-    All: QName(WSP_NS, "All"),
-    ExactlyOne: QName(WSP_NS, "ExactlyOne"),
-}
-
-_SAWSDL_MODEL_REFERENCE = QName(SAWSDL_NS, "modelReference")
-_SAWSDL_LIFTING = QName(SAWSDL_NS, "liftingSchemaMapping")
-_SAWSDL_LOWERING = QName(SAWSDL_NS, "loweringSchemaMapping")
-
-_ATTR_ADDRESS = QName("", "address")
-_ATTR_BINDING = QName("", "binding")
-_ATTR_ELEMENT = QName("", "element")
-_ATTR_ELEMENT_FORM_DEFAULT = QName("", "elementFormDefault")
-_ATTR_INTERFACE = QName("", "interface")
-_ATTR_MESSAGE_LABEL = QName("", "messageLabel")
-_ATTR_MIN_OCCURS = QName("", "minOccurs")
-_ATTR_NAME = QName("", "name")
-_ATTR_NAMESPACE = QName("", "namespace")
-_ATTR_PATTERN = QName("", "pattern")
-_ATTR_PROCESS_CONTENTS = QName("", "processContents")
-_ATTR_REF = QName("", "ref")
-_ATTR_SCHEMA_LOCATION = QName("", "schemaLocation")
-_ATTR_SOURCE = QName("", "source")
-_ATTR_TARGET_NAMESPACE = QName("", "targetNamespace")
-_ATTR_TYPE = QName("", "type")
+_WSP_OPERATORS = {Policy: WSP_POLICY, All: WSP_ALL, ExactlyOne: WSP_EXACTLY_ONE}
 
 
 def _xsd_file_name(domain: DomainSchema) -> str:
@@ -109,18 +57,20 @@ def _xsd_file_name(domain: DomainSchema) -> str:
 def _assign_prefixes(
     uris: Iterable[str], preferred: Mapping[str, str]
 ) -> dict[str, str]:
-    """Deterministic prefix -> URI table covering every given namespace."""
-    table: dict[str, str] = {}
-    taken: set[str] = set()
-    for uri in sorted(set(uris)):
-        want = preferred.get(uri) or "ns"
+    """Deterministic prefix -> URI table covering every given namespace.  The XML
+    namespace gets ``xml``; no other gets ``xml`` or ``xmlns``, even if it prefers it."""
+    uris = set(uris)
+    table: dict[str, str] = {"xml": XML_NS} if XML_NS in uris else {}
+    for uri in sorted(uris - {XML_NS}):
+        want = preferred.get(uri)
+        if not want or want in ("xml", "xmlns"):
+            want = "ns"
         candidate = want
         counter = 0
-        while candidate in taken:
+        while candidate in table:
             counter += 1
             candidate = f"{want}{counter}"
         table[candidate] = uri
-        taken.add(candidate)
     return table
 
 
@@ -148,56 +98,56 @@ def _preferred_prefixes(model: ServiceModel) -> dict[str, str]:
 
 
 def _appinfo(source: str, text: str) -> XmlElement:
-    appinfo = XmlElement(_XS_APPINFO, [(_ATTR_SOURCE, source)], [text])
-    return XmlElement(_XS_ANNOTATION, (), [appinfo])
+    appinfo = XmlElement(XS_APPINFO, [(ATTR_SOURCE, source)], [text])
+    return XmlElement(XS_ANNOTATION, (), [appinfo])
 
 
 def _sawsdl_attrs(decl) -> list[tuple[QName, str]]:
     annotation = decl.annotation
     if annotation is None:
         return []
-    attrs = [(_SAWSDL_MODEL_REFERENCE, " ".join(annotation.model_reference))]
+    attrs = [(SAWSDL_MODEL_REFERENCE, " ".join(annotation.model_reference))]
     if annotation.lifting_schema is not None:
-        attrs.append((_SAWSDL_LIFTING, annotation.lifting_schema))
+        attrs.append((SAWSDL_LIFTING, annotation.lifting_schema))
     if annotation.lowering_schema is not None:
-        attrs.append((_SAWSDL_LOWERING, annotation.lowering_schema))
+        attrs.append((SAWSDL_LOWERING, annotation.lowering_schema))
     return attrs
 
 
 def _assertion_element(decl: AssertionDecl, qname_str) -> XmlElement:
-    attrs: list[tuple[QName, str]] = [(_ATTR_NAME, decl.name)]
+    attrs: list[tuple[QName, str]] = [(ATTR_NAME, decl.name)]
     attrs.extend(_sawsdl_attrs(decl))
     children: list[XmlElement] = []
     if decl.type_kind == "simple":
-        attrs.append((_ATTR_TYPE, qname_str(decl.simple_type)))
+        attrs.append((ATTR_TYPE, qname_str(decl.simple_type)))
     elif decl.type_kind == "empty":
-        children.append(XmlElement(_XS_COMPLEX_TYPE))
+        children.append(XmlElement(XS_COMPLEX_TYPE))
     else:
         if decl.nestable_children:
             children.append(_appinfo(NESTABLE_APPINFO, " ".join(decl.nestable_children)))
         content: list[XmlElement] = []
         if decl.nestable_children:
             wildcard = XmlElement(
-                _XS_ANY,
+                XS_ANY,
                 [
-                    (_ATTR_MIN_OCCURS, "0"),
-                    (_ATTR_NAMESPACE, "##other"),
-                    (_ATTR_PROCESS_CONTENTS, "lax"),
+                    (ATTR_MIN_OCCURS, "0"),
+                    (ATTR_NAMESPACE, "##other"),
+                    (ATTR_PROCESS_CONTENTS, "lax"),
                 ],
             )
-            content.append(XmlElement(_XS_SEQUENCE, (), [wildcard]))
+            content.append(XmlElement(XS_SEQUENCE, (), [wildcard]))
         for attr_decl in decl.attributes:
             xs_attr = XmlElement(
-                _XS_ATTRIBUTE,
+                XS_ATTRIBUTE,
                 [
-                    (_ATTR_NAME, attr_decl.name),
-                    (_ATTR_TYPE, qname_str(attr_decl.simple_type)),
+                    (ATTR_NAME, attr_decl.name),
+                    (ATTR_TYPE, qname_str(attr_decl.simple_type)),
                 ]
                 + _sawsdl_attrs(attr_decl),
             )
             content.append(xs_attr)
-        children.append(XmlElement(_XS_COMPLEX_TYPE, (), content))
-    return XmlElement(_XS_ELEMENT, attrs, children)
+        children.append(XmlElement(XS_COMPLEX_TYPE, (), content))
+    return XmlElement(XS_ELEMENT, attrs, children)
 
 
 def emit_domain_xsd(domain: DomainSchema) -> XmlDocument:
@@ -227,10 +177,10 @@ def _domain_xsd(domain: DomainSchema) -> XmlDocument:
     for decl in domain.assertions:
         children.append(_assertion_element(decl, qname_str))
     root = XmlElement(
-        _XS_SCHEMA,
+        XS_SCHEMA,
         [
-            (_ATTR_ELEMENT_FORM_DEFAULT, "qualified"),
-            (_ATTR_TARGET_NAMESPACE, domain.target_namespace),
+            (ATTR_ELEMENT_FORM_DEFAULT, "qualified"),
+            (ATTR_TARGET_NAMESPACE, domain.target_namespace),
         ],
         children,
     )
@@ -259,7 +209,7 @@ def _policy_node(expr: PolicyExpr) -> XmlElement:
             (QName("", name), lexical_value(value)) for name, value in expr.parameters
         ]
         if expr.optional:
-            attrs.append((_WSP_OPTIONAL, "true"))
+            attrs.append((WSP_OPTIONAL, "true"))
         children = []
         if expr.nested is not None:
             children.append(_policy_root(expr.nested))
@@ -338,55 +288,55 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
     if imported:
         imports = [
             XmlElement(
-                _XS_IMPORT,
+                XS_IMPORT,
                 [
-                    (_ATTR_NAMESPACE, d.target_namespace),
-                    (_ATTR_SCHEMA_LOCATION, _xsd_file_name(d)),
+                    (ATTR_NAMESPACE, d.target_namespace),
+                    (ATTR_SCHEMA_LOCATION, _xsd_file_name(d)),
                 ],
             )
             for d in imported
         ]
-        children.append(XmlElement(_WSDL_TYPES, (), imports))
+        children.append(XmlElement(WSDL_TYPES, (), imports))
 
     for iface in model.interfaces:
         iface_children = policy_child("interface", iface.name)
         for fault in iface.faults:
-            attrs = [(_ATTR_NAME, fault.name)]
+            attrs = [(ATTR_NAME, fault.name)]
             if fault.element_type is not None:
-                attrs.append((_ATTR_ELEMENT, qname_str(fault.element_type)))
-            iface_children.append(XmlElement(_WSDL_FAULT, attrs))
+                attrs.append((ATTR_ELEMENT, qname_str(fault.element_type)))
+            iface_children.append(XmlElement(WSDL_FAULT, attrs))
         for op in iface.operations:
             op_children = policy_child("operation", iface.name, op.name)
-            for role, refs in ((_WSDL_INPUT, op.inputs), (_WSDL_OUTPUT, op.outputs)):
+            for role, refs in ((WSDL_INPUT, op.inputs), (WSDL_OUTPUT, op.outputs)):
                 for ref in refs:
                     op_children.append(
                         XmlElement(
                             role,
                             [
-                                (_ATTR_ELEMENT, qname_str(ref.element_type)),
-                                (_ATTR_MESSAGE_LABEL, ref.name),
+                                (ATTR_ELEMENT, qname_str(ref.element_type)),
+                                (ATTR_MESSAGE_LABEL, ref.name),
                             ],
                         )
                     )
             for fault_ref in op.fault_refs:
-                op_children.append(XmlElement(_WSDL_OUTFAULT, [(_ATTR_REF, fault_ref)]))
+                op_children.append(XmlElement(WSDL_OUTFAULT, [(ATTR_REF, fault_ref)]))
             iface_children.append(
                 XmlElement(
-                    _WSDL_OPERATION,
-                    [(_ATTR_NAME, op.name), (_ATTR_PATTERN, _mep_for(op))],
+                    WSDL_OPERATION,
+                    [(ATTR_NAME, op.name), (ATTR_PATTERN, _mep_for(op))],
                     op_children,
                 )
             )
-        children.append(XmlElement(_WSDL_INTERFACE, [(_ATTR_NAME, iface.name)], iface_children))
+        children.append(XmlElement(WSDL_INTERFACE, [(ATTR_NAME, iface.name)], iface_children))
 
     for binding in model.bindings:
         children.append(
             XmlElement(
-                _WSDL_BINDING,
+                WSDL_BINDING,
                 [
-                    (_ATTR_INTERFACE, binding.interface_ref),
-                    (_ATTR_NAME, binding.name),
-                    (_ATTR_TYPE, binding.transport_protocol),
+                    (ATTR_INTERFACE, binding.interface_ref),
+                    (ATTR_NAME, binding.name),
+                    (ATTR_TYPE, binding.transport_protocol),
                 ],
                 policy_child("binding", binding.name),
             )
@@ -397,26 +347,26 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
         for ep in service.endpoints:
             service_children.append(
                 XmlElement(
-                    _WSDL_ENDPOINT,
+                    WSDL_ENDPOINT,
                     [
-                        (_ATTR_ADDRESS, ep.address),
-                        (_ATTR_BINDING, ep.binding_ref),
-                        (_ATTR_NAME, ep.name),
+                        (ATTR_ADDRESS, ep.address),
+                        (ATTR_BINDING, ep.binding_ref),
+                        (ATTR_NAME, ep.name),
                     ],
                     policy_child("endpoint", service.name, ep.name),
                 )
             )
         children.append(
             XmlElement(
-                _WSDL_SERVICE,
-                [(_ATTR_INTERFACE, service.interface_ref), (_ATTR_NAME, service.name)],
+                WSDL_SERVICE,
+                [(ATTR_INTERFACE, service.interface_ref), (ATTR_NAME, service.name)],
                 service_children,
             )
         )
 
     root = XmlElement(
-        _WSDL_DESCRIPTION,
-        [(_ATTR_TARGET_NAMESPACE, model.target_namespace)],
+        WSDL_DESCRIPTION,
+        [(ATTR_TARGET_NAMESPACE, model.target_namespace)],
         children,
     )
     files: list[tuple[str, XmlDocument]] = [

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .algebra import PolicyExpr, iter_refs, satisfiable
 from .errors import VocabularyError
-from .names import QName, XS_NS, is_absolute_uri, is_ncname
+from .names import QName, XMLNS_NS, XS_NS, XS_STRING, is_absolute_uri, is_ncname
 
 TYPE_KINDS = ("empty", "simple", "complex")
 SUBJECT_KINDS = ("binding", "endpoint", "interface", "operation", "service")
@@ -68,7 +68,7 @@ class AssertionDecl:
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "nestable_children", tuple(sorted(self.nestable_children)))
         if self.type_kind == "simple" and self.simple_type is None:
-            object.__setattr__(self, "simple_type", QName(XS_NS, "string"))
+            object.__setattr__(self, "simple_type", XS_STRING)
 
 
 @dataclass(frozen=True)
@@ -330,6 +330,14 @@ def _check_identifier(out: _Collector, path: str, value: str, what: str = "ident
         out.error("bad-identifier", path, f"{what} must be an NCName, got {value!r}")
 
 
+def _check_namespace(out: _Collector, path: str, uri: str):
+    if not is_absolute_uri(uri):
+        out.error("bad-uri", path, f"not an absolute URI: {uri!r}")
+    elif uri == XMLNS_NS:
+        out.error("namespace-reserved", path,
+                  f"{uri} is reserved for namespace declarations; no prefix may be bound to it")
+
+
 def validate_model(model: ServiceModel) -> list[Diagnostic]:
     """Every violated invariant as a diagnostic; empty means generation-ready.
 
@@ -338,12 +346,10 @@ def validate_model(model: ServiceModel) -> list[Diagnostic]:
     out = _Collector()
 
     _check_identifier(out, "modelName", model.model_name, "model name")
-    if not is_absolute_uri(model.target_namespace):
-        out.error("bad-uri", "targetNamespace", f"not an absolute URI: {model.target_namespace!r}")
+    _check_namespace(out, "targetNamespace", model.target_namespace)
 
     for i, ext in enumerate(model.external_namespaces):
-        if not is_absolute_uri(ext.namespace):
-            out.error("bad-uri", f"externalNamespaces[{i}]", f"not an absolute URI: {ext.namespace!r}")
+        _check_namespace(out, f"externalNamespaces[{i}]", ext.namespace)
         if ext.prefix is not None:
             _check_identifier(out, f"externalNamespaces[{i}].prefix", ext.prefix, "prefix")
 
@@ -368,9 +374,7 @@ def validate_domain(domain: DomainSchema) -> list[Diagnostic]:
     path = f"domains[{domain.domain_name}]"
     _check_identifier(out, path, domain.domain_name, "domain name")
     _check_identifier(out, f"{path}.prefix", domain.prefix, "prefix")
-    if not is_absolute_uri(domain.target_namespace):
-        out.error("bad-uri", f"{path}.targetNamespace",
-                  f"not an absolute URI: {domain.target_namespace!r}")
+    _check_namespace(out, f"{path}.targetNamespace", domain.target_namespace)
     assertion_names: set[str] = set()
     for decl in domain.assertions:
         apath = f"{path}.assertions[{decl.name}]"

@@ -11,6 +11,9 @@ XS_NS = "http://www.w3.org/2001/XMLSchema"
 WSDL_NS = "http://www.w3.org/ns/wsdl"
 WSP_NS = "http://www.w3.org/ns/ws-policy"
 SAWSDL_NS = "http://www.w3.org/ns/sawsdl"
+# Reserved by Namespaces in XML: the first is bound to ``xml`` only, the second to no prefix.
+XML_NS = "http://www.w3.org/XML/1998/namespace"
+XMLNS_NS = "http://www.w3.org/2000/xmlns/"
 
 MEP_IN_OUT = "http://www.w3.org/ns/wsdl/in-out"
 MEP_IN_ONLY = "http://www.w3.org/ns/wsdl/in-only"
@@ -55,6 +58,62 @@ class QName:
         if self.namespace:
             return "{%s}%s" % (self.namespace, self.local)
         return self.local
+
+
+# Every fixed element and attribute name of the generated dialect, built once at
+# import: emit writes them, and reader and cli read them back.
+XS_ANNOTATION = QName(XS_NS, "annotation")
+XS_ANY = QName(XS_NS, "any")
+XS_APPINFO = QName(XS_NS, "appinfo")
+XS_ATTRIBUTE = QName(XS_NS, "attribute")
+XS_COMPLEX_TYPE = QName(XS_NS, "complexType")
+XS_ELEMENT = QName(XS_NS, "element")
+XS_IMPORT = QName(XS_NS, "import")
+XS_SCHEMA = QName(XS_NS, "schema")
+XS_SEQUENCE = QName(XS_NS, "sequence")
+XS_STRING = QName(XS_NS, "string")
+
+WSDL_BINDING = QName(WSDL_NS, "binding")
+WSDL_DESCRIPTION = QName(WSDL_NS, "description")
+WSDL_ENDPOINT = QName(WSDL_NS, "endpoint")
+WSDL_FAULT = QName(WSDL_NS, "fault")
+WSDL_INPUT = QName(WSDL_NS, "input")
+WSDL_INTERFACE = QName(WSDL_NS, "interface")
+WSDL_OPERATION = QName(WSDL_NS, "operation")
+WSDL_OUTFAULT = QName(WSDL_NS, "outfault")
+WSDL_OUTPUT = QName(WSDL_NS, "output")
+WSDL_SERVICE = QName(WSDL_NS, "service")
+WSDL_TYPES = QName(WSDL_NS, "types")
+WSDL_MESSAGES = (WSDL_INPUT, WSDL_OUTPUT)
+WSDL_FAULT_REFS = (QName(WSDL_NS, "infault"), WSDL_OUTFAULT)
+UNTYPED = QName("", "untyped")  # the element of a message that names none
+
+WSP_POLICY = QName(WSP_NS, "Policy")
+WSP_ALL = QName(WSP_NS, "All")
+WSP_EXACTLY_ONE = QName(WSP_NS, "ExactlyOne")
+WSP_OPTIONAL = QName(WSP_NS, "Optional")
+
+SAWSDL_MODEL_REFERENCE = QName(SAWSDL_NS, "modelReference")
+SAWSDL_LIFTING = QName(SAWSDL_NS, "liftingSchemaMapping")
+SAWSDL_LOWERING = QName(SAWSDL_NS, "loweringSchemaMapping")
+
+# Unqualified attribute names; parameter names are the model's own data.
+ATTR_ADDRESS = QName("", "address")
+ATTR_BINDING = QName("", "binding")
+ATTR_ELEMENT = QName("", "element")
+ATTR_ELEMENT_FORM_DEFAULT = QName("", "elementFormDefault")
+ATTR_INTERFACE = QName("", "interface")
+ATTR_MESSAGE_LABEL = QName("", "messageLabel")
+ATTR_MIN_OCCURS = QName("", "minOccurs")
+ATTR_NAME = QName("", "name")
+ATTR_NAMESPACE = QName("", "namespace")
+ATTR_PATTERN = QName("", "pattern")
+ATTR_PROCESS_CONTENTS = QName("", "processContents")
+ATTR_REF = QName("", "ref")
+ATTR_SCHEMA_LOCATION = QName("", "schemaLocation")
+ATTR_SOURCE = QName("", "source")
+ATTR_TARGET_NAMESPACE = QName("", "targetNamespace")
+ATTR_TYPE = QName("", "type")
 
 
 # Pragmatic NCName: a letter or underscore, then letters/digits/._- (no colon).

@@ -29,36 +29,17 @@ from .model import (
     SubjectRef,
 )
 from .names import (
-    DOMAIN_NAME_APPINFO, NESTABLE_APPINFO, QName, SAWSDL_NS, WSDL_NS, WSP_NS, XS_NS, is_ncname,
+    ATTR_ADDRESS, ATTR_BINDING, ATTR_ELEMENT, ATTR_INTERFACE, ATTR_MESSAGE_LABEL, ATTR_NAME,
+    ATTR_NAMESPACE, ATTR_REF, ATTR_SOURCE, ATTR_TARGET_NAMESPACE, ATTR_TYPE, DOMAIN_NAME_APPINFO,
+    NESTABLE_APPINFO, QName, SAWSDL_LIFTING, SAWSDL_LOWERING, SAWSDL_MODEL_REFERENCE, UNTYPED,
+    WSDL_BINDING, WSDL_DESCRIPTION, WSDL_ENDPOINT, WSDL_FAULT, WSDL_FAULT_REFS, WSDL_INTERFACE,
+    WSDL_MESSAGES, WSDL_OPERATION, WSDL_SERVICE, WSDL_TYPES, WSP_ALL, WSP_EXACTLY_ONE, WSP_NS,
+    WSP_OPTIONAL, WSP_POLICY, XS_ANNOTATION, XS_APPINFO, XS_ATTRIBUTE, XS_COMPLEX_TYPE,
+    XS_ELEMENT, XS_IMPORT, XS_SCHEMA, XS_SEQUENCE, XS_STRING, is_ncname,
 )
 from .xmltree import XmlElement, parse_xml
 
-_WSP_POLICY = QName(WSP_NS, "Policy")
-_WSP_ALL = QName(WSP_NS, "All")
-_WSP_EXACTLY_ONE = QName(WSP_NS, "ExactlyOne")
-_WSP_OPTIONAL = QName(WSP_NS, "Optional")
-
-# The fixed XSD and WSDL names the readers compare against, built once.
-_XS_ANNOTATION = QName(XS_NS, "annotation")
-_XS_APPINFO = QName(XS_NS, "appinfo")
-_XS_ATTRIBUTE = QName(XS_NS, "attribute")
-_XS_COMPLEX_TYPE = QName(XS_NS, "complexType")
-_XS_ELEMENT = QName(XS_NS, "element")
-_XS_IMPORT = QName(XS_NS, "import")
-_XS_SCHEMA = QName(XS_NS, "schema")
-_XS_SEQUENCE = QName(XS_NS, "sequence")
-_XS_STRING = QName(XS_NS, "string")
-_WSDL_BINDING = QName(WSDL_NS, "binding")
-_WSDL_DESCRIPTION = QName(WSDL_NS, "description")
-_WSDL_ENDPOINT = QName(WSDL_NS, "endpoint")
-_WSDL_FAULT = QName(WSDL_NS, "fault")
-_WSDL_FAULT_REFS = (QName(WSDL_NS, "infault"), QName(WSDL_NS, "outfault"))
-_WSDL_INTERFACE = QName(WSDL_NS, "interface")
-_WSDL_MESSAGES = (QName(WSDL_NS, "input"), QName(WSDL_NS, "output"))
-_WSDL_OPERATION = QName(WSDL_NS, "operation")
-_WSDL_SERVICE = QName(WSDL_NS, "service")
-_WSDL_TYPES = QName(WSDL_NS, "types")
-_UNTYPED = QName("", "untyped")  # the element of a message that names none
+_OPERATORS = {WSP_POLICY: Policy, WSP_ALL: All, WSP_EXACTLY_ONE: ExactlyOne}
 
 
 @dataclass(frozen=True)
@@ -96,13 +77,13 @@ def parse_policy_element(source) -> PolicyExpr:
         element = parse_xml(bytes(source)).root
     else:
         element = source
-    if element.name != _WSP_POLICY:
+    if element.name != WSP_POLICY:
         raise PolicyXmlError(f"expected a wsp:Policy root, got {element.name}")
     return _parse_operator(element, 1)
 
 
 def _parse_operator(element: XmlElement, depth: int) -> PolicyExpr:
-    ctor = {_WSP_POLICY: Policy, _WSP_ALL: All, _WSP_EXACTLY_ONE: ExactlyOne}[element.name]
+    ctor = _OPERATORS[element.name]
     if element.text().strip():
         raise PolicyXmlError(f"unexpected text content inside {element.name}")
     return ctor(*(_parse_policy_child(child, depth + 1) for child in element.element_children()))
@@ -114,7 +95,7 @@ def _parse_policy_child(element: XmlElement, depth: int) -> PolicyExpr:
             f"policy nested deeper than {MAX_POLICY_DEPTH} levels at {element.name}"
         )
     if element.name.namespace == WSP_NS:
-        if element.name in (_WSP_POLICY, _WSP_ALL, _WSP_EXACTLY_ONE):
+        if element.name in _OPERATORS:
             return _parse_operator(element, depth)
         raise PolicyXmlError(f"unsupported policy construct {element.name}")
     return _parse_assertion_ref(element, depth)
@@ -124,7 +105,7 @@ def _parse_assertion_ref(element: XmlElement, depth: int) -> AssertionRef:
     optional = False
     parameters: list[tuple[str, str]] = []
     for qname, value in element.attributes:
-        if qname == _WSP_OPTIONAL:
+        if qname == WSP_OPTIONAL:
             if value in ("true", "1"):
                 optional = True
             elif value in ("false", "0"):
@@ -141,7 +122,7 @@ def _parse_assertion_ref(element: XmlElement, depth: int) -> AssertionRef:
         raise PolicyXmlError(f"unsupported text content inside assertion {element.name}")
     nested: PolicyExpr | None = None
     for child in element.element_children():
-        if child.name == _WSP_POLICY:
+        if child.name == WSP_POLICY:
             if nested is not None:
                 raise PolicyXmlError(f"assertion {element.name} has two nested policies")
             nested = _parse_policy_child(child, depth + 1)
@@ -153,17 +134,17 @@ def _parse_assertion_ref(element: XmlElement, depth: int) -> AssertionRef:
 
 
 def _appinfo_text(element: XmlElement, source: str) -> str | None:
-    for annotation in element.find_all(_XS_ANNOTATION):
-        for appinfo in annotation.find_all(_XS_APPINFO):
-            if appinfo.attr("source") == source:
+    for annotation in element.find_all(XS_ANNOTATION):
+        for appinfo in annotation.find_all(XS_APPINFO):
+            if appinfo.attr(ATTR_SOURCE) == source:
                 return appinfo.text().strip()
     return None
 
 
 def _parse_sawsdl(element: XmlElement) -> SemanticAnnotation | None:
-    refs = element.attr(QName(SAWSDL_NS, "modelReference"))
-    lifting = element.attr(QName(SAWSDL_NS, "liftingSchemaMapping"))
-    lowering = element.attr(QName(SAWSDL_NS, "loweringSchemaMapping"))
+    refs = element.attr(SAWSDL_MODEL_REFERENCE)
+    lifting = element.attr(SAWSDL_LIFTING)
+    lowering = element.attr(SAWSDL_LOWERING)
     if refs is None and lifting is None and lowering is None:
         return None
     return SemanticAnnotation(
@@ -182,9 +163,9 @@ def parse_domain_xsd(data: bytes, warnings: list[Diagnostic] | None = None) -> D
     warnings = [] if warnings is None else warnings
     doc = parse_xml(data)
     root = doc.root
-    if root.name != _XS_SCHEMA:
+    if root.name != XS_SCHEMA:
         raise XmlParseError(f"expected an xs:schema root, got {root.name}")
-    target = root.attr("targetNamespace")
+    target = root.attr(ATTR_TARGET_NAMESPACE)
     if not target:
         raise XmlParseError("domain schema has no targetNamespace")
 
@@ -196,9 +177,9 @@ def parse_domain_xsd(data: bytes, warnings: list[Diagnostic] | None = None) -> D
 
     assertions: list[AssertionDecl] = []
     for child in root.element_children():
-        if child.name == _XS_ANNOTATION:
+        if child.name == XS_ANNOTATION:
             continue
-        if child.name != _XS_ELEMENT:
+        if child.name != XS_ELEMENT:
             warnings.append(Diagnostic("warning", "schema-component-skipped", str(child.name),
                                        "only top-level element declarations are read"))
             continue
@@ -209,13 +190,13 @@ def parse_domain_xsd(data: bytes, warnings: list[Diagnostic] | None = None) -> D
 
 
 def _parse_assertion_decl(element: XmlElement, warnings: list[Diagnostic]) -> AssertionDecl | None:
-    name = element.attr("name")
+    name = element.attr(ATTR_NAME)
     if not name:
         warnings.append(Diagnostic("warning", "schema-component-skipped", str(element.name),
                                    "element declaration without a name"))
         return None
     annotation = _parse_sawsdl(element)
-    type_attr = element.attr("type")
+    type_attr = element.attr(ATTR_TYPE)
     if type_attr is not None:
         return AssertionDecl(
             name, "simple",
@@ -224,22 +205,22 @@ def _parse_assertion_decl(element: XmlElement, warnings: list[Diagnostic]) -> As
         )
     nestable_text = _appinfo_text(element, NESTABLE_APPINFO)
     nestable = tuple(nestable_text.split()) if nestable_text else ()
-    complex_type = element.find(_XS_COMPLEX_TYPE)
+    complex_type = element.find(XS_COMPLEX_TYPE)
     attributes: list[AttributeDecl] = []
     has_content = False
     if complex_type is not None:
         for part in complex_type.element_children():
-            if part.name == _XS_ATTRIBUTE:
-                attr_name = part.attr("name") or ""
-                attr_type = part.attr("type")
+            if part.name == XS_ATTRIBUTE:
+                attr_name = part.attr(ATTR_NAME) or ""
+                attr_type = part.attr(ATTR_TYPE)
                 attributes.append(
                     AttributeDecl(
                         attr_name,
-                        _resolve_qname(attr_type, part.nsmap) if attr_type else _XS_STRING,
+                        _resolve_qname(attr_type, part.nsmap) if attr_type else XS_STRING,
                         _parse_sawsdl(part),
                     )
                 )
-            elif part.name == _XS_SEQUENCE:
+            elif part.name == XS_SEQUENCE:
                 has_content = True
     if attributes or has_content or nestable:
         return AssertionDecl(
@@ -258,9 +239,9 @@ def parse_wsdl(data: bytes, companion_schemas=()) -> ParsedArtifacts:
 
     doc = parse_xml(data)
     root = doc.root
-    if root.name != _WSDL_DESCRIPTION:
+    if root.name != WSDL_DESCRIPTION:
         raise XmlParseError(f"expected a wsdl:description root, got {root.name}")
-    target = root.attr("targetNamespace") or ""
+    target = root.attr(ATTR_TARGET_NAMESPACE) or ""
 
     interfaces: list[InterfaceDecl] = []
     bindings: list[BindingDecl] = []
@@ -271,7 +252,7 @@ def parse_wsdl(data: bytes, companion_schemas=()) -> ParsedArtifacts:
 
     def take_policy(element: XmlElement, kind: str, *path: str):
         subject = SubjectRef(kind, tuple(path))
-        for child in element.find_all(_WSP_POLICY):
+        for child in element.find_all(WSP_POLICY):
             # One policy per subject, as in the model format.
             if subject in attached:
                 raise XmlParseError(
@@ -283,24 +264,24 @@ def parse_wsdl(data: bytes, companion_schemas=()) -> ParsedArtifacts:
             attachments.append(PolicyAttachment(subject, parse_policy_element(child)))
 
     for section in root.element_children():
-        if section.name == _WSDL_TYPES:
+        if section.name == WSDL_TYPES:
             for item in section.element_children():
-                if item.name == _XS_IMPORT:
-                    namespace = item.attr("namespace") or ""
+                if item.name == XS_IMPORT:
+                    namespace = item.attr(ATTR_NAMESPACE) or ""
                     if namespace not in domain_ns:
                         warnings.append(Diagnostic("warning", "domain-unresolved", namespace,
                                                    "imported namespace has no companion schema"))
                 else:
                     warnings.append(Diagnostic("warning", "types-component-skipped", str(item.name),
                                                "only xs:import is read from wsdl:types"))
-        elif section.name == _WSDL_INTERFACE:
+        elif section.name == WSDL_INTERFACE:
             interfaces.append(_parse_interface(section, take_policy))
-        elif section.name == _WSDL_BINDING:
-            name = section.attr("name") or ""
+        elif section.name == WSDL_BINDING:
+            name = section.attr(ATTR_NAME) or ""
             take_policy(section, "binding", name)
-            interface = _local_ref(section.attr("interface") or "")
-            bindings.append(BindingDecl(name, interface, section.attr("type") or ""))
-        elif section.name == _WSDL_SERVICE:
+            interface = _local_ref(section.attr(ATTR_INTERFACE) or "")
+            bindings.append(BindingDecl(name, interface, section.attr(ATTR_TYPE) or ""))
+        elif section.name == WSDL_SERVICE:
             services.append(_parse_service(section, take_policy))
         else:
             warnings.append(Diagnostic("warning", "extension-skipped", str(section.name),
@@ -338,7 +319,7 @@ def _reject_stray_policies(root: XmlElement, consumed: set[int]):
         for child in stack.pop().element_children():
             if id(child) in consumed:
                 continue
-            if child.name == _WSP_POLICY:
+            if child.name == WSP_POLICY:
                 raise XmlParseError(
                     "wsp:Policy attached to an element that is not a policy subject"
                 )
@@ -346,43 +327,42 @@ def _reject_stray_policies(root: XmlElement, consumed: set[int]):
 
 
 def _parse_interface(section: XmlElement, take_policy) -> InterfaceDecl:
-    name = section.attr("name") or ""
+    name = section.attr(ATTR_NAME) or ""
     take_policy(section, "interface", name)
     faults: list[FaultDecl] = []
     operations: list[OperationDecl] = []
     for child in section.element_children():
-        if child.name == _WSDL_FAULT:
-            element_attr = child.attr("element")
+        if child.name == WSDL_FAULT:
+            element_attr = child.attr(ATTR_ELEMENT)
             element = _resolve_qname(element_attr, child.nsmap) if element_attr else None
-            faults.append(FaultDecl(child.attr("name") or "", element))
-        elif child.name == _WSDL_OPERATION:
-            op_name = child.attr("name") or ""
+            faults.append(FaultDecl(child.attr(ATTR_NAME) or "", element))
+        elif child.name == WSDL_OPERATION:
+            op_name = child.attr(ATTR_NAME) or ""
             take_policy(child, "operation", name, op_name)
             inputs: list[MessageRef] = []
             outputs: list[MessageRef] = []
             fault_refs: list[str] = []
             for part in child.element_children():
-                if part.name in _WSDL_MESSAGES:
+                if part.name in WSDL_MESSAGES:
                     bucket = inputs if part.name.local == "input" else outputs
-                    element_attr = part.attr("element")
-                    label = part.attr("messageLabel") or f"{part.name.local}{len(bucket)}"
-                    element = _resolve_qname(element_attr, part.nsmap) if element_attr else _UNTYPED
+                    element_attr = part.attr(ATTR_ELEMENT)
+                    label = part.attr(ATTR_MESSAGE_LABEL) or f"{part.name.local}{len(bucket)}"
+                    element = _resolve_qname(element_attr, part.nsmap) if element_attr else UNTYPED
                     bucket.append(MessageRef(label, element))
-                elif part.name in _WSDL_FAULT_REFS:
-                    fault_refs.append(_local_ref(part.attr("ref") or ""))
+                elif part.name in WSDL_FAULT_REFS:
+                    fault_refs.append(_local_ref(part.attr(ATTR_REF) or ""))
             operations.append(
                 OperationDecl(op_name, tuple(inputs), tuple(outputs), tuple(fault_refs)))
     return InterfaceDecl(name, tuple(operations), tuple(faults))
 
 
 def _parse_service(section: XmlElement, take_policy) -> ServiceDecl:
-    name = section.attr("name") or ""
+    name = section.attr(ATTR_NAME) or ""
     take_policy(section, "service", name)
     endpoints: list[Endpoint] = []
-    for child in section.find_all(_WSDL_ENDPOINT):
-        ep_name = child.attr("name") or ""
+    for child in section.find_all(WSDL_ENDPOINT):
+        ep_name = child.attr(ATTR_NAME) or ""
         take_policy(child, "endpoint", name, ep_name)
-        endpoints.append(
-            Endpoint(ep_name, _local_ref(child.attr("binding") or ""), child.attr("address") or "")
-        )
-    return ServiceDecl(name, _local_ref(section.attr("interface") or ""), tuple(endpoints))
+        binding = _local_ref(child.attr(ATTR_BINDING) or "")
+        endpoints.append(Endpoint(ep_name, binding, child.attr(ATTR_ADDRESS) or ""))
+    return ServiceDecl(name, _local_ref(section.attr(ATTR_INTERFACE) or ""), tuple(endpoints))

@@ -19,6 +19,7 @@ from wspolicy import (
 import wspolicy
 import wspolicy.emit
 from wspolicy.cli import cli
+from wspolicy.names import XMLNS_NS
 from wspolicy.reader import MAX_POLICY_DEPTH
 
 from corpus import (
@@ -159,6 +160,21 @@ POLICY_FAULTS = {
 }
 
 
+def test_validate_and_generate_refuse_the_xmlns_namespace(runner, tmp_path):
+    doc = travel_agency_json()
+    doc["targetNamespace"] = XMLNS_NS
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    line = (f"error namespace-reserved targetNamespace: {XMLNS_NS} is reserved for "
+            "namespace declarations; no prefix may be bound to it\n")
+    validated = runner.invoke(cli, ["validate", str(path)])
+    assert (validated.exit_code, validated.stderr) == (1, line)
+    outdir = tmp_path / "never"
+    generated = runner.invoke(cli, ["generate", str(path), "--output-dir", str(outdir)])
+    assert (generated.exit_code, generated.stdout, generated.stderr) == (1, "", line)
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("code", sorted(POLICY_FAULTS))
 def test_validate_and_generate_report_policy_faults(runner, tmp_path, code):
     break_policy, message = POLICY_FAULTS[code]
@@ -289,6 +305,17 @@ def test_normalize_xml_format(runner, model_path, tmp_path):
 
     reparsed = parse_policy_element(result.stdout.encode())
     assert norm(reparsed) == norm(endpoint_policy())
+
+
+def test_normalize_xml_output_of_an_xml_namespace_assertion_reads_back(runner, tmp_path):
+    path = tmp_path / "p.xml"
+    path.write_text('<wsp:Policy xmlns:wsp="http://www.w3.org/ns/ws-policy"><xml:Foo/></wsp:Policy>')
+    first = runner.invoke(cli, ["normalize", str(path), "--format", "xml"])
+    assert first.exit_code == 0
+    assert 'xmlns:xml="http://www.w3.org/XML/1998/namespace"' in first.stdout
+    path.write_text(first.stdout)
+    again = runner.invoke(cli, ["normalize", str(path), "--format", "xml"])
+    assert (again.exit_code, again.stdout) == (0, first.stdout)
 
 
 def test_normalize_requires_fragment_for_models(runner, model_path):

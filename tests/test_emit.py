@@ -24,12 +24,13 @@ from wspolicy import (
     normalize,
     parse_model,
     parse_policy_element,
+    parse_wsdl,
     policy_document,
     validate_model,
     write_canonical,
 )
 from wspolicy.errors import GenerationError, ModelSchemaError, ModelSyntaxError
-from wspolicy.names import SAWSDL_NS, WSDL_NS, WSP_NS, XS_NS
+from wspolicy.names import SAWSDL_NS, WSDL_NS, WSP_NS, XML_NS, XS_NS
 from wspolicy.xmltree import parse_xml
 
 from corpus import (
@@ -342,6 +343,39 @@ def test_namespace_soundness_every_prefix_resolves():
         model = rand_model(rng, require_satisfiable_policies=True)
         for _name, doc in emit_wsdl(model):
             parse_xml(write_canonical(doc))  # unbound prefixes would fail
+
+
+RESERVED_NAME_EDITS = {
+    "domain prefix xmlns": lambda doc: doc["domains"][0].update(prefix="xmlns"),
+    "domain prefix xml": lambda doc: doc["domains"][0].update(prefix="xml"),
+    "external prefix xml": lambda doc: doc["externalNamespaces"][0].update(prefix="xml"),
+    "targetNamespace is the XML namespace": lambda doc: doc.update(targetNamespace=XML_NS),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(RESERVED_NAME_EDITS))
+def test_reserved_prefixes_are_bound_only_as_xml_allows(edit):
+    doc = travel_agency_json()
+    RESERVED_NAME_EDITS[edit](doc)
+    model = model_from_json(doc)
+    files = emit_wsdl(model)
+    for _name, emitted in files:
+        assert "xmlns" not in emitted.namespaces
+        assert emitted.namespaces.get("xml", XML_NS) == XML_NS
+    payloads = {name: write_canonical(emitted) for name, emitted in files}
+    for payload in payloads.values():
+        parse_xml(payload)  # a reserved prefix bound wrongly would fail here
+    wsdl = payloads.pop("TravelAgency.wsdl")
+    (attachment,) = parse_wsdl(wsdl, list(payloads.values())).attachments
+    assert normalize(attachment.policy) == normalize(model.attachments[0].policy)
+
+
+def test_policy_document_binds_only_the_xml_namespace_to_xml():
+    other = "http://example.org/other"
+    expr = Policy(AssertionRef(QName(XML_NS, "Foo")), AssertionRef(QName(other, "Bar")))
+    doc = policy_document(expr, prefix_hints={XML_NS: "x", other: "xml"})
+    assert doc.namespaces == {"ns": other, "wsp": WSP_NS, "xml": XML_NS}
+    assert normalize(parse_policy_element(write_canonical(doc))) == normalize(expr)
 
 
 def test_policy_subjects_other_than_endpoint():

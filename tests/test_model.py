@@ -21,8 +21,11 @@ from wspolicy import (
     assertion_vocabulary,
     normalize,
     resolve_subject,
+    validate_domain,
     validate_model,
 )
+from wspolicy.names import XMLNS_NS
+
 from corpus import (
     SEC_NS,
     conflicting_security_domain,
@@ -195,6 +198,25 @@ def test_namespace_collision_and_duplicate_qname():
     }
     doc["domains"].append(second)
     assert "duplicate-qname" in codes(validate_model(model_from_json(doc)))
+
+
+XMLNS_EDITS = {
+    "targetNamespace": lambda doc: doc.update(targetNamespace=XMLNS_NS),
+    "externalNamespaces[0]": lambda doc: doc["externalNamespaces"][0].update(namespace=XMLNS_NS),
+    "domains[security].targetNamespace":
+        lambda doc: doc["domains"][0].update(targetNamespace=XMLNS_NS),
+}
+
+
+@pytest.mark.parametrize("path", sorted(XMLNS_EDITS))
+def test_xmlns_namespace_is_reserved(path):
+    doc = travel_agency_json()
+    XMLNS_EDITS[path](doc)
+    model = model_from_json(doc)
+    reserved = [d for d in validate_model(model) if d.code == "namespace-reserved"]
+    assert [d.subject_path for d in reserved] == [path]
+    for domain in model.domains:
+        assert codes(validate_domain(domain)) == (["namespace-reserved"] if "domains" in path else [])
 
 
 def test_assertion_shape_rules():

@@ -64,3 +64,38 @@ def test_library_imports_only_stdlib_click_and_itself():
     assert len(modules) > 5
     foreign = {path.name: sorted(_imported_roots(path) - allowed) for path in modules}
     assert {name: roots for name, roots in foreign.items() if roots} == {}
+
+
+_DIALECT_NAMESPACES = {"XS_NS", "WSDL_NS", "WSP_NS", "SAWSDL_NS"}
+
+
+def _is_str_literal(node) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _fixed_name_builds(path: Path) -> tuple[list[int], list[int]]:
+    """Lines calling ``QName`` with a dialect namespace constant or a literal
+    local part, and lines calling ``.attr`` with a string literal."""
+    qname_lines, attr_lines = [], []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        args = node.args + [keyword.value for keyword in node.keywords]
+        if isinstance(node.func, ast.Name) and node.func.id == "QName":
+            local = node.args[1:2] + [k.value for k in node.keywords if k.arg == "local"]
+            namespaced = any(isinstance(a, ast.Name) and a.id in _DIALECT_NAMESPACES for a in args)
+            if namespaced or any(map(_is_str_literal, local)):
+                qname_lines.append(node.lineno)
+        elif isinstance(node.func, ast.Attribute) and node.func.attr == "attr":
+            if any(map(_is_str_literal, args)):
+                attr_lines.append(node.lineno)
+    return qname_lines, attr_lines
+
+
+def test_fixed_dialect_names_are_built_once_in_names():
+    builds = {path.name: _fixed_name_builds(path) for path in sorted(SRC.glob("*.py"))}
+    copies = {name: qnames for name, (qnames, _) in builds.items() if qnames and name != "names.py"}
+    assert copies == {}
+    literal_attrs = {name: attrs for name, (_, attrs) in builds.items() if attrs}
+    assert literal_attrs == {}
+    assert builds["names.py"][0], "the walk finds the constants in names.py"

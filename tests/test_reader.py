@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -251,6 +252,22 @@ def test_random_models_roundtrip_attachment_normal_forms():
         for attachment in model.attachments:
             key = (attachment.subject.kind, attachment.subject.path)
             assert normalize(by_subject[key]) == normalize(attachment.policy)
+
+
+def test_random_models_roundtrip_wsdl_structure():
+    # The WSDL carries no messageEncoding (docs/model-format.md), so it reads back empty.
+    rng = random.Random(202020)
+    for _ in range(200):
+        model = rand_model(rng, require_satisfiable_policies=True)
+        files = dict(emit_wsdl(model))
+        wsdl_name = next(name for name in files if name.endswith(".wsdl"))
+        schemas = [write_canonical(doc) for name, doc in files.items() if name != wsdl_name]
+        parsed = parse_wsdl(write_canonical(files[wsdl_name]), schemas).service_model
+        assert parsed.interfaces == model.interfaces
+        assert parsed.bindings == tuple(
+            dataclasses.replace(b, message_encoding="") for b in model.bindings
+        )
+        assert parsed.services == model.services
 
 
 # --- domain XSD --------------------------------------------------------------
