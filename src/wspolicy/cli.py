@@ -61,11 +61,11 @@ def _die(code: int, message: str):
     sys.exit(code)
 
 
-def _read_bytes(path: str, exit_code: int = EXIT_IO) -> bytes:
+def _read_bytes(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        _die(exit_code, f"cannot read {path}: {exc}")
+        _die(EXIT_IO, f"cannot read {path}: {exc}")
 
 
 def _write_or_die(path: Path, write) -> None:
@@ -159,53 +159,42 @@ def _load_policy_source(spec: str) -> tuple[PolicyExpr, list[DomainSchema], dict
     """A policy from 'model.json#kind/name...', a wsp:Policy file, or a WSDL file.
 
     Returns the policy tree, any domain schemas that came with it, and
-    namespace prefix hints for later XML output.
+    namespace prefix hints for later XML output.  Model and WSDL sources
+    load as attachments and domains, and one selection serves both.
     """
     path_str, frag = _split_source(spec)
     data = _read_bytes(path_str)
-    if data.lstrip().startswith(b"{"):
-        model = _parse_model_or_die(data)
-        if frag is None:
-            _die(EXIT_IO, f"{path_str}: model sources need a '#kind/name...' fragment")
-        subject = _subject_from_fragment(frag)
-        for attachment in model.attachments:
-            if attachment.subject == subject:
-                hints = {d.target_namespace: d.prefix for d in model.domains}
-                return attachment.policy, list(model.domains), hints
-        _die(EXIT_IO, f"{path_str}: no attachment for subject {frag!r}")
-
-    try:
-        doc = parse_xml(data)
-    except XmlParseError as exc:
-        _die(EXIT_INVALID, f"{path_str}: {exc}")
-    if doc.root.name == WSP_POLICY:
-        if frag is not None:
-            _die(EXIT_IO, f"{path_str}: fragments only apply to model or WSDL sources")
+    model_source = data.lstrip().startswith(b"{")
+    if model_source:
+        loaded = _parse_model_or_die(data)
+    else:
         try:
-            expr = parse_policy_element(doc.root)
-        except PolicyXmlError as exc:
-            _die(EXIT_INVALID, f"{path_str}: {exc}")
-        hints = {uri: prefix for prefix, uri in doc.namespaces.items() if prefix}
-        return expr, [], hints
-    if doc.root.name == WSDL_DESCRIPTION:
-        try:
-            parsed = parse_wsdl(data, _companion_schemas(path_str, doc))
+            doc = parse_xml(data)
+            if doc.root.name == WSP_POLICY:
+                if frag is not None:
+                    _die(EXIT_IO, f"{path_str}: fragments only apply to model or WSDL sources")
+                hints = {uri: prefix for prefix, uri in doc.namespaces.items() if prefix}
+                return parse_policy_element(doc.root), [], hints
+            if doc.root.name != WSDL_DESCRIPTION:
+                _die(EXIT_INVALID, f"{path_str}: unrecognized document root {doc.root.name}")
+            loaded = parse_wsdl(data, _companion_schemas(path_str, doc))
         except (XmlParseError, PolicyXmlError) as exc:
             _die(EXIT_INVALID, f"{path_str}: {exc}")
-        attachments = parsed.attachments
-        if frag is not None:
-            subject = _subject_from_fragment(frag)
-            attachments = tuple(a for a in attachments if a.subject == subject)
-            if not attachments:
-                _die(EXIT_IO, f"{path_str}: no attachment for subject {frag!r}")
-        elif len(attachments) > 1:
-            _die(EXIT_IO, f"{path_str}: {len(attachments)} policies found; "
-                          "pick one with a '#kind/name...' fragment")
+    attachments = loaded.attachments
+    if frag is not None:
+        subject = _subject_from_fragment(frag)
+        attachments = [a for a in attachments if a.subject == subject]
         if not attachments:
-            _die(EXIT_IO, f"{path_str}: no policy found")
-        hints = {d.target_namespace: d.prefix for d in parsed.domains}
-        return attachments[0].policy, list(parsed.domains), hints
-    _die(EXIT_INVALID, f"{path_str}: unrecognized document root {doc.root.name}")
+            _die(EXIT_IO, f"{path_str}: no attachment for subject {frag!r}")
+    elif model_source:
+        _die(EXIT_IO, f"{path_str}: model sources need a '#kind/name...' fragment")
+    elif len(attachments) > 1:
+        _die(EXIT_IO, f"{path_str}: {len(attachments)} policies found; "
+                      "pick one with a '#kind/name...' fragment")
+    if not attachments:
+        _die(EXIT_IO, f"{path_str}: no policy found")
+    hints = {d.target_namespace: d.prefix for d in loaded.domains}
+    return attachments[0].policy, list(loaded.domains), hints
 
 
 @click.group()
@@ -265,7 +254,10 @@ def normalize_cmd(source: str, fmt: str):
         for line in render_normal_form(nf):
             click.echo(line)
     else:
-        doc = policy_document(denormalize(nf), prefix_hints=hints)
+        try:
+            doc = policy_document(denormalize(nf), prefix_hints=hints)
+        except GenerationError as exc:
+            _die(EXIT_INVALID, f"{source}: {exc}")
         click.echo(write_canonical(doc).decode("utf-8"), nl=False)
     sys.exit(EXIT_OK)
 

@@ -37,7 +37,7 @@ from .names import (
     QName, SAWSDL_LIFTING, SAWSDL_LOWERING, SAWSDL_MODEL_REFERENCE, SAWSDL_NS, WSDL_BINDING,
     WSDL_DESCRIPTION, WSDL_ENDPOINT, WSDL_FAULT, WSDL_INPUT, WSDL_INTERFACE, WSDL_NS,
     WSDL_OPERATION, WSDL_OUTFAULT, WSDL_OUTPUT, WSDL_SERVICE, WSDL_TYPES, WSP_ALL,
-    WSP_EXACTLY_ONE, WSP_NS, WSP_OPTIONAL, WSP_POLICY, XML_NS, XS_ANNOTATION, XS_ANY,
+    WSP_EXACTLY_ONE, WSP_NS, WSP_OPTIONAL, WSP_POLICY, XML_NS, XMLNS_NS, XS_ANNOTATION, XS_ANY,
     XS_APPINFO, XS_ATTRIBUTE, XS_COMPLEX_TYPE, XS_ELEMENT, XS_IMPORT, XS_NS, XS_SCHEMA,
     XS_SEQUENCE, nogc,
 )
@@ -58,8 +58,12 @@ def _assign_prefixes(
     uris: Iterable[str], preferred: Mapping[str, str]
 ) -> dict[str, str]:
     """Deterministic prefix -> URI table covering every given namespace.  The XML
-    namespace gets ``xml``; no other gets ``xml`` or ``xmlns``, even if it prefers it."""
+    namespace gets ``xml``; no other gets ``xml`` or ``xmlns``, even if it prefers it.
+    The xmlns namespace may have no prefix at all, so it is refused."""
     uris = set(uris)
+    if XMLNS_NS in uris:
+        raise GenerationError(f"{XMLNS_NS} is reserved for namespace declarations; "
+                              "no prefix may be bound to it")
     table: dict[str, str] = {"xml": XML_NS} if XML_NS in uris else {}
     for uri in sorted(uris - {XML_NS}):
         want = preferred.get(uri)

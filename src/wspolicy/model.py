@@ -307,16 +307,14 @@ def _check_annotation(
     if not annotation.model_reference:
         out.error("annotation-empty", path, "modelReference must list at least one URI")
     for i, uri in enumerate(annotation.model_reference):
-        if not is_absolute_uri(uri):
-            out.error("bad-uri", f"{path}.modelReference[{i}]", f"not an absolute URI: {uri!r}")
+        _check_uri(out, f"{path}.modelReference[{i}]", uri)
     for name, uri in (
         ("loweringSchema", annotation.lowering_schema),
         ("liftingSchema", annotation.lifting_schema),
     ):
         if uri is None:
             continue
-        if not is_absolute_uri(uri):
-            out.error("bad-uri", f"{path}.{name}", f"not an absolute URI: {uri!r}")
+        _check_uri(out, f"{path}.{name}", uri)
         if on_attribute:
             out.error(
                 "annotation-placement",
@@ -330,10 +328,15 @@ def _check_identifier(out: _Collector, path: str, value: str, what: str = "ident
         out.error("bad-identifier", path, f"{what} must be an NCName, got {value!r}")
 
 
+def _check_uri(out: _Collector, path: str, uri: str) -> bool:
+    if is_absolute_uri(uri):
+        return True
+    out.error("bad-uri", path, f"not an absolute URI: {uri!r}")
+    return False
+
+
 def _check_namespace(out: _Collector, path: str, uri: str):
-    if not is_absolute_uri(uri):
-        out.error("bad-uri", path, f"not an absolute URI: {uri!r}")
-    elif uri == XMLNS_NS:
+    if _check_uri(out, path, uri) and uri == XMLNS_NS:
         out.error("namespace-reserved", path,
                   f"{uri} is reserved for namespace declarations; no prefix may be bound to it")
 
@@ -368,6 +371,18 @@ def _check_unique(out: _Collector, seen: set[str], name: str, path: str, kind: s
     seen.add(name)
 
 
+def _named(out: _Collector, items: tuple, path: str, kind: str):
+    """Each item of a named collection with its path, once its name is
+    checked: unique in the collection, and an NCName."""
+    seen: set[str] = set()
+    what = f"{kind} name"
+    for item in items:
+        ipath = f"{path}[{item.name}]"
+        _check_unique(out, seen, item.name, ipath, kind)
+        _check_identifier(out, ipath, item.name, what)
+        yield item, ipath
+
+
 def validate_domain(domain: DomainSchema) -> list[Diagnostic]:
     """Diagnostics for one domain in isolation (no cross-domain checks)."""
     out = _Collector()
@@ -375,18 +390,10 @@ def validate_domain(domain: DomainSchema) -> list[Diagnostic]:
     _check_identifier(out, path, domain.domain_name, "domain name")
     _check_identifier(out, f"{path}.prefix", domain.prefix, "prefix")
     _check_namespace(out, f"{path}.targetNamespace", domain.target_namespace)
-    assertion_names: set[str] = set()
-    for decl in domain.assertions:
-        apath = f"{path}.assertions[{decl.name}]"
-        _check_unique(out, assertion_names, decl.name, apath, "assertion")
-        _check_identifier(out, apath, decl.name, "assertion name")
+    for decl, apath in _named(out, domain.assertions, f"{path}.assertions", "assertion"):
         _check_assertion_shape(out, apath, decl)
         _check_annotation(out, f"{apath}.annotation", decl.annotation, on_attribute=False)
-        attr_names: set[str] = set()
-        for attr in decl.attributes:
-            attr_path = f"{apath}.attributes[{attr.name}]"
-            _check_unique(out, attr_names, attr.name, attr_path, "attribute")
-            _check_identifier(out, attr_path, attr.name, "attribute name")
+        for attr, attr_path in _named(out, decl.attributes, f"{apath}.attributes", "attribute"):
             _check_annotation(out, f"{attr_path}.annotation", attr.annotation, on_attribute=True)
         for child in decl.nestable_children:
             if domain.assertion(child) is None:
@@ -421,6 +428,8 @@ def _check_assertion_shape(out: _Collector, path: str, decl: AssertionDecl):
     if decl.type_kind not in TYPE_KINDS:
         out.error("assertion-shape", path, f"unknown typeKind {decl.type_kind!r}")
         return
+    if decl.type_kind != "simple" and decl.simple_type is not None:
+        out.error("assertion-shape", path, "simpleType is only allowed with typeKind simple")
     if decl.type_kind != "complex":
         if decl.attributes:
             out.error("assertion-shape", path,
@@ -428,45 +437,28 @@ def _check_assertion_shape(out: _Collector, path: str, decl: AssertionDecl):
         if decl.nestable_children:
             out.error("assertion-shape", path,
                       f"nestableChildren require typeKind complex, not {decl.type_kind!r}")
-    if decl.type_kind == "complex":
-        if decl.simple_type is not None:
-            out.error("assertion-shape", path, "simpleType is only allowed with typeKind simple")
-        if not decl.attributes and not decl.nestable_children:
-            out.error("assertion-shape", path,
-                      "complex assertion must declare attributes or nestableChildren")
-    if decl.type_kind == "empty" and decl.simple_type is not None:
-        out.error("assertion-shape", path, "simpleType is only allowed with typeKind simple")
+    elif not decl.attributes and not decl.nestable_children:
+        out.error("assertion-shape", path,
+                  "complex assertion must declare attributes or nestableChildren")
+
+
+def _check_element_type(out: _Collector, path: str, qname: Optional[QName], table: frozenset):
+    if qname is not None and qname.namespace not in table:
+        out.error("namespace-undeclared", f"{path}.elementType",
+                  f"namespace not in the model namespace table: {qname.namespace!r}")
 
 
 def _check_interfaces(out: _Collector, model: ServiceModel):
     table = model.namespace_table()
-    names: set[str] = set()
-    for iface in model.interfaces:
-        path = f"interfaces[{iface.name}]"
-        _check_unique(out, names, iface.name, path, "interface")
-        _check_identifier(out, path, iface.name, "interface name")
-        fault_names: set[str] = set()
-        for fault in iface.faults:
-            fpath = f"{path}.faults[{fault.name}]"
-            _check_unique(out, fault_names, fault.name, fpath, "fault")
-            _check_identifier(out, fpath, fault.name, "fault name")
-            if fault.element_type is not None and fault.element_type.namespace not in table:
-                out.error("namespace-undeclared", f"{fpath}.elementType",
-                          f"namespace not in the model namespace table: "
-                          f"{fault.element_type.namespace!r}")
-        op_names: set[str] = set()
-        for op in iface.operations:
-            opath = f"{path}.operations[{op.name}]"
-            _check_unique(out, op_names, op.name, opath, "operation")
-            _check_identifier(out, opath, op.name, "operation name")
+    for iface, path in _named(out, model.interfaces, "interfaces", "interface"):
+        for fault, fpath in _named(out, iface.faults, f"{path}.faults", "fault"):
+            _check_element_type(out, fpath, fault.element_type, table)
+        for op, opath in _named(out, iface.operations, f"{path}.operations", "operation"):
             for role, refs in (("inputs", op.inputs), ("outputs", op.outputs)):
                 for i, ref in enumerate(refs):
                     rpath = f"{opath}.{role}[{i}]"
                     _check_identifier(out, rpath, ref.name, "message name")
-                    if ref.element_type.namespace not in table:
-                        out.error("namespace-undeclared", f"{rpath}.elementType",
-                                  f"namespace not in the model namespace table: "
-                                  f"{ref.element_type.namespace!r}")
+                    _check_element_type(out, rpath, ref.element_type, table)
             for fref in op.fault_refs:
                 if _by_name(iface.faults, fref) is None:
                     out.error("fault-unresolved", f"{opath}.faultRefs",
@@ -474,37 +466,22 @@ def _check_interfaces(out: _Collector, model: ServiceModel):
 
 
 def _check_bindings(out: _Collector, model: ServiceModel):
-    names: set[str] = set()
-    for binding in model.bindings:
-        path = f"bindings[{binding.name}]"
-        _check_unique(out, names, binding.name, path, "binding")
-        _check_identifier(out, path, binding.name, "binding name")
+    for binding, path in _named(out, model.bindings, "bindings", "binding"):
         if model.interface(binding.interface_ref) is None:
             out.error("interface-unresolved", f"{path}.interface",
                       f"interface {binding.interface_ref!r} is not declared")
-        if not is_absolute_uri(binding.transport_protocol):
-            out.error("bad-uri", f"{path}.transportProtocol",
-                      f"not an absolute URI: {binding.transport_protocol!r}")
+        _check_uri(out, f"{path}.transportProtocol", binding.transport_protocol)
 
 
 def _check_services(out: _Collector, model: ServiceModel):
-    names: set[str] = set()
-    for service in model.services:
-        path = f"services[{service.name}]"
-        _check_unique(out, names, service.name, path, "service")
-        _check_identifier(out, path, service.name, "service name")
+    for service, path in _named(out, model.services, "services", "service"):
         if model.interface(service.interface_ref) is None:
             out.error("interface-unresolved", f"{path}.interface",
                       f"interface {service.interface_ref!r} is not declared")
         if not service.endpoints:
             out.error("no-endpoints", path, "a service needs at least one endpoint")
-        endpoint_names: set[str] = set()
-        for ep in service.endpoints:
-            epath = f"{path}.endpoints[{ep.name}]"
-            _check_unique(out, endpoint_names, ep.name, epath, "endpoint")
-            _check_identifier(out, epath, ep.name, "endpoint name")
-            if not is_absolute_uri(ep.address):
-                out.error("bad-uri", f"{epath}.address", f"not an absolute URI: {ep.address!r}")
+        for ep, epath in _named(out, service.endpoints, f"{path}.endpoints", "endpoint"):
+            _check_uri(out, f"{epath}.address", ep.address)
             binding = model.binding(ep.binding_ref)
             if binding is None:
                 out.error("binding-unresolved", f"{epath}.binding",

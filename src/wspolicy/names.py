@@ -130,7 +130,7 @@ _NON_XML_CHAR_RE = re.compile(f"[{NON_XML_CHARS}]")
 # never inside a URI.
 _URI_BAD_CHAR_RE = re.compile(f"[\\s\x00-\x1f{NON_XML_CHARS}]")
 
-_HEX = set("0123456789abcdefABCDEF")
+_PERCENT_ESCAPE_RE = re.compile("%[0-9A-Fa-f]{2}")
 
 _UNRESERVED = set(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~"
@@ -185,25 +185,14 @@ def is_absolute_uri(s: str) -> bool:
     return bool(parts.netloc or parts.path or parts.query or parts.fragment)
 
 
+def _percent_escape(match: re.Match) -> str:
+    decoded = chr(int(match[0][1:], 16))
+    return decoded if decoded in _UNRESERVED else match[0].upper()
+
+
 def _normalize_percent(text: str) -> str:
     # Uppercase percent-escape hex digits; decode escapes of unreserved characters.
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "%" and i + 2 < n and text[i + 1] in _HEX and text[i + 2] in _HEX:
-            octet = int(text[i + 1 : i + 3], 16)
-            decoded = chr(octet)
-            if decoded in _UNRESERVED:
-                out.append(decoded)
-            else:
-                out.append("%" + text[i + 1 : i + 3].upper())
-            i += 3
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _PERCENT_ESCAPE_RE.sub(_percent_escape, text)
 
 
 def _remove_dot_segments(path: str) -> str:

@@ -318,6 +318,23 @@ def test_normalize_xml_output_of_an_xml_namespace_assertion_reads_back(runner, t
     assert (again.exit_code, again.stdout) == (0, first.stdout)
 
 
+def test_normalize_xml_refuses_to_bind_a_prefix_to_the_xmlns_namespace(runner, tmp_path):
+    # normalize reads models without validate_model, so the refusal is the
+    # writer's: no prefix may be bound to the xmlns namespace.
+    path = tmp_path / "model.json"
+    path.write_bytes(travel_agency_bytes().replace(SEC_NS.encode(), XMLNS_NS.encode()))
+    spec = f"{path}#{FRAGMENT}"
+    result = runner.invoke(cli, ["normalize", spec, "--format", "xml"])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", (
+        f"{spec}: {XMLNS_NS} is reserved for namespace declarations; "
+        "no prefix may be bound to it\n"))
+    token = f"{{{XMLNS_NS}}}UsernameToken"
+    text = runner.invoke(cli, ["normalize", spec])
+    assert (text.exit_code, text.stdout.splitlines()[0]) == (0, token)
+    both = runner.invoke(cli, ["intersect", spec, spec])
+    assert (both.exit_code, both.stdout.splitlines()[0]) == (0, token)
+
+
 def test_normalize_requires_fragment_for_models(runner, model_path):
     result = runner.invoke(cli, ["normalize", str(model_path)])
     assert result.exit_code == 2
@@ -334,6 +351,90 @@ def test_normalize_refuses_second_policy_on_one_subject(runner, tmp_path):
     assert result.stderr == (
         f"{wsdl}: second wsp:Policy for subject '{FRAGMENT}'; pre-merge policies instead\n"
     )
+
+
+# --- policy sources ----------------------------------------------------------
+
+KINDS = "('binding', 'endpoint', 'interface', 'operation', 'service')"
+UNSUPPORTED = "{http://www.w3.org/ns/ws-policy}PolicyReference"
+
+# (source, exit code, stderr) for every outcome of loading a policy source;
+# "@" stands for the directory holding the files ``source_files`` writes.
+SOURCE_OUTCOMES = [
+    ("@/model.json#" + FRAGMENT, 0, ""),
+    ("@/policy.xml", 0, ""),
+    ("@/TravelAgency.wsdl", 0, ""),
+    ("@/TravelAgency.wsdl#" + FRAGMENT, 0, ""),
+    ("@/missing.json", 2,
+     "cannot read @/missing.json: [Errno 2] No such file or directory: '@/missing.json'"),
+    ("@/syntax.json", 1,
+     "error model-syntax document: Expecting property name enclosed in double quotes "
+     "(line 1, column 2)"),
+    ("@/schema.json", 1, "error model-schema missing required field 'modelName'"),
+    ("@/model.json", 2, "@/model.json: model sources need a '#kind/name...' fragment"),
+    ("@/model.json#nope/x", 2,
+     f"bad fragment 'nope/x': expected kind/name[/name] with kind in {KINDS}"),
+    ("@/model.json#endpoint", 2,
+     f"bad fragment 'endpoint': expected kind/name[/name] with kind in {KINDS}"),
+    ("@/model.json#endpoint/Nope/Nope", 2,
+     "@/model.json: no attachment for subject 'endpoint/Nope/Nope'"),
+    ("@/model.json#binding/TravelAgencyBinding", 2,
+     "@/model.json: no attachment for subject 'binding/TravelAgencyBinding'"),
+    ("@/malformed.xml", 1, "@/malformed.xml: not well-formed (invalid token) (line 1, column 2)"),
+    ("@/policy.xml#" + FRAGMENT, 2,
+     "@/policy.xml: fragments only apply to model or WSDL sources"),
+    ("@/construct.xml", 1, f"@/construct.xml: unsupported policy construct {UNSUPPORTED}"),
+    ("@/other.xml", 1, "@/other.xml: unrecognized document root other"),
+    ("@/TravelAgency.wsdl#service", 2,
+     f"bad fragment 'service': expected kind/name[/name] with kind in {KINDS}"),
+    ("@/TravelAgency.wsdl#endpoint/Nope/Nope", 2,
+     "@/TravelAgency.wsdl: no attachment for subject 'endpoint/Nope/Nope'"),
+    ("@/two.wsdl", 2,
+     "@/two.wsdl: 2 policies found; pick one with a '#kind/name...' fragment"),
+    ("@/two.wsdl#binding/TravelAgencyBinding", 0, ""),
+    ("@/bare.wsdl", 2, "@/bare.wsdl: no policy found"),
+    ("@/bare.wsdl#" + FRAGMENT, 2, f"@/bare.wsdl: no attachment for subject '{FRAGMENT}'"),
+    ("@/construct.wsdl#" + FRAGMENT, 1,
+     f"@/construct.wsdl: unsupported policy construct {UNSUPPORTED}"),
+    ("@/second.wsdl#" + FRAGMENT, 1,
+     f"@/second.wsdl: second wsp:Policy for subject '{FRAGMENT}'; pre-merge policies instead"),
+]
+
+
+def source_files(directory: Path) -> None:
+    """The files SOURCE_OUTCOMES names, written into ``directory``."""
+    wsp = 'xmlns:wsp="http://www.w3.org/ns/ws-policy"'
+    wsdl = (GOLDEN / "TravelAgency.wsdl").read_bytes()
+    binding = b'type="http://www.w3.org/ns/wsdl/soap"/>'
+    assert wsdl.count(binding) == 1
+    files = {
+        "model.json": travel_agency_bytes(),
+        "syntax.json": b"{,}",
+        "schema.json": b'{"formatVersion": "1.0"}',
+        "policy.xml": write_canonical(policy_document(Policy(AssertionRef(sp("Token"))))),
+        "malformed.xml": b"<a<",
+        "construct.xml": f"<wsp:Policy {wsp}><wsp:PolicyReference/></wsp:Policy>".encode(),
+        "other.xml": b"<other/>",
+        "TravelAgency.wsdl": wsdl,
+        "two.wsdl": wsdl.replace(binding, binding[:-2] + b"><wsp:Policy/></wsdl:binding>"),
+        "bare.wsdl": b'<wsdl:description xmlns:wsdl="http://www.w3.org/ns/wsdl"/>',
+        "construct.wsdl": wsdl.replace(b"<wsp:All>", b"<wsp:All><wsp:PolicyReference/>", 1),
+        "second.wsdl": wsdl_with_second_endpoint_policy(),
+    }
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    schema = "ws-semanticsecuritypolicy.xsd"
+    (directory / schema).write_bytes((GOLDEN / schema).read_bytes())
+
+
+@pytest.mark.parametrize("source, code, stderr", SOURCE_OUTCOMES)
+def test_policy_source_outcomes(runner, tmp_path, source, code, stderr):
+    source_files(tmp_path)
+    result = runner.invoke(cli, ["normalize", source.replace("@", str(tmp_path))])
+    assert result.exit_code == code
+    assert result.stderr == (stderr.replace("@", str(tmp_path)) + "\n" if stderr else "")
+    if code:
+        assert result.stdout == ""
 
 
 def test_deep_policy_exits_1_without_traceback(tmp_path):

@@ -118,6 +118,14 @@ def test_normalize_uri_cases():
     assert normalize_uri("http://User@Example.ORG:8080/x") == "http://User@example.org:8080/x"
     assert normalize_uri("http://a/./b/./c") == "http://a/b/c"
     assert normalize_uri("urn:Example:One") == "urn:Example:One"
+    # Percent escapes: only %XX with two hex digits is one; %7E (~) decodes,
+    # %2F (/) keeps its escape with uppercase hex digits.
+    assert normalize_uri("http://example.org/a%4") == "http://example.org/a%4"
+    assert normalize_uri("http://example.org/%%41") == "http://example.org/%A"
+    assert normalize_uri("http://example.org/a%2fb") == "http://example.org/a%2Fb"
+    assert normalize_uri("http://example.org/x?q=%7e") == "http://example.org/x?q=~"
+    assert normalize_uri("http://example.org/%C3%a9") == "http://example.org/%C3%A9"
+    assert normalize_uri("http://example.org/100%") == "http://example.org/100%"
 
 
 def test_normalize_uri_idempotent():

@@ -99,3 +99,12 @@ def test_fixed_dialect_names_are_built_once_in_names():
     literal_attrs = {name: attrs for name, (_, attrs) in builds.items() if attrs}
     assert literal_attrs == {}
     assert builds["names.py"][0], "the walk finds the constants in names.py"
+
+
+def test_sources_parse_as_python_3_10():
+    # requires-python and the CI matrix promise 3.10; a newer grammar (such
+    # as except* or type parameter lists) would fail only on 3.10 itself.
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
