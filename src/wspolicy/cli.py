@@ -140,19 +140,20 @@ def _subject_from_fragment(frag: str) -> SubjectRef:
     return SubjectRef(parts[0], tuple(parts[1:]))
 
 
-def _companion_schemas(wsdl_path: str, doc) -> list[bytes]:
-    """Schemas referenced by xs:import, resolved relative to the WSDL file."""
+def _load_schema(path: str) -> DomainSchema:
+    """An imported or --vocab domain schema, parsed once; its faults name its path."""
+    try:
+        return parse_domain_xsd(_read_bytes(path))
+    except XmlParseError as exc:
+        _die(EXIT_INVALID, f"{path}: {exc}")
+
+
+def _companion_schemas(wsdl_path: str, root) -> list[DomainSchema]:
+    """Schemas referenced by xs:import that exist beside the WSDL file."""
     base = Path(wsdl_path).parent
-    schemas: list[bytes] = []
-    for types in doc.root.find_all(WSDL_TYPES):
-        for item in types.find_all(XS_IMPORT):
-            location = item.attr(ATTR_SCHEMA_LOCATION)
-            if not location:
-                continue
-            candidate = base / location
-            if candidate.is_file():
-                schemas.append(_read_bytes(str(candidate)))
-    return schemas
+    locations = (item.attr(ATTR_SCHEMA_LOCATION) for types in root.find_all(WSDL_TYPES)
+                 for item in types.find_all(XS_IMPORT))
+    return [_load_schema(str(base / loc)) for loc in locations if loc and (base / loc).is_file()]
 
 
 def _load_policy_source(spec: str) -> tuple[PolicyExpr, list[DomainSchema], dict[str, str]]:
@@ -177,7 +178,7 @@ def _load_policy_source(spec: str) -> tuple[PolicyExpr, list[DomainSchema], dict
                 return parse_policy_element(doc.root), [], hints
             if doc.root.name != WSDL_DESCRIPTION:
                 _die(EXIT_INVALID, f"{path_str}: unrecognized document root {doc.root.name}")
-            loaded = parse_wsdl(data, _companion_schemas(path_str, doc))
+            loaded = parse_wsdl(doc.root, _companion_schemas(path_str, doc.root))
         except (XmlParseError, PolicyXmlError) as exc:
             _die(EXIT_INVALID, f"{path_str}: {exc}")
     attachments = loaded.attachments
@@ -277,12 +278,7 @@ def intersect(source_a: str, source_b: str, mode: str, vocab_paths: tuple[str, .
     """Intersect two policy sources; exit 0 if alternatives remain, 3 if none."""
     policy_a, domains_a, _ = _load_policy_source(source_a)
     policy_b, domains_b, _ = _load_policy_source(source_b)
-    domains = domains_a + domains_b
-    for vocab_path in vocab_paths:
-        try:
-            domains.append(parse_domain_xsd(_read_bytes(vocab_path)))
-        except XmlParseError as exc:
-            _die(EXIT_IO, f"{vocab_path}: {exc}")
+    domains = domains_a + domains_b + [_load_schema(path) for path in vocab_paths]
     try:
         vocab = assertion_vocabulary(domains)
     except VocabularyError as exc:

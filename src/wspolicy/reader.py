@@ -68,15 +68,17 @@ def _local_ref(value: str) -> str:
     return value.split(":", 1)[1] if ":" in value else value
 
 
+def _root(source) -> XmlElement:
+    """The root element of XML bytes, or an element that is already parsed."""
+    return source if isinstance(source, XmlElement) else parse_xml(source).root
+
+
 def parse_policy_element(source) -> PolicyExpr:
     """Inverse of emit_policy_element up to normalization.
 
     Accepts bytes or an already-parsed element; the root must be wsp:Policy.
     """
-    if isinstance(source, (bytes, bytearray)):
-        element = parse_xml(bytes(source)).root
-    else:
-        element = source
+    element = _root(source)
     if element.name != WSP_POLICY:
         raise PolicyXmlError(f"expected a wsp:Policy root, got {element.name}")
     return _parse_operator(element, 1)
@@ -106,12 +108,10 @@ def _parse_assertion_ref(element: XmlElement, depth: int) -> AssertionRef:
     parameters: list[tuple[str, str]] = []
     for qname, value in element.attributes:
         if qname == WSP_OPTIONAL:
-            if value in ("true", "1"):
-                optional = True
-            elif value in ("false", "0"):
-                optional = False
-            else:
+            flag = value.strip(" \t\r\n")  # xs:boolean collapses XML whitespace
+            if flag not in ("true", "1", "false", "0"):
                 raise PolicyXmlError(f"bad wsp:Optional value {value!r} on {element.name}")
+            optional = flag in ("true", "1")
         elif not qname.namespace:
             parameters.append((qname.local, value))
         else:
@@ -230,15 +230,17 @@ def _parse_assertion_decl(element: XmlElement, warnings: list[Diagnostic]) -> As
     return AssertionDecl(name, "empty", annotation=annotation)
 
 
-def parse_wsdl(data: bytes, companion_schemas=()) -> ParsedArtifacts:
+def parse_wsdl(data, companion_schemas=()) -> ParsedArtifacts:
     """Reconstruct interfaces, bindings, services, endpoints and embedded
-    policies; companion schemas are matched to xs:import by targetNamespace."""
+    policies; companion schemas are matched to xs:import by targetNamespace.
+    The WSDL is bytes or a parsed root element, each companion bytes or a
+    DomainSchema already read (whose warnings are then the caller's)."""
     warnings: list[Diagnostic] = []
-    domains = tuple(parse_domain_xsd(schema, warnings) for schema in companion_schemas)
+    domains = tuple(s if isinstance(s, DomainSchema) else parse_domain_xsd(s, warnings)
+                    for s in companion_schemas)
     domain_ns = {d.target_namespace for d in domains}
 
-    doc = parse_xml(data)
-    root = doc.root
+    root = _root(data)
     if root.name != WSDL_DESCRIPTION:
         raise XmlParseError(f"expected a wsdl:description root, got {root.name}")
     target = root.attr(ATTR_TARGET_NAMESPACE) or ""

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -398,6 +399,11 @@ SOURCE_OUTCOMES = [
      f"@/construct.wsdl: unsupported policy construct {UNSUPPORTED}"),
     ("@/second.wsdl#" + FRAGMENT, 1,
      f"@/second.wsdl: second wsp:Policy for subject '{FRAGMENT}'; pre-merge policies instead"),
+    # An imported schema that is no domain schema fails under its own path.
+    ("@/import-malformed.wsdl#" + FRAGMENT, 1,
+     "@/malformed.xml: not well-formed (invalid token) (line 1, column 2)"),
+    ("@/import-other.wsdl#" + FRAGMENT, 1, "@/other.xml: expected an xs:schema root, got other"),
+    ("@/import-notns.wsdl#" + FRAGMENT, 1, "@/notns.xsd: domain schema has no targetNamespace"),
 ]
 
 
@@ -420,7 +426,14 @@ def source_files(directory: Path) -> None:
         "bare.wsdl": b'<wsdl:description xmlns:wsdl="http://www.w3.org/ns/wsdl"/>',
         "construct.wsdl": wsdl.replace(b"<wsp:All>", b"<wsp:All><wsp:PolicyReference/>", 1),
         "second.wsdl": wsdl_with_second_endpoint_policy(),
+        "notns.xsd": b'<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"/>',
     }
+    location = b'schemaLocation="ws-semanticsecuritypolicy.xsd"'
+    assert wsdl.count(location) == 1
+    for suffix, schema_name in [("malformed", "malformed.xml"), ("other", "other.xml"),
+                                ("notns", "notns.xsd")]:
+        files[f"import-{suffix}.wsdl"] = wsdl.replace(
+            location, b'schemaLocation="%s"' % schema_name.encode())
     for name, data in files.items():
         (directory / name).write_bytes(data)
     schema = "ws-semanticsecuritypolicy.xsd"
@@ -435,6 +448,70 @@ def test_policy_source_outcomes(runner, tmp_path, source, code, stderr):
     assert result.stderr == (stderr.replace("@", str(tmp_path)) + "\n" if stderr else "")
     if code:
         assert result.stdout == ""
+
+
+# (--vocab file, exit code, stderr): every schema loads as an imported one does.
+VOCAB_OUTCOMES = [
+    ("@/malformed.xml", 1, "@/malformed.xml: not well-formed (invalid token) (line 1, column 2)"),
+    ("@/other.xml", 1, "@/other.xml: expected an xs:schema root, got other"),
+    ("@/notns.xsd", 1, "@/notns.xsd: domain schema has no targetNamespace"),
+    ("@/missing.xsd", 2,
+     "cannot read @/missing.xsd: [Errno 2] No such file or directory: '@/missing.xsd'"),
+]
+
+
+@pytest.mark.parametrize("vocab, code, stderr", VOCAB_OUTCOMES)
+def test_vocab_schema_outcomes(runner, tmp_path, vocab, code, stderr):
+    source_files(tmp_path)
+    spec = f"{tmp_path}/model.json#{FRAGMENT}"
+    result = runner.invoke(cli, ["intersect", spec, spec, "--vocab",
+                                 vocab.replace("@", str(tmp_path))])
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        code, "", stderr.replace("@", str(tmp_path)) + "\n")
+
+
+def test_each_input_file_is_parsed_once(runner, model_path, tmp_path, monkeypatch):
+    wsdl, requester, vocab = alias_setup(runner, model_path, tmp_path)
+    schema = wsdl.parent / "ws-semanticsecuritypolicy.xsd"
+    names = {path.read_bytes(): path.name for path in (wsdl, schema, requester, vocab)}
+    parsed = []
+    for module in (wspolicy.cli, wspolicy.reader):
+        def counted(data, parse=module.parse_xml):
+            parsed.append(names.get(data, "other"))
+            return parse(data)
+
+        monkeypatch.setattr(module, "parse_xml", counted)
+
+    def parses(*args) -> Counter:
+        parsed.clear()
+        result = runner.invoke(cli, [str(arg) for arg in args])
+        assert result.exit_code == 0, result.output
+        return Counter(parsed)
+
+    assert parses("normalize", f"{wsdl}#{FRAGMENT}") == Counter([wsdl.name, schema.name])
+    assert parses("intersect", f"{wsdl}#{FRAGMENT}", requester, "--mode", "semantic",
+                  "--vocab", vocab) == Counter(names.values())
+
+
+# wsp:Optional is an xs:boolean, whose whitespace facet is "collapse": XML's
+# four whitespace characters around the value are ignored, and no others.
+OPTIONAL_VALUES = [
+    (" true ", 0, "(empty alternative)\n{http://x/}A\n", ""),
+    ("&#9;1&#10;", 0, "(empty alternative)\n{http://x/}A\n", ""),
+    ("&#13;false ", 0, "{http://x/}A\n", ""),
+    (" 0", 0, "{http://x/}A\n", ""),
+    ("&#160;true", 1, "", "@: bad wsp:Optional value '\\xa0true' on {http://x/}A\n"),
+]
+
+
+@pytest.mark.parametrize("value, code, stdout, stderr", OPTIONAL_VALUES)
+def test_optional_value_collapses_xml_whitespace(runner, tmp_path, value, code, stdout, stderr):
+    path = tmp_path / "optional.xml"
+    path.write_text('<wsp:Policy xmlns:wsp="http://www.w3.org/ns/ws-policy" '
+                    f'xmlns:x="http://x/"><x:A wsp:Optional="{value}"/></wsp:Policy>')
+    result = runner.invoke(cli, ["normalize", str(path)])
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        code, stdout, stderr.replace("@", str(path)))
 
 
 def test_deep_policy_exits_1_without_traceback(tmp_path):
