@@ -11,12 +11,11 @@ semantic-concept URIs taken from the assertion vocabulary (semantic).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import VocabularyError
-from .names import QName, normalize_uri
+from .names import QName, Value, normalize_uri
 
 ParamValue = Union[str, int, float, bool]
 
@@ -25,6 +24,8 @@ ParamValue = Union[str, int, float, bool]
 # refuse deeper policies: they and the algebra recurse once or more per
 # level, so this keeps both far from Python's recursion limit.
 MAX_POLICY_DEPTH = 100
+
+_set = object.__setattr__
 
 
 def lexical_value(value: ParamValue) -> str:
@@ -116,12 +117,14 @@ class AssertionRef(PolicyExpr):
         return f"AssertionRef({inner})"
 
 
-class Keyed:
-    """Base of frozen dataclasses whose equality and hash read a key set by ``_freeze``."""
+class Keyed(Value):
+    """Base of values whose equality and hash read a key set by ``_freeze``."""
+
+    __slots__ = ("_key", "_hash")
 
     def _freeze(self, key: tuple, identity: object) -> None:
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(identity))
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(identity))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -134,11 +137,7 @@ class Keyed:
     def sort_key(self) -> tuple:
         return self._key
 
-    def __reduce__(self):  # rebuilt from the fields: a str hash differs between processes
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-
-@dataclass(frozen=True, eq=False)
 class AssertionInstance(Keyed):
     """One assertion occurrence inside an alternative.
 
@@ -146,27 +145,24 @@ class AssertionInstance(Keyed):
     instances compare and hash equal regardless of construction order.
     """
 
-    qname: QName
-    parameters: tuple[tuple[str, str], ...] = ()
-    nested: Optional["NormalForm"] = None
+    __slots__ = ("qname", "parameters", "nested")
 
-    def __post_init__(self):
-        canon = tuple(
-            sorted((name, lexical_value(value)) for name, value in self.parameters)
-        )
-        object.__setattr__(self, "parameters", canon)
+    def __init__(self, qname: QName, parameters: Iterable[tuple[str, ParamValue]] = (),
+                 nested: Optional["NormalForm"] = None):
+        canon = tuple(sorted((name, lexical_value(value)) for name, value in parameters))
+        _set(self, "qname", qname)
+        _set(self, "parameters", canon)
+        _set(self, "nested", nested)
         # The presence flag keeps the key injective: an absent nested policy
         # must not collide with a present-but-unsatisfiable one.
-        nested = self.nested
         key = (canon, nested is not None, nested.sort_key() if nested is not None else ())
-        self._freeze(self.qname.sort_key() + key, (self.qname, canon, nested))
+        self._freeze(qname.sort_key() + key, (qname, canon, nested))
 
 
 Alternative = tuple[AssertionInstance, ...]
 Pair = tuple[Alternative, Alternative]
 
 
-@dataclass(frozen=True, eq=False)
 class NormalForm(Keyed):
     """Canonical choice-of-conjunctions.
 
@@ -174,11 +170,12 @@ class NormalForm(Keyed):
     sorted and de-duplicated, so structural equality is canonical equality.
     """
 
-    alternatives: tuple[Alternative, ...] = ()
+    # __dict__ holds the two cached QName sets below, which cached_property needs.
+    __slots__ = ("alternatives", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, alternatives: tuple[Alternative, ...] = ()):
         ids: dict[AssertionInstance, int] = {}
-        sets = {frozenset(ids.setdefault(i, len(ids)) for i in alt) for alt in self.alternatives}
+        sets = {frozenset(ids.setdefault(i, len(ids)) for i in alt) for alt in alternatives}
         self._canonical(sets, ids)
 
     def _canonical(self, sets: set[frozenset[int]], ids: dict[AssertionInstance, int]) -> None:
@@ -191,7 +188,7 @@ class NormalForm(Keyed):
         ranked = sorted(tuple(sorted(map(rank.__getitem__, alt))) for alt in sets)
         sets.clear()  # the id sets of a wide policy are large: free them first
         alternatives = tuple(tuple(map(by_rank.__getitem__, alt)) for alt in ranked)
-        object.__setattr__(self, "alternatives", alternatives)
+        _set(self, "alternatives", alternatives)
         self._freeze(alternatives, alternatives)
 
     def sort_key(self) -> tuple:

@@ -5,30 +5,23 @@ Exit codes are a contract: 0 success (non-empty result), 1 validation or
 content failure, 2 I/O or vocabulary resolution failure, 3 empty or
 unsatisfiable result.  Standard output is one record per line with stable
 ordering; diagnostics go to standard error.
+
+Each command imports the layers it runs, and no others, when it runs: a
+process pays start-up only for what its command uses.
 """
 from __future__ import annotations
 
+import codecs
 import errno
+import importlib
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import __version__
-from .algebra import (
-    MatchMode,
-    NormalForm,
-    PolicyExpr,
-    alternatives_compatible,  # unused here; benchmarks/spans.py wraps cli.alternatives_compatible
-    assertions_compatible,
-    compatible_pairs,
-    denormalize,
-    intersect as intersect_forms,
-    normalize,
-    semantic_match_uris,
-)
-from .emit import emit_wsdl, policy_document
+from . import _MODULE_OF, __version__
 from .errors import (
     GenerationError,
     ModelSchemaError,
@@ -37,18 +30,11 @@ from .errors import (
     VocabularyError,
     XmlParseError,
 )
-from .model import (
-    DomainSchema,
-    ServiceModel,
-    SubjectRef,
-    SUBJECT_KINDS,
-    assertion_vocabulary,
-    validate_model,
-)
-from .modelfile import parse_model
 from .names import ATTR_SCHEMA_LOCATION, WSDL_DESCRIPTION, WSDL_TYPES, WSP_POLICY, XS_IMPORT
-from .reader import parse_domain_xsd, parse_policy_element, parse_wsdl
-from .xmltree import parse_xml, write_canonical
+
+if TYPE_CHECKING:
+    from .algebra import MatchMode, NormalForm, PolicyExpr
+    from .model import DomainSchema, ServiceModel, SubjectRef
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -100,6 +86,8 @@ def _write_all(files: list[tuple[Path, bytes]]) -> None:
 
 
 def _parse_model_or_die(data: bytes) -> ServiceModel:
+    from .modelfile import parse_model
+
     try:
         return parse_model(data)
     except ModelSyntaxError as exc:
@@ -133,6 +121,8 @@ def _split_source(spec: str) -> tuple[str, str | None]:
 
 
 def _subject_from_fragment(frag: str) -> SubjectRef:
+    from .model import SUBJECT_KINDS, SubjectRef
+
     parts = [p for p in frag.split("/") if p]
     if len(parts) < 2 or parts[0] not in SUBJECT_KINDS:
         _die(EXIT_IO, f"bad fragment {frag!r}: expected kind/name[/name] with kind "
@@ -142,6 +132,8 @@ def _subject_from_fragment(frag: str) -> SubjectRef:
 
 def _load_schema(path: str) -> DomainSchema:
     """An imported or --vocab domain schema, parsed once; its faults name its path."""
+    from .reader import parse_domain_xsd
+
     try:
         return parse_domain_xsd(_read_bytes(path))
     except XmlParseError as exc:
@@ -165,10 +157,13 @@ def _load_policy_source(spec: str) -> tuple[PolicyExpr, list[DomainSchema], dict
     """
     path_str, frag = _split_source(spec)
     data = _read_bytes(path_str)
-    model_source = data.lstrip().startswith(b"{")
+    model_source = data.removeprefix(codecs.BOM_UTF8).lstrip().startswith(b"{")
     if model_source:
         loaded = _parse_model_or_die(data)
     else:
+        from .reader import parse_policy_element, parse_wsdl
+        from .xmltree import parse_xml
+
         try:
             doc = parse_xml(data)
             if doc.root.name == WSP_POLICY:
@@ -208,6 +203,8 @@ def cli():
 @click.argument("model_path")
 def validate(model_path: str):
     """Check a model file; print diagnostics, one per line, on stderr."""
+    from .model import validate_model
+
     model = _parse_model_or_die(_read_bytes(model_path))
     diagnostics = validate_model(model)
     for diagnostic in diagnostics:
@@ -221,6 +218,9 @@ def validate(model_path: str):
               help="Directory the file set is written into.")
 def generate(model_path: str, output_dir: str):
     """Generate the WSDL and domain XSD files for a model (all-or-nothing)."""
+    from .emit import emit_wsdl
+    from .xmltree import write_canonical
+
     model = _parse_model_or_die(_read_bytes(model_path))
     try:
         docs = emit_wsdl(model)
@@ -246,6 +246,8 @@ def normalize_cmd(source: str, fmt: str):
 
     SOURCE is either 'model.json#kind/name...' or a wsp:Policy XML file.
     """
+    from .algebra import normalize
+
     expr, _domains, hints = _load_policy_source(source)
     nf = normalize(expr)
     if not nf.satisfiable:
@@ -255,6 +257,10 @@ def normalize_cmd(source: str, fmt: str):
         for line in render_normal_form(nf):
             click.echo(line)
     else:
+        from .algebra import denormalize
+        from .emit import policy_document
+        from .xmltree import write_canonical
+
         try:
             doc = policy_document(denormalize(nf), prefix_hints=hints)
         except GenerationError as exc:
@@ -276,6 +282,9 @@ def normalize_cmd(source: str, fmt: str):
 def intersect(source_a: str, source_b: str, mode: str, vocab_paths: tuple[str, ...],
               explain: bool):
     """Intersect two policy sources; exit 0 if alternatives remain, 3 if none."""
+    from .algebra import MatchMode, intersect as intersect_forms, normalize
+    from .model import assertion_vocabulary
+
     policy_a, domains_a, _ = _load_policy_source(source_a)
     policy_b, domains_b, _ = _load_policy_source(source_b)
     domains = domains_a + domains_b + [_load_schema(path) for path in vocab_paths]
@@ -300,6 +309,8 @@ def intersect(source_a: str, source_b: str, mode: str, vocab_paths: tuple[str, .
 
 
 def _print_explanation(nf_a: NormalForm, nf_b: NormalForm, mode: MatchMode, vocab):
+    from .algebra import MatchMode, assertions_compatible, compatible_pairs, semantic_match_uris
+
     for alt_a, alt_b in compatible_pairs(nf_a, nf_b, mode, vocab):
         click.echo(f"pair: {_alt_label(alt_a)} ~ {_alt_label(alt_b)}")
         if mode is not MatchMode.SEMANTIC:
@@ -313,6 +324,17 @@ def _print_explanation(nf_a: NormalForm, nf_b: NormalForm, mode: MatchMode, voca
 
 def main():
     cli(prog_name="wspolicy")
+
+
+def __getattr__(name: str):
+    """The layer functions ``benchmarks/spans.py`` wraps as ``cli.<name>``, read
+    from their modules on each use; the commands call the modules' own
+    bindings, which it wraps as well.  Goes when ROADMAP item 2 replaces the
+    name-wrapping tracer."""
+    attr = "intersect" if name == "intersect_forms" else name
+    if attr not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"wspolicy.{_MODULE_OF[attr]}"), attr)
 
 
 if __name__ == "__main__":

@@ -9,18 +9,19 @@ serialization deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional
 
 from .algebra import PolicyExpr, iter_refs, satisfiable
 from .errors import VocabularyError
-from .names import QName, XMLNS_NS, XS_NS, XS_STRING, is_absolute_uri, is_ncname
+from .names import QName, Value, XMLNS_NS, XS_NS, XS_STRING, is_absolute_uri, is_ncname
 
 TYPE_KINDS = ("empty", "simple", "complex")
 SUBJECT_KINDS = ("binding", "endpoint", "interface", "operation", "service")
 
 _NAME = attrgetter("name")
+_SUBJECT_KEY = attrgetter("subject.kind", "subject.path")
+_set = object.__setattr__
 
 
 def _by_name(items: tuple, name: str):
@@ -29,27 +30,29 @@ def _by_name(items: tuple, name: str):
     return items[i] if i < len(items) and items[i].name == name else None
 
 
-@dataclass(frozen=True)
-class SemanticAnnotation:
+class SemanticAnnotation(Value):
     """modelReference URIs plus optional lifting/lowering mapping URIs."""
 
-    model_reference: tuple[str, ...]
-    lowering_schema: Optional[str] = None
-    lifting_schema: Optional[str] = None
+    __slots__ = ("model_reference", "lowering_schema", "lifting_schema")
 
-    def __post_init__(self):
-        object.__setattr__(self, "model_reference", tuple(self.model_reference))
-
-
-@dataclass(frozen=True)
-class AttributeDecl:
-    name: str
-    simple_type: QName
-    annotation: Optional[SemanticAnnotation] = None
+    def __init__(self, model_reference: Iterable[str], lowering_schema: Optional[str] = None,
+                 lifting_schema: Optional[str] = None):
+        _set(self, "model_reference", tuple(model_reference))
+        _set(self, "lowering_schema", lowering_schema)
+        _set(self, "lifting_schema", lifting_schema)
 
 
-@dataclass(frozen=True)
-class AssertionDecl:
+class AttributeDecl(Value):
+    __slots__ = ("name", "simple_type", "annotation")
+
+    def __init__(self, name: str, simple_type: QName,
+                 annotation: Optional[SemanticAnnotation] = None):
+        _set(self, "name", name)
+        _set(self, "simple_type", simple_type)
+        _set(self, "annotation", annotation)
+
+
+class AssertionDecl(Value):
     """One assertion of a non-functional domain, declared as a schema element.
 
     ``simple_type`` is only meaningful for type kind "simple" and defaults to
@@ -57,188 +60,178 @@ class AssertionDecl:
     inside this assertion's nested policy.
     """
 
-    name: str
-    type_kind: str = "empty"
-    simple_type: Optional[QName] = None
-    attributes: tuple[AttributeDecl, ...] = ()
-    nestable_children: tuple[str, ...] = ()
-    annotation: Optional[SemanticAnnotation] = None
+    __slots__ = ("name", "type_kind", "simple_type", "attributes", "nestable_children",
+                 "annotation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "nestable_children", tuple(sorted(self.nestable_children)))
-        if self.type_kind == "simple" and self.simple_type is None:
-            object.__setattr__(self, "simple_type", XS_STRING)
+    def __init__(self, name: str, type_kind: str = "empty", simple_type: Optional[QName] = None,
+                 attributes: Iterable[AttributeDecl] = (), nestable_children: Iterable[str] = (),
+                 annotation: Optional[SemanticAnnotation] = None):
+        if type_kind == "simple" and simple_type is None:
+            simple_type = XS_STRING
+        _set(self, "name", name)
+        _set(self, "type_kind", type_kind)
+        _set(self, "simple_type", simple_type)
+        _set(self, "attributes", tuple(attributes))
+        _set(self, "nestable_children", tuple(sorted(nestable_children)))
+        _set(self, "annotation", annotation)
 
 
-@dataclass(frozen=True)
-class DomainSchema:
+class DomainSchema(Value):
     """A non-functional domain: a namespace of annotated assertion declarations."""
 
-    domain_name: str
-    target_namespace: str
-    prefix: str
-    assertions: tuple[AssertionDecl, ...] = ()
+    __slots__ = ("domain_name", "target_namespace", "prefix", "assertions")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "assertions", tuple(sorted(self.assertions, key=lambda a: a.name))
-        )
+    def __init__(self, domain_name: str, target_namespace: str, prefix: str,
+                 assertions: Iterable[AssertionDecl] = ()):
+        _set(self, "domain_name", domain_name)
+        _set(self, "target_namespace", target_namespace)
+        _set(self, "prefix", prefix)
+        _set(self, "assertions", tuple(sorted(assertions, key=_NAME)))
 
     def assertion(self, name: str) -> Optional[AssertionDecl]:
         return _by_name(self.assertions, name)
 
 
-@dataclass(frozen=True)
-class MessageRef:
-    name: str
-    element_type: QName
+class MessageRef(Value):
+    __slots__ = ("name", "element_type")
+
+    def __init__(self, name: str, element_type: QName):
+        _set(self, "name", name)
+        _set(self, "element_type", element_type)
 
 
-@dataclass(frozen=True)
-class FaultDecl:
-    name: str
-    element_type: Optional[QName] = None
+class FaultDecl(Value):
+    __slots__ = ("name", "element_type")
+
+    def __init__(self, name: str, element_type: Optional[QName] = None):
+        _set(self, "name", name)
+        _set(self, "element_type", element_type)
 
 
-@dataclass(frozen=True)
-class OperationDecl:
-    name: str
-    inputs: tuple[MessageRef, ...] = ()
-    outputs: tuple[MessageRef, ...] = ()
-    fault_refs: tuple[str, ...] = ()
+class OperationDecl(Value):
+    __slots__ = ("name", "inputs", "outputs", "fault_refs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "fault_refs", tuple(self.fault_refs))
+    def __init__(self, name: str, inputs: Iterable[MessageRef] = (),
+                 outputs: Iterable[MessageRef] = (), fault_refs: Iterable[str] = ()):
+        _set(self, "name", name)
+        _set(self, "inputs", tuple(inputs))
+        _set(self, "outputs", tuple(outputs))
+        _set(self, "fault_refs", tuple(fault_refs))
 
 
-@dataclass(frozen=True)
-class InterfaceDecl:
-    name: str
-    operations: tuple[OperationDecl, ...] = ()
-    faults: tuple[FaultDecl, ...] = ()
+class InterfaceDecl(Value):
+    __slots__ = ("name", "operations", "faults")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "operations", tuple(sorted(self.operations, key=lambda o: o.name))
-        )
-        object.__setattr__(self, "faults", tuple(sorted(self.faults, key=lambda f: f.name)))
+    def __init__(self, name: str, operations: Iterable[OperationDecl] = (),
+                 faults: Iterable[FaultDecl] = ()):
+        _set(self, "name", name)
+        _set(self, "operations", tuple(sorted(operations, key=_NAME)))
+        _set(self, "faults", tuple(sorted(faults, key=_NAME)))
 
     def operation(self, name: str) -> Optional[OperationDecl]:
         return _by_name(self.operations, name)
 
 
-@dataclass(frozen=True)
-class BindingDecl:
-    name: str
-    interface_ref: str
-    transport_protocol: str
-    message_encoding: str = ""
+class BindingDecl(Value):
+    __slots__ = ("name", "interface_ref", "transport_protocol", "message_encoding")
+
+    def __init__(self, name: str, interface_ref: str, transport_protocol: str,
+                 message_encoding: str = ""):
+        _set(self, "name", name)
+        _set(self, "interface_ref", interface_ref)
+        _set(self, "transport_protocol", transport_protocol)
+        _set(self, "message_encoding", message_encoding)
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    name: str
-    binding_ref: str
-    address: str
+class Endpoint(Value):
+    __slots__ = ("name", "binding_ref", "address")
+
+    def __init__(self, name: str, binding_ref: str, address: str):
+        _set(self, "name", name)
+        _set(self, "binding_ref", binding_ref)
+        _set(self, "address", address)
 
 
-@dataclass(frozen=True)
-class ServiceDecl:
-    name: str
-    interface_ref: str
-    endpoints: tuple[Endpoint, ...] = ()
+class ServiceDecl(Value):
+    __slots__ = ("name", "interface_ref", "endpoints")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "endpoints", tuple(sorted(self.endpoints, key=lambda e: e.name))
-        )
+    def __init__(self, name: str, interface_ref: str, endpoints: Iterable[Endpoint] = ()):
+        _set(self, "name", name)
+        _set(self, "interface_ref", interface_ref)
+        _set(self, "endpoints", tuple(sorted(endpoints, key=_NAME)))
 
     def endpoint(self, name: str) -> Optional[Endpoint]:
         return _by_name(self.endpoints, name)
 
 
-@dataclass(frozen=True)
-class SubjectRef:
+class SubjectRef(Value):
     """Addresses one policy subject: a kind plus a path of identifiers.
 
     Paths: binding/interface/service take one name; operation takes
     (interface, operation); endpoint takes (service, endpoint).
     """
 
-    kind: str
-    path: tuple[str, ...]
+    __slots__ = ("kind", "path")
 
-    def __post_init__(self):
-        object.__setattr__(self, "path", tuple(self.path))
+    def __init__(self, kind: str, path: Iterable[str]):
+        _set(self, "kind", kind)
+        _set(self, "path", tuple(path))
 
     def path_string(self) -> str:
         return "/".join((self.kind,) + self.path)
 
 
-@dataclass(frozen=True)
-class PolicyAttachment:
-    subject: SubjectRef
-    policy: PolicyExpr
+class PolicyAttachment(Value):
+    __slots__ = ("subject", "policy")
+
+    def __init__(self, subject: SubjectRef, policy: PolicyExpr):
+        _set(self, "subject", subject)
+        _set(self, "policy", policy)
 
 
-@dataclass(frozen=True)
-class ExternalNamespace:
+class ExternalNamespace(Value):
     """A namespace usable by message element types, with an optional preferred prefix."""
 
-    namespace: str
-    prefix: Optional[str] = None
+    __slots__ = ("namespace", "prefix")
+
+    def __init__(self, namespace: str, prefix: Optional[str] = None):
+        _set(self, "namespace", namespace)
+        _set(self, "prefix", prefix)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    code: str
-    subject_path: str
-    message: str
+class Diagnostic(Value):
+    __slots__ = ("severity", "code", "subject_path", "message")
+
+    def __init__(self, severity: str, code: str, subject_path: str, message: str):
+        _set(self, "severity", severity)  # "error" | "warning"
+        _set(self, "code", code)
+        _set(self, "subject_path", subject_path)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.severity} {self.code} {self.subject_path}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ServiceModel:
+class ServiceModel(Value):
     """The full declarative input for generation."""
 
-    model_name: str
-    target_namespace: str
-    domains: tuple[DomainSchema, ...] = ()
-    interfaces: tuple[InterfaceDecl, ...] = ()
-    bindings: tuple[BindingDecl, ...] = ()
-    services: tuple[ServiceDecl, ...] = ()
-    attachments: tuple[PolicyAttachment, ...] = ()
-    external_namespaces: tuple[ExternalNamespace, ...] = ()
+    __slots__ = ("model_name", "target_namespace", "domains", "interfaces", "bindings",
+                 "services", "attachments", "external_namespaces")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "domains", tuple(sorted(self.domains, key=lambda d: d.domain_name))
-        )
-        object.__setattr__(
-            self, "interfaces", tuple(sorted(self.interfaces, key=lambda i: i.name))
-        )
-        object.__setattr__(
-            self, "bindings", tuple(sorted(self.bindings, key=lambda b: b.name))
-        )
-        object.__setattr__(
-            self, "services", tuple(sorted(self.services, key=lambda s: s.name))
-        )
-        object.__setattr__(
-            self,
-            "attachments",
-            tuple(sorted(self.attachments, key=lambda a: (a.subject.kind, a.subject.path))),
-        )
-        object.__setattr__(
-            self,
-            "external_namespaces",
-            tuple(sorted(self.external_namespaces, key=lambda n: n.namespace)),
-        )
+    def __init__(self, model_name: str, target_namespace: str,
+                 domains: Iterable[DomainSchema] = (), interfaces: Iterable[InterfaceDecl] = (),
+                 bindings: Iterable[BindingDecl] = (), services: Iterable[ServiceDecl] = (),
+                 attachments: Iterable[PolicyAttachment] = (),
+                 external_namespaces: Iterable[ExternalNamespace] = ()):
+        _set(self, "model_name", model_name)
+        _set(self, "target_namespace", target_namespace)
+        _set(self, "domains", tuple(sorted(domains, key=attrgetter("domain_name"))))
+        _set(self, "interfaces", tuple(sorted(interfaces, key=_NAME)))
+        _set(self, "bindings", tuple(sorted(bindings, key=_NAME)))
+        _set(self, "services", tuple(sorted(services, key=_NAME)))
+        _set(self, "attachments", tuple(sorted(attachments, key=_SUBJECT_KEY)))
+        _set(self, "external_namespaces",
+             tuple(sorted(external_namespaces, key=attrgetter("namespace"))))
 
     def interface(self, name: str) -> Optional[InterfaceDecl]:
         return _by_name(self.interfaces, name)

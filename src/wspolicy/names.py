@@ -3,8 +3,7 @@ from __future__ import annotations
 
 import gc
 import re
-from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, total_ordering, wraps
 from urllib.parse import urlsplit, urlunsplit
 
 XS_NS = "http://www.w3.org/2001/XMLSchema"
@@ -23,22 +22,77 @@ MEP_OUT_ONLY = "http://www.w3.org/ns/wsdl/out-only"
 DOMAIN_NAME_APPINFO = "urn:x-wspolicy:domain-name"
 NESTABLE_APPINFO = "urn:x-wspolicy:nestable-assertions"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, order=True)
-class QName:
+
+class Value:
+    """Base of the package's immutable values.
+
+    A subclass lists its fields as ``__slots__`` (slots named with a leading
+    underscore are private state, not fields) and sets them in its own
+    ``__init__`` through ``object.__setattr__``.  Values have a repr in the
+    ``Cls(field=value, ...)`` form, compare and hash on their fields, equal
+    only to the same class, pickle and copy by their fields, and refuse
+    assignment and deletion with ``dataclasses.FrozenInstanceError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for klass in reversed(cls.__mro__)
+                            for name in klass.__dict__.get("__slots__", ()) if name[0] != "_")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # rebuilt from the fields: a cached str hash differs between processes
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen(f"cannot delete field {name!r}")
+
+
+def _frozen(message: str) -> Exception:
+    # Imported on first use: nothing else at start-up needs dataclasses.
+    from dataclasses import FrozenInstanceError
+    return FrozenInstanceError(message)
+
+
+@total_ordering
+class QName(Value):
     """A (namespace URI, local name) pair.
 
     Prefixes are presentation-only and assigned when documents are written;
     ordering is lexicographic on (namespace, local).
     """
 
-    namespace: str
-    local: str
-    _hash = 0  # not a field: kept from the first __hash__, as most are never hashed
+    __slots__ = ("namespace", "local", "_hash")  # _hash: kept from the first __hash__
+
+    def __init__(self, namespace: str, local: str):
+        _set(self, "namespace", namespace)
+        _set(self, "local", local)
+        _set(self, "_hash", 0)
 
     def __hash__(self) -> int:
         if not self._hash:
-            object.__setattr__(self, "_hash", hash((self.namespace, self.local)))
+            _set(self, "_hash", hash((self.namespace, self.local)))
         return self._hash
 
     def __eq__(self, other: object) -> bool:  # identity first, and no tuples: dict lookups run it
@@ -48,11 +102,13 @@ class QName:
             return NotImplemented
         return self.local == other.local and self.namespace == other.namespace
 
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.namespace, self.local) < (other.namespace, other.local)
+
     def sort_key(self) -> tuple[str, str]:
         return (self.namespace, self.local)
-
-    def __reduce__(self):  # never carry a hash to a process with another hash seed
-        return QName, (self.namespace, self.local)
 
     def __str__(self) -> str:
         if self.namespace:

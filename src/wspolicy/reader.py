@@ -7,8 +7,6 @@ corrupt matching.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import MAX_POLICY_DEPTH, All, AssertionRef, ExactlyOne, Policy, PolicyExpr, iter_refs
 from .errors import PolicyXmlError, XmlParseError
 from .model import (
@@ -34,22 +32,26 @@ from .names import (
     NESTABLE_APPINFO, QName, SAWSDL_LIFTING, SAWSDL_LOWERING, SAWSDL_MODEL_REFERENCE, UNTYPED,
     WSDL_BINDING, WSDL_DESCRIPTION, WSDL_ENDPOINT, WSDL_FAULT, WSDL_FAULT_REFS, WSDL_INTERFACE,
     WSDL_MESSAGES, WSDL_OPERATION, WSDL_SERVICE, WSDL_TYPES, WSP_ALL, WSP_EXACTLY_ONE, WSP_NS,
-    WSP_OPTIONAL, WSP_POLICY, XS_ANNOTATION, XS_APPINFO, XS_ATTRIBUTE, XS_COMPLEX_TYPE,
+    WSP_OPTIONAL, WSP_POLICY, Value, XS_ANNOTATION, XS_APPINFO, XS_ATTRIBUTE, XS_COMPLEX_TYPE,
     XS_ELEMENT, XS_IMPORT, XS_SCHEMA, XS_SEQUENCE, XS_STRING, is_ncname,
 )
 from .xmltree import XmlElement, parse_xml
 
 _OPERATORS = {WSP_POLICY: Policy, WSP_ALL: All, WSP_EXACTLY_ONE: ExactlyOne}
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class ParsedArtifacts:
+class ParsedArtifacts(Value):
     """What came back out of a WSDL file and its companion schemas."""
 
-    service_model: ServiceModel
-    domains: tuple[DomainSchema, ...]
-    attachments: tuple[PolicyAttachment, ...]
-    warnings: tuple[Diagnostic, ...]
+    __slots__ = ("service_model", "domains", "attachments", "warnings")
+
+    def __init__(self, service_model: ServiceModel, domains: tuple[DomainSchema, ...],
+                 attachments: tuple[PolicyAttachment, ...], warnings: tuple[Diagnostic, ...]):
+        _set(self, "service_model", service_model)
+        _set(self, "domains", domains)
+        _set(self, "attachments", attachments)
+        _set(self, "warnings", warnings)
 
 
 def _resolve_qname(value: str, nsmap: dict[str, str]) -> QName:

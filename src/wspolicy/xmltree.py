@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import re
 import xml.parsers.expat
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .errors import XmlParseError
-from .names import NON_XML_CHARS, QName, check_xml_chars, is_ncname
+from .names import NON_XML_CHARS, QName, Value, check_xml_chars, is_ncname
 
 Child = Union["XmlElement", str]
+_set = object.__setattr__
 
 
 class XmlElement:
@@ -68,12 +68,14 @@ class XmlElement:
         return f"<XmlElement {self.name} attrs={len(self.attributes)} children={len(self.children)}>"
 
 
-@dataclass
-class XmlDocument:
+class XmlDocument(Value):
     """A root element plus the namespace declarations written on it."""
 
-    root: XmlElement
-    namespaces: dict[str, str] = field(default_factory=dict)  # prefix -> URI
+    __slots__ = ("root", "namespaces")
+
+    def __init__(self, root: XmlElement, namespaces: Optional[dict[str, str]] = None):
+        _set(self, "root", root)
+        _set(self, "namespaces", {} if namespaces is None else namespaces)  # prefix -> URI
 
 
 def _split_expat_name(name: str) -> QName:

@@ -1,7 +1,6 @@
 """Shared fixtures: the TravelAgency corpus and the alias-vocabulary fixtures."""
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -75,8 +74,9 @@ def wide_optional_json(count: int) -> dict:
 def conflicting_security_domain() -> DomainSchema:
     """The corpus security domain with UsernameToken annotated differently."""
     (domain,) = travel_agency_model().domains
-    return dataclasses.replace(domain, assertions=tuple(
-        dataclasses.replace(d, annotation=SemanticAnnotation(("http://example.org/other#T",)))
+    return DomainSchema(domain.domain_name, domain.target_namespace, domain.prefix, tuple(
+        AssertionDecl(d.name, d.type_kind, d.simple_type, d.attributes, d.nestable_children,
+                      SemanticAnnotation(("http://example.org/other#T",)))
         if d.name == "UsernameToken" else d
         for d in domain.assertions
     ))

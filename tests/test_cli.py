@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -372,6 +373,10 @@ SOURCE_OUTCOMES = [
      "error model-syntax document: Expecting property name enclosed in double quotes "
      "(line 1, column 2)"),
     ("@/schema.json", 1, "error model-schema missing required field 'modelName'"),
+    # A byte order mark does not hide a model file: it fails as validate reports it.
+    ("@/bom.json#" + FRAGMENT, 1,
+     "error model-syntax document: Unexpected UTF-8 BOM (decode using utf-8-sig) "
+     "(line 1, column 1)"),
     ("@/model.json", 2, "@/model.json: model sources need a '#kind/name...' fragment"),
     ("@/model.json#nope/x", 2,
      f"bad fragment 'nope/x': expected kind/name[/name] with kind in {KINDS}"),
@@ -417,6 +422,7 @@ def source_files(directory: Path) -> None:
         "model.json": travel_agency_bytes(),
         "syntax.json": b"{,}",
         "schema.json": b'{"formatVersion": "1.0"}',
+        "bom.json": codecs.BOM_UTF8 + travel_agency_bytes(),
         "policy.xml": write_canonical(policy_document(Policy(AssertionRef(sp("Token"))))),
         "malformed.xml": b"<a<",
         "construct.xml": f"<wsp:Policy {wsp}><wsp:PolicyReference/></wsp:Policy>".encode(),
@@ -450,6 +456,17 @@ def test_policy_source_outcomes(runner, tmp_path, source, code, stderr):
         assert result.stdout == ""
 
 
+def test_bom_model_file_fails_alike_in_validate_and_normalize(runner, tmp_path):
+    source_files(tmp_path)
+    path = tmp_path / "bom.json"
+    outcomes = {(result.exit_code, result.stdout, result.stderr) for result in (
+        runner.invoke(cli, ["validate", str(path)]),
+        runner.invoke(cli, ["normalize", f"{path}#{FRAGMENT}"]),
+    )}
+    assert outcomes == {(1, "", "error model-syntax document: Unexpected UTF-8 BOM "
+                                "(decode using utf-8-sig) (line 1, column 1)\n")}
+
+
 # (--vocab file, exit code, stderr): every schema loads as an imported one does.
 VOCAB_OUTCOMES = [
     ("@/malformed.xml", 1, "@/malformed.xml: not well-formed (invalid token) (line 1, column 2)"),
@@ -475,7 +492,7 @@ def test_each_input_file_is_parsed_once(runner, model_path, tmp_path, monkeypatc
     schema = wsdl.parent / "ws-semanticsecuritypolicy.xsd"
     names = {path.read_bytes(): path.name for path in (wsdl, schema, requester, vocab)}
     parsed = []
-    for module in (wspolicy.cli, wspolicy.reader):
+    for module in (wspolicy.xmltree, wspolicy.reader):
         def counted(data, parse=module.parse_xml):
             parsed.append(names.get(data, "other"))
             return parse(data)

@@ -281,7 +281,9 @@ def test_message_namespace_must_be_declared():
 
 def test_duplicate_attachment_flagged_on_hand_built_models():
     model = travel_agency_model()
-    doubled = dataclasses.replace(model, attachments=model.attachments + model.attachments)
+    doubled = ServiceModel(model.model_name, model.target_namespace, model.domains,
+                           model.interfaces, model.bindings, model.services,
+                           model.attachments + model.attachments, model.external_namespaces)
     assert "duplicate-attachment" in codes(validate_model(doubled))
 
 

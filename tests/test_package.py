@@ -1,6 +1,8 @@
 """The package's public surface and its dependencies."""
 import ast
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -108,3 +110,81 @@ def test_sources_parse_as_python_3_10():
     assert len(modules) > 5
     for path in modules:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+# Run in a fresh interpreter: import the CLI, or run one command, then print
+# the wspolicy modules imported as the last stdout line.
+_PRINT_MODULES = """
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "wspolicy")))
+"""
+_IMPORT_CHILD = "import json, sys\nimport wspolicy.cli\n" + _PRINT_MODULES
+_COMMAND_CHILD = """
+import json, sys
+from wspolicy.cli import main
+sys.argv = ["wspolicy", *sys.argv[1:]]
+try:
+    main()
+except SystemExit as exc:
+    assert not exc.code, exc.code
+""" + _PRINT_MODULES
+
+_BASE = {"wspolicy", "wspolicy.cli", "wspolicy.errors", "wspolicy.names"}
+_FIXTURE = Path(__file__).parent / "fixtures" / "travel_agency.json"
+_GOLDEN = Path(__file__).parent / "golden"
+_FRAGMENT = "endpoint/TravelAgencyService/TravelAgencyEndpoint"
+
+
+def _imported_by(tmp_path: Path, *args: str) -> set[str]:
+    code = _COMMAND_CHILD if args else _IMPORT_CHILD
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_importing_the_cli_imports_no_layer(tmp_path):
+    assert _imported_by(tmp_path) == _BASE
+
+
+def test_generate_imports_no_reader(tmp_path):
+    imported = _imported_by(tmp_path, "generate", str(_FIXTURE), "--output-dir", "out")
+    assert imported - _BASE == {"wspolicy.algebra", "wspolicy.emit", "wspolicy.model",
+                                "wspolicy.modelfile", "wspolicy.xmltree"}
+
+
+def test_text_normalize_of_a_model_imports_no_xml_layer(tmp_path):
+    imported = _imported_by(tmp_path, "normalize", f"{_FIXTURE}#{_FRAGMENT}")
+    assert imported - _BASE == {"wspolicy.algebra", "wspolicy.model", "wspolicy.modelfile"}
+
+
+def test_intersect_of_xml_sources_imports_no_model_file_or_writer(tmp_path):
+    for name in ("TravelAgency.wsdl", "ws-semanticsecuritypolicy.xsd"):
+        shutil.copy(_GOLDEN / name, tmp_path / name)
+    (tmp_path / "requester.xml").write_text(
+        '<wsp:Policy xmlns:wsp="http://www.w3.org/ns/ws-policy" '
+        'xmlns:sp="http://emi/ws-semanticsecuritypolicy.xsd"><sp:UsernameToken><wsp:Policy>'
+        '<sp:HashPassword/><sp:WssUsernameToken10/></wsp:Policy></sp:UsernameToken></wsp:Policy>')
+    imported = _imported_by(tmp_path, "intersect", "TravelAgency.wsdl", "requester.xml")
+    assert imported - _BASE == {"wspolicy.algebra", "wspolicy.model", "wspolicy.reader",
+                                "wspolicy.xmltree"}
+
+
+def test_no_module_declares_a_dataclass():
+    # The value classes are slotted classes on names.Value; dataclasses is
+    # only the home of the FrozenInstanceError they raise.
+    uses = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names if alias.name == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                names = [alias.name for alias in node.names if alias.name != "FrozenInstanceError"]
+            elif isinstance(node, ast.Name) and node.id == "dataclass":
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and node.attr == "dataclass":
+                names = [node.attr]
+            else:
+                continue
+            uses.setdefault(path.name, []).extend(names)
+    assert {name: found for name, found in uses.items() if found} == {}
