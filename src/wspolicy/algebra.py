@@ -37,8 +37,8 @@ def lexical_value(value: ParamValue) -> str:
     return value
 
 
-class PolicyExpr:
-    """Base class for policy tree nodes."""
+class PolicyExpr(Value):
+    """Base class for policy tree nodes: immutable values with a compact repr."""
 
     __slots__ = ()
 
@@ -52,13 +52,10 @@ class _Operator(PolicyExpr):
                 raise TypeError(
                     f"operator child must be a PolicyExpr, got {type(child).__name__}"
                 )
-        self.children: tuple[PolicyExpr, ...] = tuple(children)
+        _set(self, "children", children)
 
-    def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self.children == other.children
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.children))
+    def __reduce__(self):  # the constructor takes the children one by one
+        return type(self), self.children
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(repr, self.children))})"
@@ -89,21 +86,10 @@ class AssertionRef(PolicyExpr):
         parameters: Iterable[tuple[str, ParamValue]] = (),
         nested: Optional[PolicyExpr] = None,
     ):
-        self.qname = qname
-        self.optional = bool(optional)
-        self.parameters: tuple[tuple[str, ParamValue], ...] = tuple(
-            (name, value) for name, value in parameters
-        )
-        self.nested = nested
-
-    def _key(self):
-        return (self.qname, self.optional, self.parameters, self.nested)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AssertionRef) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        _set(self, "qname", qname)
+        _set(self, "optional", bool(optional))
+        _set(self, "parameters", tuple([(n, v) for n, v in parameters]) if parameters else ())
+        _set(self, "nested", nested)
 
     def __repr__(self) -> str:
         flags = []

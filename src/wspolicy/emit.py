@@ -102,7 +102,7 @@ def _preferred_prefixes(model: ServiceModel) -> dict[str, str]:
 
 
 def _appinfo(source: str, text: str) -> XmlElement:
-    appinfo = XmlElement(XS_APPINFO, [(ATTR_SOURCE, source)], [text])
+    appinfo = XmlElement(XS_APPINFO, [(ATTR_SOURCE, source)], text=text)
     return XmlElement(XS_ANNOTATION, (), [appinfo])
 
 
@@ -214,10 +214,8 @@ def _policy_node(expr: PolicyExpr) -> XmlElement:
         ]
         if expr.optional:
             attrs.append((WSP_OPTIONAL, "true"))
-        children = []
-        if expr.nested is not None:
-            children.append(_policy_root(expr.nested))
-        return XmlElement(expr.qname, attrs, children)
+        nested = () if expr.nested is None else (_policy_root(expr.nested),)
+        return XmlElement(expr.qname, attrs, nested)
     return XmlElement(
         _WSP_OPERATORS[type(expr)], (), [_policy_node(child) for child in expr.children]
     )

@@ -12,9 +12,11 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .algebra import PolicyExpr, iter_refs, satisfiable
+from .algebra import AssertionRef, PolicyExpr, iter_refs, satisfiable
 from .errors import VocabularyError
-from .names import QName, Value, XMLNS_NS, XS_NS, XS_STRING, is_absolute_uri, is_ncname
+from .names import (
+    QName, Value, XMLNS_NS, XS_NS, XS_STRING, check_xml_chars, is_absolute_uri, is_ncname,
+)
 
 TYPE_KINDS = ("empty", "simple", "complex")
 SUBJECT_KINDS = ("binding", "endpoint", "interface", "operation", "service")
@@ -385,8 +387,10 @@ def validate_domain(domain: DomainSchema) -> list[Diagnostic]:
     _check_namespace(out, f"{path}.targetNamespace", domain.target_namespace)
     for decl, apath in _named(out, domain.assertions, f"{path}.assertions", "assertion"):
         _check_assertion_shape(out, apath, decl)
+        _check_type_name(out, apath, "simpleType", decl.simple_type)
         _check_annotation(out, f"{apath}.annotation", decl.annotation, on_attribute=False)
         for attr, attr_path in _named(out, decl.attributes, f"{apath}.attributes", "attribute"):
+            _check_type_name(out, attr_path, "simpleType", attr.simple_type)
             _check_annotation(out, f"{attr_path}.annotation", attr.annotation, on_attribute=True)
         for child in decl.nestable_children:
             if domain.assertion(child) is None:
@@ -435,7 +439,13 @@ def _check_assertion_shape(out: _Collector, path: str, decl: AssertionDecl):
                   "complex assertion must declare attributes or nestableChildren")
 
 
+def _check_type_name(out: _Collector, path: str, field: str, qname: Optional[QName]):
+    if qname is not None and not is_ncname(qname.local):
+        _check_identifier(out, f"{path}.{field}", qname.local, "local part")
+
+
 def _check_element_type(out: _Collector, path: str, qname: Optional[QName], table: frozenset):
+    _check_type_name(out, path, "elementType", qname)
     if qname is not None and qname.namespace not in table:
         out.error("namespace-undeclared", f"{path}.elementType",
                   f"namespace not in the model namespace table: {qname.namespace!r}")
@@ -491,7 +501,12 @@ def _check_attachments(out: _Collector, model: ServiceModel):
     for attachment in model.attachments:
         subject = attachment.subject
         path = f"attachments[{subject.path_string()}]"
-        undeclared = {ref.qname for ref in iter_refs(attachment.policy)} - declared
+        undeclared: set[QName] = set()
+        for ref in iter_refs(attachment.policy):
+            if ref.qname not in declared:
+                undeclared.add(ref.qname)
+            if ref.parameters:
+                _check_parameters(out, path, ref)
         if undeclared:
             out.error("assertion-undeclared", path, "policy references an assertion "
                       f"declared in no domain: {min(undeclared)}")
@@ -508,3 +523,18 @@ def _check_attachments(out: _Collector, model: ServiceModel):
         if resolve_subject(model, subject) is None:
             out.error("subject-unresolved", path,
                       f"subject does not resolve: {subject.path_string()}")
+
+
+def _check_parameters(out: _Collector, path: str, ref: AssertionRef):
+    """An assertion's parameters are written as attributes: each name a unique
+    NCName, each value one that XML 1.0 can carry."""
+    seen: set[str] = set()
+    for name, value in ref.parameters:
+        ppath = f"{path}.{ref.qname}.parameters[{name}]"
+        _check_unique(out, seen, name, ppath, "parameter")
+        _check_identifier(out, ppath, name, "parameter name")
+        if isinstance(value, str):
+            try:
+                check_xml_chars(value)
+            except ValueError as exc:
+                out.error("bad-character", ppath, f"parameter value: {exc}")

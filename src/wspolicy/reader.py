@@ -88,9 +88,9 @@ def parse_policy_element(source) -> PolicyExpr:
 
 def _parse_operator(element: XmlElement, depth: int) -> PolicyExpr:
     ctor = _OPERATORS[element.name]
-    if element.text().strip():
+    if element.text.strip():
         raise PolicyXmlError(f"unexpected text content inside {element.name}")
-    return ctor(*(_parse_policy_child(child, depth + 1) for child in element.element_children()))
+    return ctor(*(_parse_policy_child(child, depth + 1) for child in element.children))
 
 
 def _parse_policy_child(element: XmlElement, depth: int) -> PolicyExpr:
@@ -120,10 +120,10 @@ def _parse_assertion_ref(element: XmlElement, depth: int) -> AssertionRef:
             raise PolicyXmlError(
                 f"unsupported qualified attribute {qname} on assertion {element.name}"
             )
-    if element.text().strip():
+    if element.text.strip():
         raise PolicyXmlError(f"unsupported text content inside assertion {element.name}")
     nested: PolicyExpr | None = None
-    for child in element.element_children():
+    for child in element.children:
         if child.name == WSP_POLICY:
             if nested is not None:
                 raise PolicyXmlError(f"assertion {element.name} has two nested policies")
@@ -139,7 +139,7 @@ def _appinfo_text(element: XmlElement, source: str) -> str | None:
     for annotation in element.find_all(XS_ANNOTATION):
         for appinfo in annotation.find_all(XS_APPINFO):
             if appinfo.attr(ATTR_SOURCE) == source:
-                return appinfo.text().strip()
+                return appinfo.text.strip()
     return None
 
 
@@ -178,7 +178,7 @@ def parse_domain_xsd(data: bytes, warnings: list[Diagnostic] | None = None) -> D
         name = "domain"
 
     assertions: list[AssertionDecl] = []
-    for child in root.element_children():
+    for child in root.children:
         if child.name == XS_ANNOTATION:
             continue
         if child.name != XS_ELEMENT:
@@ -211,7 +211,7 @@ def _parse_assertion_decl(element: XmlElement, warnings: list[Diagnostic]) -> As
     attributes: list[AttributeDecl] = []
     has_content = False
     if complex_type is not None:
-        for part in complex_type.element_children():
+        for part in complex_type.children:
             if part.name == XS_ATTRIBUTE:
                 attr_name = part.attr(ATTR_NAME) or ""
                 attr_type = part.attr(ATTR_TYPE)
@@ -267,9 +267,9 @@ def parse_wsdl(data, companion_schemas=()) -> ParsedArtifacts:
             consumed.add(id(child))
             attachments.append(PolicyAttachment(subject, parse_policy_element(child)))
 
-    for section in root.element_children():
+    for section in root.children:
         if section.name == WSDL_TYPES:
-            for item in section.element_children():
+            for item in section.children:
                 if item.name == XS_IMPORT:
                     namespace = item.attr(ATTR_NAMESPACE) or ""
                     if namespace not in domain_ns:
@@ -320,7 +320,7 @@ def _reject_stray_policies(root: XmlElement, consumed: set[int]):
     # policy has no depth cap, so recursion could exhaust interpreter frames.
     stack = [root]
     while stack:
-        for child in stack.pop().element_children():
+        for child in stack.pop().children:
             if id(child) in consumed:
                 continue
             if child.name == WSP_POLICY:
@@ -335,7 +335,7 @@ def _parse_interface(section: XmlElement, take_policy) -> InterfaceDecl:
     take_policy(section, "interface", name)
     faults: list[FaultDecl] = []
     operations: list[OperationDecl] = []
-    for child in section.element_children():
+    for child in section.children:
         if child.name == WSDL_FAULT:
             element_attr = child.attr(ATTR_ELEMENT)
             element = _resolve_qname(element_attr, child.nsmap) if element_attr else None
@@ -346,7 +346,7 @@ def _parse_interface(section: XmlElement, take_policy) -> InterfaceDecl:
             inputs: list[MessageRef] = []
             outputs: list[MessageRef] = []
             fault_refs: list[str] = []
-            for part in child.element_children():
+            for part in child.children:
                 if part.name in WSDL_MESSAGES:
                     bucket = inputs if part.name.local == "input" else outputs
                     element_attr = part.attr(ATTR_ELEMENT)

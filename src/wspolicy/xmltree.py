@@ -5,7 +5,9 @@ indentation, namespace declarations first (sorted by prefix), attributes
 sorted by qualified name, empty elements self-closed.  The parser is built on
 expat with namespace processing; it refuses DOCTYPE declarations outright, so
 no DTD or external entity is ever processed, and it records the in-scope
-prefix map on every element for resolving QName-valued attributes.
+prefix map on every element for resolving QName-valued attributes.  An
+element keeps its element children and its character data apart, as the
+dialect has no mixed content: the writer refuses an element holding both.
 """
 from __future__ import annotations
 
@@ -16,12 +18,12 @@ from typing import Iterable, Optional, Union
 from .errors import XmlParseError
 from .names import NON_XML_CHARS, QName, Value, check_xml_chars, is_ncname
 
-Child = Union["XmlElement", str]
 _set = object.__setattr__
 
 
 class XmlElement:
-    """One element: name, attributes in insertion order, children.
+    """One element: name, attributes in insertion order, element children in
+    document order, and ``text``, its character data joined into one string.
 
     Treated as a value; nothing in this package mutates an element after
     construction.  ``nsmap`` is the prefix table in scope where the parser saw
@@ -29,18 +31,20 @@ class XmlElement:
     element that declares no prefix its parent's table.
     """
 
-    __slots__ = ("name", "attributes", "children", "nsmap")
+    __slots__ = ("name", "attributes", "children", "text", "nsmap")
 
     def __init__(
         self,
         name: QName,
         attributes: Iterable[tuple[QName, str]] = (),
-        children: Iterable[Child] = (),
+        children: Iterable["XmlElement"] = (),
+        text: str = "",
         nsmap: Optional[dict[str, str]] = None,
     ):
         self.name = name
         self.attributes: list[tuple[QName, str]] = list(attributes)
-        self.children: list[Child] = list(children)
+        self.children: list[XmlElement] = list(children)
+        self.text = text
         self.nsmap: dict[str, str] = {} if nsmap is None else nsmap
 
     def attr(self, name: Union[QName, str]) -> Optional[str]:
@@ -51,18 +55,12 @@ class XmlElement:
                 return value
         return None
 
-    def element_children(self) -> list["XmlElement"]:
-        return [c for c in self.children if isinstance(c, XmlElement)]
-
     def find_all(self, name: QName) -> list["XmlElement"]:
-        return [c for c in self.element_children() if c.name == name]
+        return [c for c in self.children if c.name == name]
 
     def find(self, name: QName) -> Optional["XmlElement"]:
         found = self.find_all(name)
         return found[0] if found else None
-
-    def text(self) -> str:
-        return "".join(c for c in self.children if isinstance(c, str))
 
     def __repr__(self) -> str:
         return f"<XmlElement {self.name} attrs={len(self.attributes)} children={len(self.children)}>"
@@ -87,7 +85,9 @@ def _split_expat_name(name: str) -> QName:
 
 
 def parse_xml(data: bytes) -> XmlDocument:
-    """Parse into an XmlDocument; whitespace-only text is discarded."""
+    """Parse into an XmlDocument whose namespaces are the root's own
+    declarations.  Each run of character data between two tags is appended to
+    the open element's ``text`` unless it is whitespace only."""
     parser = xml.parsers.expat.ParserCreate(namespace_separator="}")
     parser.ordered_attributes = True
     parser.buffer_text = True
@@ -95,7 +95,6 @@ def parse_xml(data: bytes) -> XmlDocument:
     root: list[XmlElement] = []
     stack: list[XmlElement] = []
     pending_decls: dict[str, str] = {}
-    root_decls: dict[str, str] = {}
     text_parts: list[str] = []
 
     def flush_text():
@@ -104,7 +103,7 @@ def parse_xml(data: bytes) -> XmlDocument:
         text = "".join(text_parts)
         text_parts.clear()
         if stack and text.strip():
-            stack[-1].children.append(text)
+            stack[-1].text += text
 
     def start_doctype(*_args):
         raise XmlParseError(
@@ -120,32 +119,23 @@ def parse_xml(data: bytes) -> XmlDocument:
         flush_text()
         nsmap = stack[-1].nsmap if stack else {}
         if pending_decls:
-            if not stack:
-                root_decls.update(pending_decls)
             nsmap = {**nsmap, **pending_decls}
             pending_decls.clear()
-        attributes = []
-        for i in range(0, len(attr_list), 2):
-            attributes.append((_split_expat_name(attr_list[i]), attr_list[i + 1]))
-        element = XmlElement(_split_expat_name(name), attributes, (), nsmap)
-        if stack:
-            stack[-1].children.append(element)
-        else:
-            root.append(element)
+        attributes = [(_split_expat_name(attr_list[i]), attr_list[i + 1])
+                      for i in range(0, len(attr_list), 2)]
+        element = XmlElement(_split_expat_name(name), attributes, (), "", nsmap)
+        (stack[-1].children if stack else root).append(element)
         stack.append(element)
 
     def end_element(_name):
         flush_text()
         stack.pop()
 
-    def char_data(text):
-        text_parts.append(text)
-
     parser.StartDoctypeDeclHandler = start_doctype
     parser.StartNamespaceDeclHandler = start_ns
     parser.StartElementHandler = start_element
     parser.EndElementHandler = end_element
-    parser.CharacterDataHandler = char_data
+    parser.CharacterDataHandler = text_parts.append
 
     try:
         parser.Parse(data, True)
@@ -154,7 +144,7 @@ def parse_xml(data: bytes) -> XmlDocument:
         raise XmlParseError(xml.parsers.expat.ErrorString(exc.code), exc.lineno, exc.offset) from exc
     if not root:
         raise XmlParseError("no root element")
-    return XmlDocument(root[0], root_decls)
+    return XmlDocument(root[0], root[0].nsmap)
 
 
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
@@ -243,14 +233,7 @@ def write_canonical(doc: XmlDocument) -> bytes:
                 parts.append(f'{qualified_name}="{value}"')
         open_tag = " ".join(parts)
 
-        elements: list[XmlElement] = []
-        texts: list[str] = []
-        for child in element.children:
-            if isinstance(child, XmlElement):
-                elements.append(child)
-            elif isinstance(child, str):
-                texts.append(child)
-        text = "".join(texts)
+        elements, text = element.children, element.text
         if elements and text.strip():
             raise ValueError(f"mixed content is not supported (element {element.name})")
         if not elements and not text:

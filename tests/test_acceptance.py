@@ -97,13 +97,13 @@ def test_criterion_1_reference_wsdl_reproduction():
 
         def chain(element, out):
             out.append(element.name)
-            for child in element.element_children():
+            for child in element.children:
                 chain(child, out)
             return out
 
         root = parse_xml(wsdl).root
-        endpoint = root.element_children()[-1].element_children()[-1]
-        names = chain(endpoint.element_children()[0], [])
+        endpoint = root.children[-1].children[-1]
+        names = chain(endpoint.children[0], [])
         assert names == [
             QName(WSP_NS, "Policy"),
             sp("UsernameToken"),

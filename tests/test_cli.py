@@ -487,6 +487,18 @@ def test_vocab_schema_outcomes(runner, tmp_path, vocab, code, stderr):
         code, "", stderr.replace("@", str(tmp_path)) + "\n")
 
 
+def test_vocab_schema_with_an_undeclared_type_prefix(runner, tmp_path):
+    source_files(tmp_path)
+    vocab = tmp_path / "undeclared.xsd"
+    vocab.write_bytes(b'<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema" '
+                      b'targetNamespace="http://example.org/u">'
+                      b'<xs:element name="A" type="zz:T"/></xs:schema>')
+    spec = f"{tmp_path}/model.json#{FRAGMENT}"
+    result = runner.invoke(cli, ["intersect", spec, spec, "--vocab", str(vocab)])
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        1, "", f"{vocab}: undeclared prefix 'zz' in QName 'zz:T'\n")
+
+
 def test_each_input_file_is_parsed_once(runner, model_path, tmp_path, monkeypatch):
     wsdl, requester, vocab = alias_setup(runner, model_path, tmp_path)
     schema = wsdl.parent / "ws-semanticsecuritypolicy.xsd"

@@ -144,7 +144,7 @@ def test_invalid_domain_refuses_generation():
 def names_in_order(element, out=None):
     out = [] if out is None else out
     out.append(element.name)
-    for child in element.element_children():
+    for child in element.children:
         names_in_order(child, out)
     return out
 
@@ -177,7 +177,7 @@ def test_empty_policy_is_a_self_closed_element():
 def test_optional_flag_is_emitted_not_expanded():
     expr = Policy(AssertionRef(sp("HashPassword"), optional=True))
     fragment = emit_policy_element(expr)
-    (ref,) = fragment.element_children()
+    (ref,) = fragment.children
     assert ref.attr(QName(WSP_NS, "Optional")) == "true"
     payload = write_canonical(policy_document(expr))
     assert normalize(parse_policy_element(payload)) == normalize(expand_optional(expr))
@@ -194,7 +194,7 @@ def test_parameters_become_attributes():
         write_canonical(policy_document(expr))  # parameter names must be XML names
     ok = Policy(AssertionRef(sp("HashPassword"), parameters=(("level", 3),)))
     payload = write_canonical(policy_document(ok))
-    (ref,) = parse_xml(payload).root.element_children()
+    (ref,) = parse_xml(payload).root.children
     assert ref.attr("level") == "3"
 
 
@@ -370,6 +370,29 @@ def test_reserved_prefixes_are_bound_only_as_xml_allows(edit):
     assert normalize(attachment.policy) == normalize(model.attachments[0].policy)
 
 
+def test_colliding_preferred_prefixes_are_numbered():
+    # Two domains both prefer "sec": the first namespace in order keeps it and
+    # the second gets "sec1".  A namespace that prefers "xml" gets "ns".
+    sec2 = "http://emi/ws-semanticsecuritypolicy2.xsd"
+    types = "http://emi/TravelAgencyTypes.xsd"
+    doc = travel_agency_json()
+    doc["domains"][0]["prefix"] = "sec"
+    doc["domains"].append({"name": "security2", "targetNamespace": sec2, "prefix": "sec",
+                           "assertions": [{"name": "Extra", "typeKind": "empty"}]})
+    doc["attachments"].append({
+        "subject": {"kind": "binding", "path": ["TravelAgencyBinding"]},
+        "policy": {"policy": [{"assertion": {"qname": {"namespace": sec2, "local": "Extra"}}}]},
+    })
+    doc["externalNamespaces"][0]["prefix"] = "xml"
+    wsdl = dict(emit_wsdl(model_from_json(doc)))["TravelAgency.wsdl"]
+    assert wsdl.namespaces == {
+        "ns": types, "sawsdl": SAWSDL_NS, "sec": SEC_NS, "sec1": sec2,
+        "tns": "http://emi/TravelAgency.wsdl20", "wsdl": WSDL_NS, "wsp": WSP_NS, "xs": XS_NS,
+    }
+    text = write_canonical(wsdl).decode()
+    assert '<sec1:Extra/>' in text and 'element="ns:bookTripRequest"' in text
+
+
 def test_policy_document_binds_only_the_xml_namespace_to_xml():
     other = "http://example.org/other"
     expr = Policy(AssertionRef(QName(XML_NS, "Foo")), AssertionRef(QName(other, "Bar")))
@@ -403,13 +426,13 @@ def test_policy_subjects_other_than_endpoint():
     files = dict(emit_wsdl(model_from_json(doc)))
     root = files["TravelAgency.wsdl"].root
     interface = root.find(QName(WSDL_NS, "interface"))
-    assert interface.element_children()[0].name == QName(WSP_NS, "Policy")
+    assert interface.children[0].name == QName(WSP_NS, "Policy")
     operation = interface.find(QName(WSDL_NS, "operation"))
-    assert operation.element_children()[0].name == QName(WSP_NS, "Policy")
+    assert operation.children[0].name == QName(WSP_NS, "Policy")
     binding = root.find(QName(WSDL_NS, "binding"))
-    assert binding.element_children()[0].name == QName(WSP_NS, "Policy")
+    assert binding.children[0].name == QName(WSP_NS, "Policy")
     service = root.find(QName(WSDL_NS, "service"))
-    assert service.element_children()[0].name == QName(WSP_NS, "Policy")
+    assert service.children[0].name == QName(WSP_NS, "Policy")
 
 
 # --- the paused collector ------------------------------------------------------

@@ -5,13 +5,19 @@ import pytest
 
 from wspolicy import (
     AssertionDecl,
+    AssertionRef,
     AttributeDecl,
     BindingDecl,
     Diagnostic,
     DomainSchema,
     Endpoint,
+    FaultDecl,
+    GenerationError,
     InterfaceDecl,
+    MessageRef,
     OperationDecl,
+    Policy,
+    PolicyAttachment,
     QName,
     SemanticAnnotation,
     ServiceDecl,
@@ -19,12 +25,13 @@ from wspolicy import (
     SubjectRef,
     VocabularyError,
     assertion_vocabulary,
+    emit_wsdl,
     normalize,
     resolve_subject,
     validate_domain,
     validate_model,
 )
-from wspolicy.names import XMLNS_NS
+from wspolicy.names import XMLNS_NS, XS_NS
 
 from corpus import (
     SEC_NS,
@@ -342,3 +349,79 @@ def test_unsatisfiable_attachment_flagged():
     doc["attachments"][0]["policy"]["policy"][0]["assertion"]["qname"]["local"] = "Ghost"
     assert codes(validate_model(model_from_json(doc))) == [
         "assertion-undeclared", "policy-unsatisfiable"]
+
+
+# --- hand-built models that emit_wsdl could not write ---------------------------
+#
+# parse_model refuses each of these in a model file; validate_model must refuse
+# them too, so that a model it passes is one emit_wsdl writes.
+
+def _rebuilt(value, **changes):
+    """``value`` built again through its constructor with some fields changed."""
+    return type(value)(**{**{name: getattr(value, name) for name in value._fields}, **changes})
+
+
+def _with_parameters(*parameters):
+    model = travel_agency_model()
+    (attachment,) = model.attachments
+    policy = Policy(AssertionRef(sp("HashPassword"), parameters=parameters))
+    return _rebuilt(model, attachments=[PolicyAttachment(attachment.subject, policy)])
+
+
+def _with_message_type(element_type):
+    model = travel_agency_model()
+    (iface,) = model.interfaces
+    (op,) = iface.operations
+    op = _rebuilt(op, inputs=[MessageRef("bookTripRequest", element_type)])
+    return _rebuilt(model, interfaces=[_rebuilt(iface, operations=[op])])
+
+
+def _with_fault_type(element_type):
+    model = travel_agency_model()
+    (iface,) = model.interfaces
+    return _rebuilt(model, interfaces=[_rebuilt(iface, faults=[FaultDecl("f", element_type)])])
+
+
+def _with_assertions(*assertions):
+    model = travel_agency_model()
+    (domain,) = model.domains
+    domain = _rebuilt(domain, assertions=domain.assertions + assertions)
+    return _rebuilt(model, domains=[domain])
+
+
+IFACE = "interfaces[TravelAgencyInterface]"
+PARAMS = f"attachments[{ENDPOINT}].{sp('HashPassword')}.parameters"
+ASSERTIONS = "domains[security].assertions"
+UNWRITABLE = [
+    (_with_message_type(QName(SEC_NS, "1 bad")),
+     [("bad-identifier", f"{IFACE}.operations[bookTrip].inputs[0].elementType",
+       "local part must be an NCName, got '1 bad'")]),
+    (_with_fault_type(QName(SEC_NS, "a:b")),
+     [("bad-identifier", f"{IFACE}.faults[f].elementType",
+       "local part must be an NCName, got 'a:b'")]),
+    (_with_assertions(AssertionDecl("Level", "simple", QName(XS_NS, "1int"))),
+     [("bad-identifier", f"{ASSERTIONS}[Level].simpleType",
+       "local part must be an NCName, got '1int'")]),
+    (_with_assertions(AssertionDecl("Sized", "complex", attributes=[
+        AttributeDecl("size", QName(XS_NS, "")), AttributeDecl("unit", QName(XS_NS, "token"))])),
+     [("bad-identifier", f"{ASSERTIONS}[Sized].attributes[size].simpleType",
+       "local part must be an NCName, got ''")]),
+    (_with_parameters(("a", "1"), ("a", "2")),
+     [("duplicate-name", f"{PARAMS}[a]", "duplicate parameter name 'a'")]),
+    (_with_parameters(("1x", 3), ("ok", True)),
+     [("bad-identifier", f"{PARAMS}[1x]", "parameter name must be an NCName, got '1x'")]),
+    (_with_parameters(("level", "a\x01b"), ("other", 1.5)),
+     [("bad-character", f"{PARAMS}[level]",
+       "parameter value: character U+0001 is not allowed in XML 1.0")]),
+]
+
+
+@pytest.mark.parametrize("model, expected", UNWRITABLE, ids=[
+    "message-type", "fault-type", "simple-type", "attribute-type", "repeated-parameter",
+    "parameter-name", "parameter-value"])
+def test_unwritable_hand_built_models_are_refused(model, expected):
+    diagnostics = validate_model(model)
+    assert [(d.severity, d.code, d.subject_path, d.message) for d in diagnostics] == [
+        ("error", *row) for row in expected]
+    with pytest.raises(GenerationError, match="model failed validation"):
+        emit_wsdl(model)

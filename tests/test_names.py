@@ -110,6 +110,21 @@ def test_nogc_pauses_a_running_collector_and_restores_it(collector, enabled):
     assert set(seen) == {("outer", False), ("inner", False), ("after inner", False)}
 
 
+@pytest.mark.parametrize("uri, expected", [
+    # RFC 3986 section 5.2.4: each branch of remove_dot_segments.
+    ("http://a/b/c/./../../g", "http://a/g"),
+    ("foo:mid/content=5/../6", "foo:mid/6"),
+    ("http://a/b/c/.", "http://a/b/c/"),
+    ("http://a/b/c/..", "http://a/b/"),
+    ("http://a/..", "http://a/"),
+    ("foo:../x", "foo:x"),
+    ("foo:./x", "foo:x"),
+    ("foo:..", "foo:"),
+])
+def test_normalize_uri_removes_dot_segments(uri, expected):
+    assert normalize_uri(uri) == expected
+
+
 def test_normalize_uri_cases():
     # Hand-derived per RFC 3986 section 6.2.2.
     assert normalize_uri("HTTP://EMI/a/../b") == "http://emi/b"

@@ -19,6 +19,7 @@ from wspolicy import (
 )
 from wspolicy.errors import PolicyXmlError, XmlParseError
 from wspolicy.model import Diagnostic
+from wspolicy.names import XS_NS, XS_STRING
 from wspolicy.reader import MAX_POLICY_DEPTH
 
 from corpus import (
@@ -316,3 +317,22 @@ def test_top_level_non_elements_are_skipped_with_warning():
 def test_schema_without_target_namespace_rejected():
     with pytest.raises(XmlParseError):
         parse_domain_xsd(b'<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"/>')
+
+
+def _schema(declarations: str, *element: str) -> bytes:
+    return (f'<xs:schema xmlns:xs="{XS_NS}" {declarations} targetNamespace="http://example.org/u">'
+            + "".join(element) + "</xs:schema>").encode()
+
+
+def test_type_with_undeclared_prefix_is_rejected():
+    with pytest.raises(XmlParseError, match="undeclared prefix 'zz' in QName 'zz:T'"):
+        parse_domain_xsd(_schema("", '<xs:element name="A" type="zz:T"/>'))
+
+
+def test_unprefixed_types_resolve_in_the_default_namespace():
+    element = ('<xs:element name="A" type="string"/>'
+               '<xs:element name="B"><xs:complexType><xs:attribute name="a" type="string"/>'
+               "</xs:complexType></xs:element>")
+    for declarations, expected in ((f'xmlns="{XS_NS}"', XS_STRING), ("", QName("", "string"))):
+        a, b = parse_domain_xsd(_schema(declarations, element)).assertions
+        assert (a.simple_type, b.attributes[0].simple_type) == (expected, expected)

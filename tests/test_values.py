@@ -10,13 +10,16 @@ from pathlib import Path
 import pytest
 
 from wspolicy import (
+    All,
     AssertionDecl,
     AssertionInstance,
+    AssertionRef,
     AttributeDecl,
     BindingDecl,
     Diagnostic,
     DomainSchema,
     Endpoint,
+    ExactlyOne,
     ExternalNamespace,
     FaultDecl,
     InterfaceDecl,
@@ -24,6 +27,7 @@ from wspolicy import (
     NormalForm,
     OperationDecl,
     ParsedArtifacts,
+    Policy,
     PolicyAttachment,
     QName,
     SemanticAnnotation,
@@ -179,3 +183,46 @@ def test_fields_cannot_be_set_or_deleted(pool):
             with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
                 delattr(value, name)
         assert repr(value) == before
+
+
+# The policy-tree nodes are values with a compact repr, pinned by the fixture's
+# expected repr, so they are checked here rather than through FIELDS.
+POLICY_FIELDS = {
+    Policy: ("children",),
+    All: ("children",),
+    ExactlyOne: ("children",),
+    AssertionRef: ("qname", "optional", "parameters", "nested"),
+}
+
+
+def test_policy_nodes_cannot_be_set_or_deleted():
+    q = QName("urn:a", "x")
+    nodes = [Policy(AssertionRef(q)), All(), ExactlyOne(All()),
+             AssertionRef(q, optional=True, parameters=(("p", 1),), nested=Policy())]
+    for node in nodes:
+        before = (repr(node), hash(node))
+        for name in POLICY_FIELDS[type(node)] + ("other",):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(node, name, None)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(node, name)
+        assert (repr(node), hash(node)) == before
+
+
+def _policy_nodes(node):
+    yield node
+    if isinstance(node, AssertionRef):
+        if node.nested is not None:
+            yield from _policy_nodes(node.nested)
+    else:
+        for child in node.children:
+            yield from _policy_nodes(child)
+
+
+def test_policy_trees_copy_and_pickle_equal(pool):
+    trees = [attachment.policy for attachment in pool[PolicyAttachment]]
+    assert {type(node) for tree in trees for node in _policy_nodes(tree)} == set(POLICY_FIELDS)
+    for tree in trees[:60]:
+        for twin in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert type(twin) is type(tree) and twin == tree and hash(twin) == hash(tree)
+            assert repr(twin) == repr(tree)

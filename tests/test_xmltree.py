@@ -42,12 +42,12 @@ def test_text_content_and_escaping():
     root = XmlElement(
         QName(NS_A, "root"),
         [(QName("", "attr"), 'va"l<&\n')],
-        [XmlElement(QName(NS_A, "t"), (), ["a < b & c > d"])],
+        [XmlElement(QName(NS_A, "t"), text="a < b & c > d")],
     )
     payload = write_canonical(XmlDocument(root, {"a": NS_A}))
     parsed = parse_xml(payload)
     assert parsed.root.attr("attr") == 'va"l<&\n'
-    assert parsed.root.element_children()[0].text() == "a < b & c > d"
+    assert parsed.root.children[0].text == "a < b & c > d"
 
 
 def test_undeclared_namespace_is_an_error():
@@ -63,7 +63,7 @@ def test_duplicate_attribute_is_an_error():
 
 
 def test_mixed_content_is_an_error():
-    root = XmlElement(QName(NS_A, "r"), (), ["text", XmlElement(QName(NS_A, "c"))])
+    root = XmlElement(QName(NS_A, "r"), (), [XmlElement(QName(NS_A, "c"))], "text")
     with pytest.raises(ValueError):
         write_canonical(XmlDocument(root, {"a": NS_A}))
 
@@ -75,7 +75,7 @@ def test_parse_tracks_prefix_scopes():
     )
     doc = parse_xml(payload)
     assert doc.root.name == QName("http://d/", "r")
-    child = doc.root.element_children()[0]
+    child = doc.root.children[0]
     assert child.name == QName("http://p/", "c")
     assert child.nsmap["q"] == "http://q/"
     assert child.nsmap["p"] == "http://p/"
@@ -85,7 +85,8 @@ def test_parse_tracks_prefix_scopes():
 
 def test_parse_drops_whitespace_only_text():
     doc = parse_xml(b"<r xmlns='http://d/'>\n  <c/>\n</r>")
-    assert doc.root.children == doc.root.element_children()
+    assert doc.root.text == ""
+    assert [child.name for child in doc.root.children] == [QName("http://d/", "c")]
 
 
 def test_doctype_is_rejected():
@@ -179,8 +180,7 @@ def _write_canonical_reference(doc: XmlDocument) -> bytes:
             parts.append(f'{qualified_name}="{_ref_escape(value, _REF_ATTR_ESCAPES)}"')
         open_tag = " ".join(parts)
 
-        elements = element.element_children()
-        text = element.text()
+        elements, text = element.children, element.text
         if elements and text.strip():
             raise ValueError(f"mixed content is not supported (element {element.name})")
         if not elements and not text:
@@ -238,17 +238,18 @@ def _random_attributes(rng, doc_namespaces: dict[str, str], faulty: bool):
 
 def _random_element(rng, doc_namespaces: dict[str, str], depth: int, faulty: bool) -> XmlElement:
     attributes = _random_attributes(rng, doc_namespaces, faulty)
-    children: list = []
+    children: list[XmlElement] = []
+    text = ""
     if depth < 3 and rng.random() < 0.6:
         for _ in range(rng.randint(1, 3)):
             children.append(_random_element(rng, doc_namespaces, depth + 1, faulty))
             if rng.random() < 0.3:
-                children.append(rng.choice((" ", "\n  ", "\t")))   # dropped beside elements
+                text += rng.choice((" ", "\n  ", "\t"))   # dropped beside elements
         if faulty and rng.random() < 0.1:
-            children.insert(rng.randrange(len(children) + 1), "text")
+            text += "text"
     else:
-        children = [_random_value(rng) for _ in range(rng.randint(0, 2))]
-    return XmlElement(_random_name(rng, ["", NS_A, NS_B], faulty), attributes, children)
+        text = "".join(_random_value(rng) for _ in range(rng.randint(0, 2)))
+    return XmlElement(_random_name(rng, ["", NS_A, NS_B], faulty), attributes, children, text)
 
 
 def _random_namespaces(rng) -> dict[str, str]:
@@ -309,7 +310,7 @@ XML_EDGES = ("\t", "\n", "\r", " ", "\x7f", "\ud7ff", "\ue000", "\ufffd",
 def test_non_xml_characters_are_refused(char):
     message = re.escape(f"character U+{ord(char):04X} is not allowed in XML 1.0")
     docs = (
-        XmlDocument(XmlElement(QName(NS_A, "r"), (), [f"a{char}b"]), {"a": NS_A}),
+        XmlDocument(XmlElement(QName(NS_A, "r"), text=f"a{char}b"), {"a": NS_A}),
         XmlDocument(XmlElement(QName(NS_A, "r"), [(QName("", "v"), f"a{char}")]), {"a": NS_A}),
         XmlDocument(XmlElement(QName(NS_A, "r")), {"a": NS_A, "b": f"{NS_B}{char}"}),
     )
@@ -321,9 +322,9 @@ def test_non_xml_characters_are_refused(char):
 def test_xml_characters_at_the_edges_are_written():
     for char in XML_EDGES:
         root = XmlElement(QName(NS_A, "r"), [(QName("", "v"), f"a{char}b")],
-                          [XmlElement(QName(NS_A, "t"), (), [f"a{char}b"])])
+                          [XmlElement(QName(NS_A, "t"), text=f"a{char}b")])
         payload = write_canonical(XmlDocument(root, {"a": NS_A}))
         parsed = parse_xml(payload).root
         assert parsed.attr("v") == f"a{char}b"
         # The parser normalizes a raw CR in text to LF; the writer escapes it.
-        assert parsed.element_children()[0].text() == f"a{char}b"
+        assert parsed.children[0].text == f"a{char}b"
