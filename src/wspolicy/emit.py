@@ -56,16 +56,18 @@ def _xsd_file_name(domain: DomainSchema) -> str:
 
 def _assign_prefixes(
     uris: Iterable[str], preferred: Mapping[str, str]
-) -> dict[str, str]:
-    """Deterministic prefix -> URI table covering every given namespace.  The XML
-    namespace gets ``xml``; no other gets ``xml`` or ``xmlns``, even if it prefers it.
-    The xmlns namespace may have no prefix at all, so it is refused."""
+) -> tuple[dict[str, str], Callable[[QName], str]]:
+    """Deterministic prefix -> URI table covering every given namespace but the
+    empty one, and the ``prefix:local`` spelling of a QName under it; a name in
+    no namespace keeps its bare local part.  The XML namespace gets ``xml``; no
+    other gets ``xml`` or ``xmlns``, even if it prefers it.  The xmlns
+    namespace may have no prefix at all, so it is refused."""
     uris = set(uris)
     if XMLNS_NS in uris:
         raise GenerationError(f"{XMLNS_NS} is reserved for namespace declarations; "
                               "no prefix may be bound to it")
     table: dict[str, str] = {"xml": XML_NS} if XML_NS in uris else {}
-    for uri in sorted(uris - {XML_NS}):
+    for uri in sorted(uris - {XML_NS, ""}):
         want = preferred.get(uri)
         if not want or want in ("xml", "xmlns"):
             want = "ns"
@@ -75,20 +77,14 @@ def _assign_prefixes(
             counter += 1
             candidate = f"{want}{counter}"
         table[candidate] = uri
-    return table
-
-
-def _qualifier(namespaces: Mapping[str, str]) -> Callable[[QName], str]:
-    """The ``prefix:local`` spelling of a QName under the prefix -> URI table
-    ``namespaces``; a name in no namespace keeps its bare local part."""
-    uri_to_prefix = {uri: prefix for prefix, uri in namespaces.items()}
+    prefix_of = {uri: prefix for prefix, uri in table.items()}
 
     def qname_str(qname: QName) -> str:
         if not qname.namespace:
             return qname.local
-        return f"{uri_to_prefix[qname.namespace]}:{qname.local}"
+        return f"{prefix_of[qname.namespace]}:{qname.local}"
 
-    return qname_str
+    return table, qname_str
 
 
 def _preferred_prefixes(model: ServiceModel) -> dict[str, str]:
@@ -172,11 +168,9 @@ def _domain_xsd(domain: DomainSchema) -> XmlDocument:
             used.add(decl.simple_type.namespace)
         for attr_decl in decl.attributes:
             used.add(attr_decl.simple_type.namespace)
-    used.discard("")
     preferred = dict(_BUILTIN_PREFIXES)
     preferred[domain.target_namespace] = domain.prefix
-    namespaces = _assign_prefixes(used, preferred)
-    qname_str = _qualifier(namespaces)
+    namespaces, qname_str = _assign_prefixes(used, preferred)
     children: list[XmlElement] = [_appinfo(DOMAIN_NAME_APPINFO, domain.domain_name)]
     for decl in domain.assertions:
         children.append(_assertion_element(decl, qname_str))
@@ -230,8 +224,8 @@ def policy_document(
         preferred.update(prefix_hints)
     root = emit_policy_element(expr)
     used = {WSP_NS}.union(ref.qname.namespace for ref in iter_refs(expr))
-    used.discard("")
-    return XmlDocument(root, _assign_prefixes(used, preferred))
+    namespaces, _ = _assign_prefixes(used, preferred)
+    return XmlDocument(root, namespaces)
 
 
 def _mep_for(op) -> str:
@@ -268,15 +262,13 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
     declared.update(d.target_namespace for d in imported)
     for iface in model.interfaces:
         for fault in iface.faults:
-            if fault.element_type is not None and fault.element_type.namespace:
+            if fault.element_type is not None:
                 declared.add(fault.element_type.namespace)
         for op in iface.operations:
             for ref in op.inputs + op.outputs:
-                if ref.element_type.namespace:
-                    declared.add(ref.element_type.namespace)
+                declared.add(ref.element_type.namespace)
 
-    namespaces = _assign_prefixes(declared, _preferred_prefixes(model))
-    qname_str = _qualifier(namespaces)
+    namespaces, qname_str = _assign_prefixes(declared, _preferred_prefixes(model))
 
     attached: dict[tuple[str, tuple[str, ...]], PolicyExpr] = {
         (a.subject.kind, a.subject.path): a.policy for a in model.attachments

@@ -387,10 +387,10 @@ def validate_domain(domain: DomainSchema) -> list[Diagnostic]:
     _check_namespace(out, f"{path}.targetNamespace", domain.target_namespace)
     for decl, apath in _named(out, domain.assertions, f"{path}.assertions", "assertion"):
         _check_assertion_shape(out, apath, decl)
-        _check_type_name(out, apath, "simpleType", decl.simple_type)
+        _check_qname(out, apath, "simpleType", decl.simple_type)
         _check_annotation(out, f"{apath}.annotation", decl.annotation, on_attribute=False)
         for attr, attr_path in _named(out, decl.attributes, f"{apath}.attributes", "attribute"):
-            _check_type_name(out, attr_path, "simpleType", attr.simple_type)
+            _check_qname(out, attr_path, "simpleType", attr.simple_type)
             _check_annotation(out, f"{attr_path}.annotation", attr.annotation, on_attribute=True)
         for child in decl.nestable_children:
             if domain.assertion(child) is None:
@@ -439,29 +439,35 @@ def _check_assertion_shape(out: _Collector, path: str, decl: AssertionDecl):
                   "complex assertion must declare attributes or nestableChildren")
 
 
-def _check_type_name(out: _Collector, path: str, field: str, qname: Optional[QName]):
-    if qname is not None and not is_ncname(qname.local):
+def _check_qname(out: _Collector, path: str, field: str, qname: Optional[QName],
+                 table: Optional[frozenset] = None):
+    """A QName the writer spells as ``prefix:local``, at ``path.field``: its
+    local part must be an NCName.  An element type's namespace must be in the
+    model's namespace ``table``; a simple type's (no table) must be empty or
+    one a prefix may be bound to.  The path is built only for a fault."""
+    if qname is None:
+        return
+    if not is_ncname(qname.local):
         _check_identifier(out, f"{path}.{field}", qname.local, "local part")
-
-
-def _check_element_type(out: _Collector, path: str, qname: Optional[QName], table: frozenset):
-    _check_type_name(out, path, "elementType", qname)
-    if qname is not None and qname.namespace not in table:
-        out.error("namespace-undeclared", f"{path}.elementType",
-                  f"namespace not in the model namespace table: {qname.namespace!r}")
+    if table is not None:
+        if qname.namespace not in table:
+            out.error("namespace-undeclared", f"{path}.{field}",
+                      f"namespace not in the model namespace table: {qname.namespace!r}")
+    elif qname.namespace:
+        _check_namespace(out, f"{path}.{field}", qname.namespace)
 
 
 def _check_interfaces(out: _Collector, model: ServiceModel):
     table = model.namespace_table()
     for iface, path in _named(out, model.interfaces, "interfaces", "interface"):
         for fault, fpath in _named(out, iface.faults, f"{path}.faults", "fault"):
-            _check_element_type(out, fpath, fault.element_type, table)
+            _check_qname(out, fpath, "elementType", fault.element_type, table)
         for op, opath in _named(out, iface.operations, f"{path}.operations", "operation"):
             for role, refs in (("inputs", op.inputs), ("outputs", op.outputs)):
                 for i, ref in enumerate(refs):
                     rpath = f"{opath}.{role}[{i}]"
                     _check_identifier(out, rpath, ref.name, "message name")
-                    _check_element_type(out, rpath, ref.element_type, table)
+                    _check_qname(out, rpath, "elementType", ref.element_type, table)
             for fref in op.fault_refs:
                 if _by_name(iface.faults, fref) is None:
                     out.error("fault-unresolved", f"{opath}.faultRefs",

@@ -9,9 +9,12 @@ sorted) so parse and serialize invert each other exactly.
 Each JSON object type is one ``_Table`` of fields in canonical key order.  A
 field names its JSON key, the model attribute it fills, the codec that reads
 and writes its value, and its presence; ``parse_model`` and
-``serialize_model`` both walk these tables.  Only the policy-expression form
-(one key naming the operator), ``formatVersion`` and the uniqueness checks on
-lists are written out by hand.
+``serialize_model`` both walk these tables; each table builds its parse plan
+once, at import.  One builder, ``_checked``, makes every codec of a string
+that must be an NCName, an absolute URI or a fixed choice, list items and
+prefixes included.  Only the policy-expression form (one key naming the
+operator), ``formatVersion`` and the uniqueness checks on lists are written
+out by hand.
 """
 from __future__ import annotations
 
@@ -84,8 +87,19 @@ class _Field(NamedTuple):
     presence: str = OPTIONAL
 
 
+def _absent(field: _Field) -> Optional[tuple]:
+    """The ``_Fault`` arguments for a required field's absent key; None if optional."""
+    if field.presence is not REQUIRED:
+        return None
+    if field.codec.missing is None:
+        return (f"missing required field {field.key!r}",)
+    return (field.codec.missing, "." + field.key)
+
+
 class _Table:
-    """One JSON object type: its fields in canonical order and the class it builds."""
+    """One JSON object type: its fields in canonical order and the class it
+    builds; ``plan`` holds each field's key, attribute, parse function and
+    ``_absent`` fault."""
 
     missing = None
 
@@ -93,6 +107,7 @@ class _Table:
         self.cls = cls
         self.fields = fields
         self.keys = frozenset(field.key for field in fields)
+        self.plan = tuple((f.key, f.attr, f.codec.parse, _absent(f)) for f in fields)
 
     def parse(self, raw, depth: int):
         if not isinstance(raw, dict):
@@ -100,17 +115,15 @@ class _Table:
         if not self.keys.issuperset(raw):
             raise _Fault("unknown key", "." + next(k for k in raw if k not in self.keys))
         values = {}
-        for key, attr, codec, presence in self.fields:
+        for key, attr, parse, missing in self.plan:
             if key in raw:
                 try:
-                    values[attr] = codec.parse(raw[key], depth)
+                    values[attr] = parse(raw[key], depth)
                 except _Fault as fault:
                     fault.segments.append("." + key)
                     raise
-            elif presence is REQUIRED:
-                if codec.missing is not None:
-                    raise _Fault(codec.missing, "." + key)
-                raise _Fault(f"missing required field {key!r}")
+            elif missing:
+                raise _Fault(*missing)
         return self.cls(**values)
 
     def dump(self, obj) -> dict:
@@ -126,31 +139,34 @@ def _as_is(value):
     return value
 
 
-def _any_string(raw, depth: int) -> str:
-    """Any string: NCNames, URIs and fixed choices refuse non-XML characters themselves."""
-    if not isinstance(raw, str):
-        raise _Fault(f"expected a string, got {type(raw).__name__}")
-    return raw
-
-
 def _string(raw, depth: int) -> str:
     """A string that XML can carry: every character in XML 1.0's Char production."""
+    if not isinstance(raw, str):
+        raise _Fault(f"expected a string, got {type(raw).__name__}")
     try:
-        return check_xml_chars(_any_string(raw, depth))
+        return check_xml_chars(raw)
     except ValueError as exc:
         raise _Fault(str(exc)) from None
 
 
-def _ncname(raw, depth: int) -> str:
-    if not is_ncname(_any_string(raw, depth)):
-        raise _Fault(f"not an NCName: {raw!r}")
-    return raw
+def _checked(accepts: Callable[[str], bool], message: str, item: bool = False) -> _Codec:
+    """The codec of a string that ``accepts`` must approve; ``message`` formats
+    the refused string's repr.  A field's non-string value is reported by its
+    type, a list item's or prefix's (``item``) by its repr, like a refused
+    string.  ``accepts`` refuses non-XML characters itself."""
+    def parse(raw, depth: int) -> str:
+        if isinstance(raw, str):
+            if accepts(raw):
+                return raw
+        elif not item:
+            raise _Fault(f"expected a string, got {type(raw).__name__}")
+        raise _Fault(message.format(raw))
+
+    return _Codec(parse, _as_is)
 
 
-def _uri(raw, depth: int) -> str:
-    if not is_absolute_uri(_any_string(raw, depth)):
-        raise _Fault(f"not an absolute URI: {raw!r}")
-    return raw
+def _one_of(choices: tuple[str, ...]) -> _Codec:
+    return _checked(choices.__contains__, f"expected one of {choices}, got {{!r}}")
 
 
 def _token(raw, depth: int) -> str:
@@ -159,37 +175,22 @@ def _token(raw, depth: int) -> str:
     return raw
 
 
-def _one_of(choices: tuple[str, ...]) -> _Codec:
-    def parse(raw, depth: int) -> str:
-        if _any_string(raw, depth) not in choices:
-            raise _Fault(f"expected one of {choices}, got {raw!r}")
-        return raw
-
-    return _Codec(parse, _as_is)
-
-
 def _boolean(raw, depth: int) -> bool:
     if not isinstance(raw, bool):
         raise _Fault("expected a boolean")
     return raw
 
 
-# List items and prefixes are checked in one step: any value but a
-# well-formed string is reported by its repr.
-def _ncname_item(raw, depth: int) -> str:
-    if not isinstance(raw, str) or not is_ncname(raw):
-        raise _Fault(f"not an NCName: {raw!r}")
-    return raw
-
-
-def _uri_item(raw, depth: int) -> str:
-    if not isinstance(raw, str) or not is_absolute_uri(raw):
-        raise _Fault(f"not an absolute URI: {raw!r}")
-    return raw
+_NCNAME = _checked(is_ncname, "not an NCName: {!r}")
+_URI = _checked(is_absolute_uri, "not an absolute URI: {!r}")
+_NCNAME_ITEM = _checked(is_ncname, "not an NCName: {!r}", item=True)
+_URI_ITEM = _checked(is_absolute_uri, "not an absolute URI: {!r}", item=True)
+_VERSION = _checked(FORMAT_VERSION.__eq__,
+                    f"unrecognized version {{!r}}, expected {FORMAT_VERSION!r}")
 
 
 def _prefix(raw, depth: int) -> Optional[str]:
-    return None if raw is None else _ncname_item(raw, depth)
+    return None if raw is None else _NCNAME_ITEM.parse(raw, depth)
 
 
 def _param_value(raw, depth: int) -> ParamValue:
@@ -243,7 +244,7 @@ def _distinct(item: _Table, key, message) -> _Codec:
 def _uris(raw, depth: int) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise _Fault(_URIS.missing)
-    return _items(raw, _uri_item, depth)
+    return _items(raw, _URI_ITEM.parse, depth)
 
 
 def _identifiers(raw, depth: int) -> tuple:
@@ -253,8 +254,6 @@ def _identifiers(raw, depth: int) -> tuple:
 
 
 _STRING = _Codec(_string, _as_is)
-_NCNAME = _Codec(_ncname, _as_is)
-_URI = _Codec(_uri, _as_is)
 _URIS = _Codec(_uris, list, "expected a non-empty list of URIs")
 _IDENTIFIERS = _Codec(_identifiers, list, "expected a list of identifiers")
 
@@ -348,7 +347,7 @@ _ASSERTION = _Table(
     _Field("typeKind", "type_kind", _one_of(TYPE_KINDS), REQUIRED),
     _Field("simpleType", "simple_type", _QNAME),
     _Field("attributes", "attributes", _list_of(_ATTRIBUTE)),
-    _Field("nestableChildren", "nestable_children", _list_of(_Codec(_ncname_item, _as_is))),
+    _Field("nestableChildren", "nestable_children", _list_of(_NCNAME_ITEM)),
     _Field("annotation", "annotation", _ANNOTATION),
 )
 _DOMAIN = _Table(
@@ -455,13 +454,10 @@ def _check_version(doc: dict) -> None:
     if "formatVersion" not in doc:
         raise _Fault("missing required field 'formatVersion'")
     try:
-        version = _any_string(doc["formatVersion"], 0)
+        _VERSION.parse(doc["formatVersion"], 0)
     except _Fault as fault:
         fault.segments.append(".formatVersion")
         raise
-    if version != FORMAT_VERSION:
-        raise _Fault(f"unrecognized version {version!r}, expected {FORMAT_VERSION!r}",
-                     ".formatVersion")
 
 
 @nogc

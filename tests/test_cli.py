@@ -177,6 +177,23 @@ def test_validate_and_generate_refuse_the_xmlns_namespace(runner, tmp_path):
     assert not outdir.exists()
 
 
+def test_validate_and_generate_refuse_a_simple_type_namespace_that_is_no_uri(runner, tmp_path):
+    doc = travel_agency_json()
+    doc["domains"][0]["assertions"].append(
+        {"name": "Level", "typeKind": "simple",
+         "simpleType": {"namespace": "not a uri", "local": "string"}})
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    line = ("error bad-uri domains[security].assertions[Level].simpleType: "
+            "not an absolute URI: 'not a uri'\n")
+    validated = runner.invoke(cli, ["validate", str(path)])
+    assert (validated.exit_code, validated.stdout, validated.stderr) == (1, "", line)
+    outdir = tmp_path / "never"
+    generated = runner.invoke(cli, ["generate", str(path), "--output-dir", str(outdir)])
+    assert (generated.exit_code, generated.stdout, generated.stderr) == (1, "", line)
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("code", sorted(POLICY_FAULTS))
 def test_validate_and_generate_report_policy_faults(runner, tmp_path, code):
     break_policy, message = POLICY_FAULTS[code]

@@ -25,13 +25,17 @@ from wspolicy import (
     SubjectRef,
     VocabularyError,
     assertion_vocabulary,
+    emit_domain_xsd,
     emit_wsdl,
     normalize,
     resolve_subject,
     validate_domain,
     validate_model,
+    write_canonical,
 )
-from wspolicy.names import XMLNS_NS, XS_NS
+from wspolicy.algebra import All, ExactlyOne, iter_refs
+from wspolicy.names import Value, XMLNS_NS, XS_NS, is_absolute_uri
+from wspolicy.xmltree import parse_xml
 
 from corpus import (
     SEC_NS,
@@ -353,8 +357,8 @@ def test_unsatisfiable_attachment_flagged():
 
 # --- hand-built models that emit_wsdl could not write ---------------------------
 #
-# parse_model refuses each of these in a model file; validate_model must refuse
-# them too, so that a model it passes is one emit_wsdl writes.
+# parse_model refuses most of these in a model file; validate_model must refuse
+# them all, so that a model it passes is one emit_wsdl writes.
 
 def _rebuilt(value, **changes):
     """``value`` built again through its constructor with some fields changed."""
@@ -413,15 +417,125 @@ UNWRITABLE = [
     (_with_parameters(("level", "a\x01b"), ("other", 1.5)),
      [("bad-character", f"{PARAMS}[level]",
        "parameter value: character U+0001 is not allowed in XML 1.0")]),
+    (_with_assertions(AssertionDecl("Level", "simple", QName("not a uri", "string"))),
+     [("bad-uri", f"{ASSERTIONS}[Level].simpleType", "not an absolute URI: 'not a uri'")]),
+    (_with_assertions(AssertionDecl("Sized", "complex", attributes=[
+        AttributeDecl("size", QName("not a uri", "token"))])),
+     [("bad-uri", f"{ASSERTIONS}[Sized].attributes[size].simpleType",
+       "not an absolute URI: 'not a uri'")]),
+    (_with_assertions(AssertionDecl("Level", "simple", QName(XMLNS_NS, "string"))),
+     [("namespace-reserved", f"{ASSERTIONS}[Level].simpleType",
+       f"{XMLNS_NS} is reserved for namespace declarations; no prefix may be bound to it")]),
+    (_with_assertions(AssertionDecl("Sized", "complex", attributes=[
+        AttributeDecl("size", QName(XMLNS_NS, "token"))])),
+     [("namespace-reserved", f"{ASSERTIONS}[Sized].attributes[size].simpleType",
+       f"{XMLNS_NS} is reserved for namespace declarations; no prefix may be bound to it")]),
+    (_with_assertions(AssertionDecl("Level", "simple", QName("a\x01b", "string"))),
+     [("bad-uri", f"{ASSERTIONS}[Level].simpleType", "not an absolute URI: 'a\\x01b'")]),
 ]
 
 
 @pytest.mark.parametrize("model, expected", UNWRITABLE, ids=[
     "message-type", "fault-type", "simple-type", "attribute-type", "repeated-parameter",
-    "parameter-name", "parameter-value"])
+    "parameter-name", "parameter-value", "simple-type-uri", "attribute-type-uri",
+    "simple-type-xmlns", "attribute-type-xmlns", "simple-type-character"])
 def test_unwritable_hand_built_models_are_refused(model, expected):
     diagnostics = validate_model(model)
     assert [(d.severity, d.code, d.subject_path, d.message) for d in diagnostics] == [
         ("error", *row) for row in expected]
     with pytest.raises(GenerationError, match="model failed validation"):
         emit_wsdl(model)
+
+
+# --- simple-type namespaces -----------------------------------------------------
+#
+# The model file takes any string as a QName's namespace, and the domain schema
+# binds a prefix to a simple type's, so validation refuses one a prefix may not
+# be bound to (the cases above, in UNWRITABLE) but not the empty namespace.
+
+def test_simple_type_refused_with_a_non_xml_character_fails_the_domain_too():
+    model = UNWRITABLE[-1][0]
+    (domain,) = model.domains
+    assert codes(validate_domain(domain)) == ["bad-uri"]
+    with pytest.raises(GenerationError, match="domain 'security' failed validation"):
+        emit_domain_xsd(domain)
+
+
+def test_simple_type_in_no_namespace_is_written_unprefixed():
+    model = _with_assertions(
+        AssertionDecl("Level", "simple", QName("", "string")),
+        AssertionDecl("Sized", "complex", attributes=[AttributeDecl("size", QName("", "token"))]))
+    assert validate_model(model) == []
+    schema = write_canonical(dict(emit_wsdl(model))["ws-semanticsecuritypolicy.xsd"])
+    assert b' type="string"' in schema and b' type="token"' in schema
+
+
+# --- validate_model is the one gate before writing --------------------------------
+
+def _substitute(value, old, new):
+    """``value`` rebuilt with the object ``old`` (by identity) replaced by ``new``."""
+    if value is old:
+        return new
+    if isinstance(value, tuple):
+        return tuple(_substitute(item, old, new) for item in value)
+    if isinstance(value, (Policy, All, ExactlyOne)):
+        return type(value)(*(_substitute(child, old, new) for child in value.children))
+    if isinstance(value, Value) and not isinstance(value, QName):
+        return _rebuilt(value, **{name: _substitute(getattr(value, name), old, new)
+                                  for name in value._fields})
+    return value
+
+
+def _one_value_edits(model, bad):
+    """(old, new) pairs: each element type and simple type with ``bad`` as its
+    local part or namespace, and each assertion reference with ``bad`` as one
+    parameter name or string parameter value."""
+    def qnames(qname):
+        return QName(qname.namespace, bad), QName(bad, qname.local)
+
+    for domain in model.domains:
+        for decl in domain.assertions:
+            if decl.simple_type is not None:
+                for qname in qnames(decl.simple_type):
+                    yield decl, _rebuilt(decl, simple_type=qname)
+            for attr in decl.attributes:
+                for qname in qnames(attr.simple_type):
+                    yield attr, _rebuilt(attr, simple_type=qname)
+    for iface in model.interfaces:
+        for fault in iface.faults:
+            if fault.element_type is not None:
+                for qname in qnames(fault.element_type):
+                    yield fault, _rebuilt(fault, element_type=qname)
+        for op in iface.operations:
+            for ref in op.inputs + op.outputs:
+                for qname in qnames(ref.element_type):
+                    yield ref, _rebuilt(ref, element_type=qname)
+    for attachment in model.attachments:
+        for ref in iter_refs(attachment.policy):
+            for i, (name, value) in enumerate(ref.parameters):
+                edits = [(bad, value)] + ([(name, bad)] if isinstance(value, str) else [])
+                for edit in edits:
+                    parameters = ref.parameters[:i] + (edit,) + ref.parameters[i + 1:]
+                    yield ref, _rebuilt(ref, parameters=parameters)
+
+
+def test_what_validate_model_passes_is_written_and_what_it_refuses_is_not():
+    rng = random.Random(0x6A7E)
+    outcomes = {"written": 0, "refused": 0}
+    for _ in range(60):
+        model = rand_model(rng, require_satisfiable_policies=True)
+        assert validate_model(model) == []
+        for bad in ("1 bad", "not a uri", XMLNS_NS, "a\x01b"):
+            for old, new in _one_value_edits(model, bad):
+                edited = _substitute(model, old, new)
+                assert edited != model
+                if any(d.severity == "error" for d in validate_model(edited)):
+                    with pytest.raises(GenerationError, match="model failed validation"):
+                        emit_wsdl(edited)
+                    outcomes["refused"] += 1
+                    continue
+                for _name, doc in emit_wsdl(edited):
+                    declared = parse_xml(write_canonical(doc)).namespaces.values()
+                    assert declared and all(is_absolute_uri(uri) for uri in declared)
+                outcomes["written"] += 1
+    assert min(outcomes.values()) > 20, outcomes
