@@ -154,28 +154,41 @@ class NormalForm(Keyed):
 
     Alternatives are kept as sorted tuples of unique instances, themselves
     sorted and de-duplicated, so structural equality is canonical equality.
+    Behind them a private table holds the distinct instances in rank order
+    and each alternative as a tuple of their ranks; the hash is read from it.
     """
 
     # __dict__ holds the two cached QName sets below, which cached_property needs.
-    __slots__ = ("alternatives", "__dict__")
+    __slots__ = ("alternatives", "_table", "__dict__")
 
     def __init__(self, alternatives: tuple[Alternative, ...] = ()):
         ids: dict[AssertionInstance, int] = {}
-        sets = {frozenset(ids.setdefault(i, len(ids)) for i in alt) for alt in alternatives}
-        self._canonical(sets, ids)
+        self._canonical({sum({1 << ids.setdefault(i, len(ids)) for i in alt})
+                         for alt in alternatives}, ids)
 
-    def _canonical(self, sets: set[frozenset[int]], ids: dict[AssertionInstance, int]) -> None:
-        """Set the alternatives from distinct sets of instance ``ids``, emptying
-        ``sets``: sorting them as tuples of ranks orders them by instance keys."""
-        by_rank = sorted(ids, key=Keyed.sort_key)
-        rank = [0] * len(by_rank)
-        for r, instance in enumerate(by_rank):
-            rank[ids[instance]] = r
-        ranked = sorted(tuple(sorted(map(rank.__getitem__, alt))) for alt in sets)
-        sets.clear()  # the id sets of a wide policy are large: free them first
+    def _canonical(self, masks: set[int], ids: dict[AssertionInstance, int]) -> "NormalForm":
+        """Set the alternatives and the table from distinct masks over instance
+        ``ids``, bit k for id k, and return the form.  Each mask is decoded to
+        ranks once, a set bit at a time; sorting the rank tuples orders the
+        alternatives by instance keys.  An id that no mask holds gets no rank."""
+        held = functools.reduce(int.__or__, masks, 0)
+        by_rank = sorted([i for i, k in ids.items() if held >> k & 1], key=Keyed.sort_key)
+        rank_of_bit = {1 << ids[instance]: r for r, instance in enumerate(by_rank)}
+
+        def ranks(mask: int) -> tuple[int, ...]:
+            out = []
+            while mask:
+                low = mask & -mask
+                out.append(rank_of_bit[low])
+                mask ^= low
+            return tuple(sorted(out))
+
+        ranked = tuple(sorted(map(ranks, masks)))
         alternatives = tuple(tuple(map(by_rank.__getitem__, alt)) for alt in ranked)
         _set(self, "alternatives", alternatives)
-        self._freeze(alternatives, alternatives)
+        _set(self, "_table", (tuple(by_rank), ranked))
+        self._freeze(alternatives, self._table)
+        return self
 
     def sort_key(self) -> tuple:
         return tuple(tuple(i._key for i in alt) for alt in self.alternatives)
@@ -183,11 +196,11 @@ class NormalForm(Keyed):
     # Intersect's QName sets, kept on first use: no fields, so in no key or pickle.
     @functools.cached_property
     def _qnames(self) -> frozenset[QName]:
-        return frozenset(i.qname for alt in self.alternatives for i in alt)
+        return frozenset(i.qname for i in self._table[0])
 
     @functools.cached_property
     def _deep_qnames(self) -> frozenset[QName]:
-        nested = {i.nested for alt in self.alternatives for i in alt if i.nested is not None}
+        nested = {i.nested for i in self._table[0] if i.nested is not None}
         return self._qnames.union(*(n._deep_qnames for n in nested))
 
     @staticmethod
@@ -229,22 +242,22 @@ def _instance_of(ref: AssertionRef) -> AssertionInstance:
     return AssertionInstance(ref.qname, ref.parameters, nested)
 
 
-def _distribute(expr: PolicyExpr, ids: dict[AssertionInstance, int]) -> list[frozenset[int]]:
-    """Alternatives as sets of the ids ``ids`` gives each distinct instance.
-    An optional reference offers two: with its instance and without."""
+def _distribute(expr: PolicyExpr, ids: dict[AssertionInstance, int]) -> list[int]:
+    """Alternatives as masks, bit k for the instance ``ids`` numbers k.  An
+    optional reference offers two: with its instance and without."""
     if isinstance(expr, AssertionRef):
-        one = frozenset((ids.setdefault(_instance_of(expr), len(ids)),))
-        return [one, frozenset()] if expr.optional else [one]
+        one = 1 << ids.setdefault(_instance_of(expr), len(ids))
+        return [one, 0] if expr.optional else [one]
     if isinstance(expr, ExactlyOne):
-        out: list[frozenset[int]] = []
+        out: list[int] = []
         for child in expr.children:
             out.extend(_distribute(child, ids))
         return out
     # Policy and All take the pairwise union over the children's alternatives.
-    acc: list[frozenset[int]] = [frozenset()]
+    acc = [0]
     for child in expr.children:
         child_alts = _distribute(child, ids)
-        acc = [a | b if b else a for a in acc for b in child_alts]
+        acc = [a | b for a in acc for b in child_alts]
     return acc
 
 
@@ -256,9 +269,8 @@ def normalize(expr: PolicyExpr) -> NormalForm:
     flags are expanded during distribution, at every depth, as WS-Policy's
     ``ExactlyOne(All(A), All())``; no rewritten tree is built.
     """
-    nf, ids = object.__new__(NormalForm), {}
-    nf._canonical(set(_distribute(expr, ids)), ids)
-    return nf
+    ids: dict[AssertionInstance, int] = {}
+    return object.__new__(NormalForm)._canonical(set(_distribute(expr, ids)), ids)
 
 
 def satisfiable(expr: PolicyExpr) -> bool:
@@ -310,7 +322,9 @@ class _Join:
     modelReference set: empty in strict mode, None where a check could raise
     (no vocabulary, a QName undeclared, or no forms).  Answers are keyed by
     the nested forms' ids: each stays reachable from the call's arguments
-    until it returns, so no id is reused and no lookup compares by value."""
+    until it returns, so no id is reused and no lookup compares by value.
+    It joins over the forms' instance tables, keeping only the keys both hold
+    (a semi-join); signatures are frozensets of small-int components."""
 
     __slots__ = ("mode", "vocab", "uris", "answers")
 
@@ -328,48 +342,49 @@ class _Join:
         except KeyError:
             return None
 
-    def components(self, p: NormalForm, q: NormalForm, uris) -> Optional[dict[QName, Any]]:
-        """Component of every top-level QName of ``p`` and ``q``; None without a table."""
+    def components(self, p: NormalForm, q: NormalForm, uris) -> tuple[list, list]:
+        """Each instance's component in ``p`` and in ``q``, by rank: 0 for all
+        without a table.  Else None for a dead instance, holding no key that
+        both forms hold; or the root of a union-find over those shared keys,
+        which joins each instance's, as ``~root`` for a nested instance."""
         if uris is None:
-            return None
-        if self.mode is MatchMode.STRICT:
-            return {qname: qname for qname in p._qnames | q._qnames}
-        # Union-find joining the URIs of each declaration.  A QName's component is
-        # their root; one without URIs is its own (a QName never equals a str).
-        parent: dict[str, str] = {}
-        heads = []
-        for qname in p._qnames | q._qnames:
-            head = qname
-            for uri in uris[qname]:
-                while parent.setdefault(uri, uri) != uri:
-                    parent[uri] = uri = parent[parent[uri]]
-                parent[uri] = head = uri if head is qname else head
-            heads.append((qname, head))
-        components = {}
-        for qname, head in heads:
-            while parent.get(head, head) != head:
-                head = parent[head]
-            components[qname] = head
-        return components
+            return [0] * len(p._table[0]), [0] * len(q._table[0])
+        strict = self.mode is MatchMode.STRICT
+        keys = [[(i.qname,) if strict else uris[i.qname] or (i.qname,) for i in form._table[0]]
+                for form in (p, q)]
+        shared = set().union(*keys[0]) & set().union(*keys[1])
+        number = {key: n for n, key in enumerate(shared)}
+        live = [[() if shared.isdisjoint(ks) else [n for n in map(number.get, ks) if n is not None]
+                 for ks in side] for side in keys]
+        parent = list(range(len(number)))
 
-    def pairs(self, p: NormalForm, q: NormalForm, uris) -> Iterator[Pair]:
-        """The compatible pairs in nested-loop order, joined as ``intersect`` describes."""
-        components = self.components(p, q, uris)
+        def root(n: int) -> int:
+            while parent[n] != n:
+                parent[n] = n = parent[parent[n]]
+            return n
 
-        def signature(alt: Alternative):
-            return bool(alt) if components is None else frozenset(components[i.qname] for i in alt)
+        for ns in live[0] + live[1]:
+            for n in ns[1:]:
+                parent[root(n)] = root(ns[0])
+        return tuple([None if not ns else root(ns[0]) if i.nested is None else ~root(ns[0])
+                      for ns, i in zip(side, form._table[0])] for side, form in zip(live, (p, q)))
 
-        def flat(alt: Alternative) -> bool:
-            return self.mode is MatchMode.STRICT and all(i.nested is None for i in alt)
-
-        buckets: dict[Any, list[tuple[Alternative, bool]]] = {}
-        for alt_b in q.alternatives:
-            buckets.setdefault(signature(alt_b), []).append((alt_b, flat(alt_b)))
-        for alt_a in p.alternatives:
-            flat_a = flat(alt_a)
-            for alt_b, flat_b in buckets.get(signature(alt_a), ()):
-                if flat_a and flat_b or self.alternatives(alt_a, alt_b, uris):
-                    yield alt_a, alt_b
+    def pairs(self, p: NormalForm, q: NormalForm, uris) -> Iterator[tuple[int, int]]:
+        """Indices of the compatible pairs in nested-loop order, as ``intersect`` joins."""
+        strict = self.mode is MatchMode.STRICT
+        comp_p, comp_q = self.components(p, q, uris)
+        buckets: dict[frozenset, list[int]] = {}
+        for j, alt in enumerate(q._table[1]):
+            signature = frozenset(map(comp_q.__getitem__, alt))
+            if None not in signature:
+                buckets.setdefault(signature, []).append(j)
+        for i, alt in enumerate(p._table[1]):
+            signature = frozenset(map(comp_p.__getitem__, alt))
+            for j in buckets.get(signature, ()):
+                # Strict, and no instance nested on either side: compatible unchecked.
+                if strict and min(signature or (0,)) >= 0 or self.alternatives(
+                        p.alternatives[i], q.alternatives[j], uris):
+                    yield i, j
 
     def alternatives(self, alt_a: Alternative, alt_b: Alternative, uris) -> bool:
         return all(any(self.assertions(a, b, uris) for b in alt_b) for a in alt_a) and all(
@@ -430,7 +445,7 @@ def compatible_pairs(p: NormalForm, q: NormalForm, mode: MatchMode = MatchMode.S
     ``alternatives_compatible`` accepts, in nested-loop order: ``p``'s
     alternatives outermost.  The pairs ``intersect`` joins."""
     join = _Join(mode, vocab, p, q)
-    return join.pairs(p, q, join.uris)
+    return ((p.alternatives[i], q.alternatives[j]) for i, j in join.pairs(p, q, join.uris))
 
 
 def intersect(p: NormalForm, q: NormalForm, mode: MatchMode = MatchMode.STRICT,
@@ -440,17 +455,22 @@ def intersect(p: NormalForm, q: NormalForm, mode: MatchMode = MatchMode.STRICT,
     Each compatible pair of alternatives contributes their union, instances
     kept as-is; an empty result means the policies share no behavior.
 
-    Pairs are joined on a signature instead of all being tried.  An
-    instance's match keys are its QName and, in semantic mode, the normalized
-    modelReference URIs of its declaration; a union-find over both policies
-    merges the keys of each instance into components, and an alternative's
-    signature is the set of its instances' components.  This is exact: in a
-    compatible pair every instance has a partner sharing a key with it, so
-    both alternatives have the same signature.  Sharing a URI is not
-    transitive, so equal signatures only select the pairs that
-    ``alternatives_compatible`` then decides, in the nested-loop order.  In
-    strict mode, equal signatures make two alternatives without nested
-    policies compatible, unchecked.
+    Pairs are joined on a signature, over each form's instance table (its
+    distinct instances in rank order, each alternative as their ranks).  An
+    instance's match keys are its QName in strict mode, else the normalized
+    modelReference URIs of its declaration, or its QName where it has none.
+    A semi-join keeps only keys both forms hold: an instance left with none
+    is dead, as no partner can share a key with it, and its alternatives are
+    skipped unchecked.  A union-find over the shared keys, numbered as small
+    ints, merges each instance's keys into a component; an alternative's
+    signature is the frozenset of its instances' components, which also tell
+    nested instances apart.  This is exact: in a compatible pair every
+    instance has a partner sharing a key and nesting, so both alternatives
+    have the same signature.  Sharing a URI is not transitive, so equal
+    signatures only select the pairs that ``alternatives_compatible`` then
+    decides, in the nested-loop order; in strict mode, two without nested
+    policies are compatible unchecked.  The result is built once, from the
+    pairs' masks ORed over one joint instance table, when there is a pair.
 
     In semantic mode without a vocabulary, or with a QName at any depth of
     ``p`` or ``q`` undeclared, a check may raise VocabularyError.  Then every
@@ -463,7 +483,15 @@ def intersect(p: NormalForm, q: NormalForm, mode: MatchMode = MatchMode.STRICT,
     it also reads each from ``vocab`` just once.  Nesting costs time linear in
     depth, not 2^depth.
     """
-    return NormalForm.of(a + b for a, b in compatible_pairs(p, q, mode, vocab))
+    join = _Join(mode, vocab, p, q)
+    found = list(join.pairs(p, q, join.uris))
+    if not found:
+        return NormalForm()
+    ids: dict[AssertionInstance, int] = {}
+    bits_p, bits_q = ([1 << ids.setdefault(i, len(ids)) for i in form._table[0]] for form in (p, q))
+    masks = {sum(map(bits_p.__getitem__, p._table[1][i]))
+             | sum(map(bits_q.__getitem__, q._table[1][j])) for i, j in found}
+    return object.__new__(NormalForm)._canonical(masks, ids)
 
 
 def merge(p: PolicyExpr, q: PolicyExpr) -> PolicyExpr:

@@ -39,7 +39,7 @@ from .names import (
     WSDL_OPERATION, WSDL_OUTFAULT, WSDL_OUTPUT, WSDL_SERVICE, WSDL_TYPES, WSP_ALL,
     WSP_EXACTLY_ONE, WSP_NS, WSP_OPTIONAL, WSP_POLICY, XML_NS, XMLNS_NS, XS_ANNOTATION, XS_ANY,
     XS_APPINFO, XS_ATTRIBUTE, XS_COMPLEX_TYPE, XS_ELEMENT, XS_IMPORT, XS_NS, XS_SCHEMA,
-    XS_SEQUENCE, nogc,
+    XS_SEQUENCE, is_ncname, nogc,
 )
 from .xmltree import XmlDocument, XmlElement
 
@@ -61,7 +61,8 @@ def _assign_prefixes(
     empty one, and the ``prefix:local`` spelling of a QName under it; a name in
     no namespace keeps its bare local part.  The XML namespace gets ``xml``; no
     other gets ``xml`` or ``xmlns``, even if it prefers it.  The xmlns
-    namespace may have no prefix at all, so it is refused."""
+    namespace may have no prefix at all, so it is refused.  A preferred
+    prefix that is not an NCName falls back to ``ns`` like those two."""
     uris = set(uris)
     if XMLNS_NS in uris:
         raise GenerationError(f"{XMLNS_NS} is reserved for namespace declarations; "
@@ -69,7 +70,7 @@ def _assign_prefixes(
     table: dict[str, str] = {"xml": XML_NS} if XML_NS in uris else {}
     for uri in sorted(uris - {XML_NS, ""}):
         want = preferred.get(uri)
-        if not want or want in ("xml", "xmlns"):
+        if want in ("xml", "xmlns") or not is_ncname(want or ""):
             want = "ns"
         candidate = want
         counter = 0

@@ -176,7 +176,8 @@ def write_canonical(doc: XmlDocument) -> bytes:
     """Serialize with a fixed layout; equal documents yield identical bytes.
 
     Every namespace used by an element or qualified attribute must be declared
-    in the document table, and attribute names must be unique per element.
+    in the document table, under a prefix that is an NCName or the empty
+    default, and attribute names must be unique per element.
     Text, attribute values and namespace URIs must hold only XML 1.0
     characters: any other code point raises ValueError, as no escape can
     carry it.  Each distinct name is checked and qualified once per call and
@@ -216,6 +217,8 @@ def write_canonical(doc: XmlDocument) -> bytes:
         parts = [tag]
         if declare:
             for prefix, uri in declarations:
+                if prefix and not is_ncname(prefix):
+                    raise ValueError(f"not a valid namespace prefix: {prefix!r}")
                 attr = f'xmlns:{prefix}' if prefix else "xmlns"
                 parts.append(f'{attr}="{_escape(uri, _ATTR_SPECIAL_RE, _ATTR_ESCAPES)}"')
         if element.attributes:

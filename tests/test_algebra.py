@@ -1211,3 +1211,123 @@ def test_compatible_pairs_follow_the_nested_loop_on_random_corpora():
     # A full vocabulary never raises; every other cell is reached.
     assert outcomes.pop(("full", "raised")) == 0
     assert min(outcomes.values()) > 20, outcomes
+
+
+# --- the instance table: masks, the semi-join and unused ids ------------------
+
+def _match_keys(instance, mode, vocab) -> set:
+    """An instance's match keys: its QName in strict mode, else its
+    declaration's normalized URIs, or its QName where there are none."""
+    if mode is MatchMode.STRICT:
+        return {instance.qname}
+    return _reference_uris(vocab[instance.qname]) or {instance.qname}
+
+
+def _checked_pairs(monkeypatch, p, q, mode, vocab) -> tuple[NormalForm, list]:
+    """``intersect(p, q, mode, vocab)`` and the pairs of alternatives that
+    reached ``_Join.alternatives``, at the top level or nested."""
+    checked = []
+    original = algebra._Join.alternatives
+
+    def counted(join, alt_a, alt_b, uris):
+        checked.append((alt_a, alt_b))
+        return original(join, alt_a, alt_b, uris)
+
+    monkeypatch.setattr(algebra._Join, "alternatives", counted)
+    try:
+        return intersect(p, q, mode, vocab), checked
+    finally:
+        monkeypatch.setattr(algebra._Join, "alternatives", original)
+
+
+def test_dead_alternatives_are_never_checked(monkeypatch):
+    # X's only URI is bridged to Y's by D's declaration, so X, D and Y once
+    # shared one component and ([X], [Y]) was checked.  Y holds none of X's
+    # keys: X is dead, and only ([D], [Y]) reaches the check.
+    x, y, d = (QName(NS, name) for name in ("X", "Y", "D"))
+    vocab = {
+        x: AssertionDecl("X", "empty", annotation=SemanticAnnotation(("urn:u1",))),
+        d: AssertionDecl("D", "empty", annotation=SemanticAnnotation(("urn:u1", "urn:u2"))),
+        y: AssertionDecl("Y", "empty", annotation=SemanticAnnotation(("urn:u2",))),
+    }
+    p, q = nf([AssertionInstance(x)], [AssertionInstance(d)]), nf([AssertionInstance(y)])
+    got, checked = _checked_pairs(monkeypatch, p, q, MatchMode.SEMANTIC, vocab)
+    assert got == _intersect_reference(p, q, MatchMode.SEMANTIC, vocab) == nf(
+        [AssertionInstance(d), AssertionInstance(y)])
+    assert checked == [((AssertionInstance(d),), (AssertionInstance(y),))]
+    # Strict: q holds no D, so only the alternative without D is checked (the
+    # nested policy keeps the unchecked shortcut out of the way).
+    t = AssertionInstance(QName(NS, "T"), nested=nf([AssertionInstance(QName(NS, "N"))]))
+    p, q = nf([t, AssertionInstance(d)], [t]), nf([t])
+    got, checked = _checked_pairs(monkeypatch, p, q, MatchMode.STRICT, None)
+    assert got == _intersect_reference(p, q) == nf([t]) and checked[0] == ((t,), (t,))
+    assert not any(AssertionInstance(d) in alt_a for alt_a, _ in checked)
+    # On random forms with a full vocabulary (so no check can raise), no
+    # top-level pair that reaches the check holds an instance sharing no key
+    # with the other form, in either mode; the results equal the nested loop's.
+    rng = random.Random(6174)
+    dead = 0
+    for _ in range(300):
+        pool = default_pool(rng.randint(3, 8))
+        vocab = _full_vocab(rng, pool)
+        p, q = _wide_form(rng, pool), _wide_form(rng, pool)
+        for mode in MatchMode:
+            got, checked = _checked_pairs(monkeypatch, p, q, mode, vocab)
+            assert got == _intersect_reference(p, q, mode, vocab), (p, q, mode)
+            held_p, held_q = (set().union(*(_match_keys(i, mode, vocab)
+                                            for alt in form.alternatives for i in alt))
+                              for form in (p, q))
+            top = [(a, b) for a, b in checked if any(a is alt for alt in p.alternatives)
+                   and any(b is alt for alt in q.alternatives)]
+            assert all(_match_keys(i, mode, vocab) & held_q for a, _ in top for i in a), top
+            assert all(_match_keys(i, mode, vocab) & held_p for _, b in top for i in b), top
+            dead += any(not _match_keys(i, mode, vocab) & held_q for alt in p.alternatives for i in alt)
+    assert dead > 100, dead
+
+
+def _top_level_instances(expr) -> set:
+    """The instances of the references outside any nested policy."""
+    found, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, AssertionRef):
+            nested = normalize(node.nested) if node.nested is not None else None
+            found.add(AssertionInstance(node.qname, node.parameters, nested))
+        else:
+            stack.extend(node.children)
+    return found
+
+
+def test_hash_and_equality_hold_where_an_id_is_left_unused():
+    # An unsatisfiable branch gives its instances ids that no alternative
+    # keeps; the table, and so the hash, must not count them.
+    rng = random.Random(1618)
+    unused = 0
+    for _ in range(600):
+        expr = rand_policy_expr(rng)
+        if rng.random() < 0.5:
+            expr = ExactlyOne(expr, All(rand_policy_expr(rng, max_refs=4), ExactlyOne()))
+        got = normalize(expr)
+        fresh = NormalForm.of(got.alternatives)
+        assert got == fresh and fresh == got and hash(got) == hash(fresh)
+        assert got == enumerate_alternatives_oracle(expr)
+        kept = {i for alt in got.alternatives for i in alt}
+        assert got._table[0] == tuple(sorted(kept, key=AssertionInstance.sort_key))
+        unused += kept != _top_level_instances(expr)
+    assert unused > 100, unused
+
+
+def test_masks_wider_than_64_bits():
+    qnames = [QName(NS, f"W{k:02d}") for k in range(70)]
+    refs = [AssertionRef(q, parameters=(("k", k),)) for k, q in enumerate(qnames)]
+    extra = AssertionRef(QName(NS, "Z"), optional=True)
+    got = normalize(Policy(All(*refs, extra)))
+    base = [AssertionInstance(q, (("k", k),)) for k, q in enumerate(qnames)]
+    want = NormalForm.of([base, base + [AssertionInstance(QName(NS, "Z"))]])
+    assert got == want and hash(got) == hash(want)
+    assert [len(alt) for alt in got.alternatives] == [70, 71]
+    # Intersecting two separately built copies joins 142 instance ids.
+    other = normalize(Policy(All(*refs, extra)))
+    for mode in MatchMode:
+        vocab = _declared(*qnames, QName(NS, "Z"))
+        assert intersect(got, other, mode, vocab) == _intersect_reference(got, other, mode, vocab) == got

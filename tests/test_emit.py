@@ -401,6 +401,16 @@ def test_policy_document_binds_only_the_xml_namespace_to_xml():
     assert normalize(parse_policy_element(write_canonical(doc))) == normalize(expr)
 
 
+def test_policy_document_falls_back_from_a_prefix_hint_that_is_not_an_ncname():
+    ns = "http://x/a"
+    expr = Policy(AssertionRef(QName(ns, "A")))
+    for hint in ("1 bad", "a:b", ""):
+        doc = policy_document(expr, prefix_hints={ns: hint})
+        assert doc.namespaces == {"ns": ns, "wsp": WSP_NS}
+        payload = write_canonical(doc)
+        assert parse_xml(payload).namespaces == doc.namespaces
+        assert normalize(parse_policy_element(payload)) == normalize(expr)
+
 def test_policy_subjects_other_than_endpoint():
     doc = travel_agency_json()
     doc["attachments"] = [

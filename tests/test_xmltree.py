@@ -328,3 +328,12 @@ def test_xml_characters_at_the_edges_are_written():
         assert parsed.attr("v") == f"a{char}b"
         # The parser normalizes a raw CR in text to LF; the writer escapes it.
         assert parsed.children[0].text == f"a{char}b"
+
+
+def test_declared_prefix_must_be_an_ncname():
+    root = XmlElement(QName(NS_A, "r"))
+    for prefix in ("1 bad", "a:b", "-x"):
+        with pytest.raises(ValueError, match=f"^not a valid namespace prefix: {prefix!r}$"):
+            write_canonical(XmlDocument(root, {prefix: NS_A}))
+        with pytest.raises(ValueError, match="not a valid namespace prefix"):
+            write_canonical(XmlDocument(root, {"a": NS_A, prefix: NS_B}))
