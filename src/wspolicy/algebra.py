@@ -212,6 +212,10 @@ class NormalForm(Keyed):
         return bool(self.alternatives)
 
 
+# The unsatisfiable form, built once: every empty intersection returns it.
+_EMPTY = NormalForm()
+
+
 class MatchMode(Enum):
     STRICT = "strict"
     SEMANTIC = "semantic"
@@ -329,7 +333,8 @@ class _Join:
     __slots__ = ("mode", "vocab", "uris", "answers")
 
     def __init__(self, mode: MatchMode, vocab: Optional[Vocabulary], *forms: NormalForm):
-        self.mode, self.vocab, self.answers = mode, vocab, {}
+        self.mode = mode if type(mode) is MatchMode else MatchMode(mode)
+        self.vocab, self.answers = vocab, {}
         self.uris = self.table(*forms) if forms else None
 
     def table(self, p: NormalForm, q: NormalForm) -> Optional[dict]:
@@ -342,17 +347,19 @@ class _Join:
         except KeyError:
             return None
 
-    def components(self, p: NormalForm, q: NormalForm, uris) -> tuple[list, list]:
+    def components(self, p: NormalForm, q: NormalForm, uris) -> Optional[tuple[list, list]]:
         """Each instance's component in ``p`` and in ``q``, by rank: 0 for all
-        without a table.  Else None for a dead instance, holding no key that
-        both forms hold; or the root of a union-find over those shared keys,
-        which joins each instance's, as ``~root`` for a nested instance."""
+        without a table; None when the forms share no key.  Else None for a
+        dead instance, holding no shared key, or the root of a union-find over
+        the shared keys joining each instance's, ``~root`` if it nests."""
         if uris is None:
             return [0] * len(p._table[0]), [0] * len(q._table[0])
         strict = self.mode is MatchMode.STRICT
         keys = [[(i.qname,) if strict else uris[i.qname] or (i.qname,) for i in form._table[0]]
                 for form in (p, q)]
         shared = set().union(*keys[0]) & set().union(*keys[1])
+        if not shared:
+            return None
         number = {key: n for n, key in enumerate(shared)}
         live = [[() if shared.isdisjoint(ks) else [n for n in map(number.get, ks) if n is not None]
                  for ks in side] for side in keys]
@@ -370,9 +377,15 @@ class _Join:
                       for ns, i in zip(side, form._table[0])] for side, form in zip(live, (p, q)))
 
     def pairs(self, p: NormalForm, q: NormalForm, uris) -> Iterator[tuple[int, int]]:
-        """Indices of the compatible pairs in nested-loop order, as ``intersect`` joins."""
+        """Indices of the compatible pairs in nested-loop order, as ``intersect`` joins;
+        forms sharing no key pair only their empty alternatives, each ranked first."""
         strict = self.mode is MatchMode.STRICT
-        comp_p, comp_q = self.components(p, q, uris)
+        components = self.components(p, q, uris)
+        if components is None:
+            if p._table[1][:1] == q._table[1][:1] == ((),):
+                yield 0, 0
+            return
+        comp_p, comp_q = components
         buckets: dict[frozenset, list[int]] = {}
         for j, alt in enumerate(q._table[1]):
             signature = frozenset(map(comp_q.__getitem__, alt))
@@ -469,8 +482,10 @@ def intersect(p: NormalForm, q: NormalForm, mode: MatchMode = MatchMode.STRICT,
     have the same signature.  Sharing a URI is not transitive, so equal
     signatures only select the pairs that ``alternatives_compatible`` then
     decides, in the nested-loop order; in strict mode, two without nested
-    policies are compatible unchecked.  The result is built once, from the
-    pairs' masks ORed over one joint instance table, when there is a pair.
+    policies are compatible unchecked.  Forms sharing no key, at any depth, are
+    decided from the key sets alone: only empty alternatives pair.  The pairs'
+    masks, ORed over one joint instance table, build the result once; every
+    empty result is one unsatisfiable form, built at import and shared.
 
     In semantic mode without a vocabulary, or with a QName at any depth of
     ``p`` or ``q`` undeclared, a check may raise VocabularyError.  Then every
@@ -486,7 +501,7 @@ def intersect(p: NormalForm, q: NormalForm, mode: MatchMode = MatchMode.STRICT,
     join = _Join(mode, vocab, p, q)
     found = list(join.pairs(p, q, join.uris))
     if not found:
-        return NormalForm()
+        return _EMPTY
     ids: dict[AssertionInstance, int] = {}
     bits_p, bits_q = ([1 << ids.setdefault(i, len(ids)) for i in form._table[0]] for form in (p, q))
     masks = {sum(map(bits_p.__getitem__, p._table[1][i]))

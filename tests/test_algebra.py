@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -1331,3 +1332,118 @@ def test_masks_wider_than_64_bits():
     for mode in MatchMode:
         vocab = _declared(*qnames, QName(NS, "Z"))
         assert intersect(got, other, mode, vocab) == _intersect_reference(got, other, mode, vocab) == got
+
+
+# --- forms that share no key, and the shared empty result ---------------------
+
+def test_a_mode_given_by_its_value_is_coerced():
+    # X and Y share a concept, so strict and semantic matching disagree on them.
+    x, y = QName(NS, "X"), QName(NS, "Y")
+    vocab = {q: AssertionDecl(q.local, "empty", annotation=SemanticAnnotation(("urn:c",)))
+             for q in (x, y)}
+    ix, iy = AssertionInstance(x), AssertionInstance(y)
+    p, q = nf([ix]), nf([iy])
+    for mode in MatchMode:
+        assert intersect(p, q, mode.value, vocab) == intersect(p, q, mode, vocab)
+        assert _pairs(p, q, mode.value, vocab) == _pairs(p, q, mode, vocab)
+        assert alternatives_compatible([ix], [iy], mode.value, vocab) is (mode is MatchMode.SEMANTIC)
+        assert assertions_compatible(ix, iy, mode.value, vocab) is (mode is MatchMode.SEMANTIC)
+    assert intersect(p, q, "strict", vocab) == NormalForm()
+    assert intersect(p, q, "semantic", vocab) == nf([ix, iy])
+    # Strict matching needs no vocabulary, whichever way the mode is given.
+    assert intersect(p, q, "strict") == NormalForm() and not _pairs(p, q, "strict", None)
+    for call in (lambda: intersect(p, q, "bogus", vocab), lambda: _pairs(p, q, "bogus", vocab),
+                 lambda: alternatives_compatible([ix], [iy], "bogus", vocab),
+                 lambda: assertions_compatible(ix, iy, "bogus", vocab)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def _disjoint_pair(rng, empty_sides: str) -> tuple[NormalForm, NormalForm, dict]:
+    """Random forms over disjoint QName pools, nested instances included, and
+    a full vocabulary declaring them over disjoint URI sets (some declarations
+    unannotated).  ``empty_sides`` names the forms given an empty alternative;
+    the other forms have none."""
+    forms, vocab = [], {}
+    for side in "pq":
+        pool = [QName(f"urn:{side}", f"A{k}") for k in range(4)]
+        uris = [f"urn:concept:{side}{k}" for k in range(3)]
+        for qname in pool:
+            annotated = rng.random() < 0.8
+            vocab[qname] = AssertionDecl(qname.local, "empty", annotation=SemanticAnnotation(
+                tuple(rng.sample(uris, rng.randint(1, 2)))) if annotated else None)
+        alternatives = [alt for alt in rand_normal_form(rng, pool, max_nesting=2).alternatives if alt]
+        forms.append(NormalForm.of(alternatives + ([()] if side in empty_sides else [])))
+    return forms[0], forms[1], vocab
+
+
+def test_forms_sharing_no_key_are_decided_from_the_key_sets():
+    # Top level and nested under a shared T, with empty alternatives on
+    # neither, one or both sides, in both modes: the same result and pairs as
+    # the nested loop, and the same error once one QName is undeclared.
+    rng = random.Random(2401)
+    t = QName(NS, "T")
+    outcomes = {"empty": 0, "matched": 0, "raised": 0}
+    decided = 0
+    for round_ in range(400):
+        p, q, vocab = _disjoint_pair(rng, ("", "p", "q", "pq")[round_ % 4])
+        for mode in MatchMode:
+            join = algebra._Join(mode, vocab, p, q)
+            decided += join.components(p, q, join.uris) is None
+        if round_ % 8 >= 4:
+            # The nested pair shares no key; T and the second alternatives do.
+            vocab.update(_declared(t, A.qname))
+            p, q = (nf([AssertionInstance(t, nested=form)], [inst(A)]) for form in (p, q))
+        undeclared, names = dict(vocab), sorted(_distinct_qnames(p, q))
+        if names:
+            del undeclared[rng.choice(names)]
+        for mode in MatchMode:
+            for declarations in (vocab, undeclared, None):
+                want = _outcome(_intersect_reference, p, q, mode, declarations)
+                assert _outcome(intersect, p, q, mode, declarations) == want, (p, q, mode)
+                assert _outcome(_pairs, p, q, mode, declarations) == _outcome(
+                    _pairs_reference, p, q, mode, declarations), (p, q, mode)
+                if isinstance(want, str):
+                    outcomes["raised"] += 1
+                else:
+                    outcomes["matched" if want.satisfiable else "empty"] += 1
+    assert decided == 800 and min(outcomes.values()) > 100, (decided, outcomes)
+
+
+def test_an_empty_intersection_of_forms_sharing_nothing_builds_no_form(monkeypatch):
+    rng = random.Random(31)
+    pairs = [_disjoint_pair(rng, "") for _ in range(20)]
+    calls = []
+    original = NormalForm._canonical
+
+    def counted(form, *args):
+        calls.append(form)
+        return original(form, *args)
+
+    monkeypatch.setattr(NormalForm, "_canonical", counted)
+    for p, q, vocab in pairs:
+        for mode in MatchMode:
+            assert intersect(p, q, mode, vocab) is intersect(q, p, mode, vocab)
+            assert not intersect(p, q, mode, vocab).satisfiable
+    assert calls == []
+
+
+def test_the_shared_empty_result_is_a_plain_unsatisfiable_form():
+    p, q = nf([inst(A)]), nf([inst(B)])
+    first, second = intersect(p, q), intersect(q, p, MatchMode.SEMANTIC, _declared(A.qname, B.qname))
+    fresh = NormalForm()
+    assert first is second
+    assert first == fresh and fresh == first and hash(first) == hash(fresh)
+    assert not first.satisfiable and first.alternatives == ()
+    assert repr(first) == repr(fresh) and first.sort_key() == fresh.sort_key()
+    before = (hash(first), repr(first), pickle.dumps(first))
+    assert first._qnames == first._deep_qnames == frozenset()
+    assert (hash(first), repr(first), pickle.dumps(first)) == before
+    for twin in (copy.copy(first), copy.deepcopy(first), pickle.loads(before[2])):
+        assert twin == first == fresh and hash(twin) == hash(fresh)
+        assert not {"_qnames", "_deep_qnames"} & set(vars(twin))
+    with pytest.raises(FrozenInstanceError):
+        first.alternatives = ((inst(A),),)
+    with pytest.raises(FrozenInstanceError):
+        del first.alternatives
+    assert first == fresh and not first.satisfiable

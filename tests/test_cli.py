@@ -27,6 +27,7 @@ from wspolicy.reader import MAX_POLICY_DEPTH
 from corpus import (
     GOLDEN,
     SEC_NS,
+    acme,
     acme_domain,
     acme_requester_policy,
     conflicting_security_domain,
@@ -852,6 +853,26 @@ def test_intersect_explain_strict_prints_pairs_in_nested_loop_order(runner, tmp_
         f"  {sp('NoPassword')}",
         f"{wss}",
     ])
+
+
+def test_semantic_intersect_of_sources_sharing_no_uri(runner, tmp_path):
+    # HashedPwd and Wss10Token are declared with different concepts, so the two
+    # sources share no match key: only their empty alternatives can pair.
+    vocab = tmp_path / "acme-security.xsd"
+    vocab.write_bytes(write_canonical(emit_domain_xsd(acme_domain())))
+    hints = {acme_domain().target_namespace: "acme"}
+    for optional, code, stdout in ((False, 3, ["EMPTY (0 alternatives)"]),
+                                   (True, 0, ["(empty alternative)"])):
+        left, right = (write_policy(tmp_path, f"{name}.xml", Policy(
+            AssertionRef(acme(name), optional=optional)), hints=hints)
+            for name in ("HashedPwd", "Wss10Token"))
+        args = ["intersect", str(left), str(right), "--mode", "semantic", "--vocab", str(vocab)]
+        result = runner.invoke(cli, args)
+        assert (result.exit_code, result.stdout.splitlines()) == (code, stdout), result.output
+        explained = runner.invoke(cli, args + ["--explain"])
+        pairs = [l for l in explained.stdout.splitlines() if l.startswith("pair: ")]
+        assert explained.exit_code == code
+        assert pairs == (["pair: (empty alternative) ~ (empty alternative)"] if optional else [])
 
 
 def test_intersect_model_fragment_sources(runner, model_path):
