@@ -18,7 +18,7 @@ _EXPORTS = {
     "algebra": (
         "All", "AssertionInstance", "AssertionRef", "ExactlyOne", "MatchMode", "NormalForm",
         "Policy", "PolicyExpr", "assertions_compatible", "alternatives_compatible",
-        "denormalize", "intersect", "merge", "normal_forms_equal", "normalize",
+        "denormalize", "intersect", "merge", "normalize",
     ),
     "emit": ("emit_domain_xsd", "emit_policy_element", "emit_wsdl", "policy_document"),
     "errors": (

@@ -514,11 +514,6 @@ def merge(p: PolicyExpr, q: PolicyExpr) -> PolicyExpr:
     return All(p, q)
 
 
-def normal_forms_equal(p: NormalForm, q: NormalForm) -> bool:
-    """Canonical equality, comparing nested normal forms recursively."""
-    return p == q
-
-
 def denormalize(nf: NormalForm) -> PolicyExpr:
     """Rebuild the explicit choice-of-conjunctions tree for a normal form."""
 

@@ -16,7 +16,6 @@ from .algebra import (
     ExactlyOne,
     Policy,
     PolicyExpr,
-    iter_refs,
     lexical_value,
     normalize,  # unused here; benchmarks/spans.py wraps emit.normalize
     satisfiable,
@@ -193,26 +192,32 @@ def emit_policy_element(expr: PolicyExpr) -> XmlElement:
     elements in their own namespace with parameters as attributes; optional
     flags become wsp:Optional="true" rather than being pre-expanded.
     """
+    return _satisfiable_root(expr, set())
+
+
+def _satisfiable_root(expr: PolicyExpr, used: set[str]) -> XmlElement:
     if not satisfiable(expr):
         raise GenerationError("refusing to emit an unsatisfiable policy (no alternatives)")
-    return _policy_root(expr)
+    return _policy_root(expr, used)
 
 
-def _policy_root(expr: PolicyExpr) -> XmlElement:
-    return _policy_node(expr if isinstance(expr, Policy) else Policy(expr))
+def _policy_root(expr: PolicyExpr, used: set[str]) -> XmlElement:
+    """The wsp:Policy element; adds each assertion's namespace to ``used``."""
+    return _policy_node(expr if isinstance(expr, Policy) else Policy(expr), used)
 
 
-def _policy_node(expr: PolicyExpr) -> XmlElement:
+def _policy_node(expr: PolicyExpr, used: set[str]) -> XmlElement:
     if isinstance(expr, AssertionRef):
+        used.add(expr.qname.namespace)
         attrs: list[tuple[QName, str]] = [
             (QName("", name), lexical_value(value)) for name, value in expr.parameters
         ]
         if expr.optional:
             attrs.append((WSP_OPTIONAL, "true"))
-        nested = () if expr.nested is None else (_policy_root(expr.nested),)
+        nested = () if expr.nested is None else (_policy_root(expr.nested, used),)
         return XmlElement(expr.qname, attrs, nested)
     return XmlElement(
-        _WSP_OPERATORS[type(expr)], (), [_policy_node(child) for child in expr.children]
+        _WSP_OPERATORS[type(expr)], (), [_policy_node(child, used) for child in expr.children]
     )
 
 
@@ -223,8 +228,8 @@ def policy_document(
     preferred = dict(_BUILTIN_PREFIXES)
     if prefix_hints:
         preferred.update(prefix_hints)
-    root = emit_policy_element(expr)
-    used = {WSP_NS}.union(ref.qname.namespace for ref in iter_refs(expr))
+    used = {WSP_NS}
+    root = _satisfiable_root(expr, used)
     namespaces, _ = _assign_prefixes(used, preferred)
     return XmlDocument(root, namespaces)
 
@@ -252,8 +257,10 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
     if problems:
         raise GenerationError(f"model failed validation: {problems[0]}", tuple(problems))
 
-    used_namespaces = {
-        ref.qname.namespace for a in model.attachments for ref in iter_refs(a.policy)
+    used_namespaces: set[str] = set()
+    attached = {
+        (a.subject.kind, a.subject.path): _policy_root(a.policy, used_namespaces)
+        for a in model.attachments
     }
     used_namespaces.discard(WSP_NS)
 
@@ -271,13 +278,9 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
 
     namespaces, qname_str = _assign_prefixes(declared, _preferred_prefixes(model))
 
-    attached: dict[tuple[str, tuple[str, ...]], PolicyExpr] = {
-        (a.subject.kind, a.subject.path): a.policy for a in model.attachments
-    }
-
     def policy_child(kind: str, *path: str) -> list[XmlElement]:
-        policy = attached.get((kind, tuple(path)))
-        return [_policy_root(policy)] if policy is not None else []
+        element = attached.get((kind, tuple(path)))
+        return [element] if element is not None else []
 
     children: list[XmlElement] = []
     if imported:

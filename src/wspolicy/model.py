@@ -351,11 +351,11 @@ def validate_model(model: ServiceModel) -> list[Diagnostic]:
         if ext.prefix is not None:
             _check_identifier(out, f"externalNamespaces[{i}].prefix", ext.prefix, "prefix")
 
-    _check_domains(out, model)
+    declared = _check_domains(out, model)
     _check_interfaces(out, model)
     _check_bindings(out, model)
     _check_services(out, model)
-    _check_attachments(out, model)
+    _check_attachments(out, model, declared)
 
     return sorted(out.diagnostics, key=lambda d: (d.subject_path, d.code, d.message))
 
@@ -400,7 +400,9 @@ def validate_domain(domain: DomainSchema) -> list[Diagnostic]:
     return sorted(out.diagnostics, key=lambda d: (d.subject_path, d.code, d.message))
 
 
-def _check_domains(out: _Collector, model: ServiceModel):
+def _check_domains(out: _Collector, model: ServiceModel) -> set[QName]:
+    """Checks every domain; returns the set of declared assertion QNames.  Only
+    a QName that an earlier domain declared is a ``duplicate-qname``."""
     domain_names: set[str] = set()
     qnames: set[QName] = set()
     for domain in model.domains:
@@ -413,12 +415,12 @@ def _check_domains(out: _Collector, model: ServiceModel):
         ):
             out.error("namespace-collision", f"{path}.targetNamespace",
                       "domain namespace must differ from the model targetNamespace")
-        for decl in domain.assertions:
-            qname = QName(domain.target_namespace, decl.name)
-            if qname in qnames:
-                out.error("duplicate-qname", f"{path}.assertions[{decl.name}]",
-                          f"assertion QName declared twice: {qname}")
-            qnames.add(qname)
+        own = {QName(domain.target_namespace, decl.name) for decl in domain.assertions}
+        for qname in own & qnames:
+            out.error("duplicate-qname", f"{path}.assertions[{qname.local}]",
+                      f"assertion QName declared twice: {qname}")
+        qnames |= own
+    return qnames
 
 
 def _check_assertion_shape(out: _Collector, path: str, decl: AssertionDecl):
@@ -501,8 +503,7 @@ def _check_services(out: _Collector, model: ServiceModel):
                           f"{binding.interface_ref!r}, not {service.interface_ref!r}")
 
 
-def _check_attachments(out: _Collector, model: ServiceModel):
-    declared = {QName(d.target_namespace, a.name) for d in model.domains for a in d.assertions}
+def _check_attachments(out: _Collector, model: ServiceModel, declared: set[QName]):
     seen: set[tuple[str, tuple[str, ...]]] = set()
     for attachment in model.attachments:
         subject = attachment.subject

@@ -23,7 +23,6 @@ from wspolicy import (
     denormalize,
     intersect,
     merge,
-    normal_forms_equal,
     normalize,
 )
 from wspolicy import algebra
@@ -89,6 +88,12 @@ def test_oracle_refuses_large_trees():
     wide = All(*(AssertionRef(QName(NS, f"X{i}")) for i in range(17)))
     with pytest.raises(ValueError):
         enumerate_alternatives_oracle(wide)
+
+
+@pytest.mark.parametrize("operator", [Policy, All, ExactlyOne])
+def test_operator_children_must_be_policy_expressions(operator):
+    with pytest.raises(TypeError, match="operator child must be a PolicyExpr, got str"):
+        operator(A, "x")
 
 
 def test_iter_refs_in_document_order_with_nested_policies():
@@ -315,7 +320,7 @@ def test_intersect_commutative_and_sound_random():
         q = rand_normal_form(rng, pool)
         pq = intersect(p, q)
         qp = intersect(q, p)
-        assert normal_forms_equal(pq, qp)
+        assert pq == qp
         for alt in pq.alternatives:
             members = set(alt)
             assert any(members.issuperset(a) for a in p.alternatives)
@@ -540,14 +545,14 @@ def test_merge_matches_oracle_on_random_pairs():
 # --- normal-form equality and idempotence ------------------------------------
 
 def test_normal_forms_equal_is_order_insensitive():
-    assert normal_forms_equal(nf([inst(A), inst(B)]), nf([inst(B), inst(A)]))
+    assert nf([inst(A), inst(B)]) == nf([inst(B), inst(A)])
     provider = nested_provider_nf()
     swapped = nf(
         [AssertionInstance(sp("HashPassword")), AssertionInstance(sp("WssUsernameToken10"))],
         [AssertionInstance(sp("NoPassword")), AssertionInstance(sp("WssUsernameToken10"))],
     )
-    assert normal_forms_equal(provider, swapped)
-    assert normal_forms_equal(provider, provider)
+    assert provider == swapped
+    assert provider == provider
 
 
 def test_canonical_order_distinguishes_absent_and_empty_nested():

@@ -195,6 +195,21 @@ def test_validate_and_generate_refuse_a_simple_type_namespace_that_is_no_uri(run
     assert not outdir.exists()
 
 
+def test_validate_and_generate_report_an_assertion_repeated_in_one_domain_once(runner, tmp_path):
+    doc = travel_agency_json()
+    doc["domains"][0]["assertions"].append({"name": "HashPassword", "typeKind": "empty"})
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    line = ("error duplicate-name domains[security].assertions[HashPassword]: "
+            "duplicate assertion name 'HashPassword'\n")
+    validated = runner.invoke(cli, ["validate", str(path)])
+    assert (validated.exit_code, validated.stdout, validated.stderr) == (1, "", line)
+    outdir = tmp_path / "never"
+    generated = runner.invoke(cli, ["generate", str(path), "--output-dir", str(outdir)])
+    assert (generated.exit_code, generated.stdout, generated.stderr) == (1, "", line)
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("code", sorted(POLICY_FAULTS))
 def test_validate_and_generate_report_policy_faults(runner, tmp_path, code):
     break_policy, message = POLICY_FAULTS[code]

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ import wspolicy.modelfile
 
 from wspolicy import (
     AssertionDecl,
+    All,
     AssertionRef,
     AttributeDecl,
     DomainSchema,
@@ -303,6 +305,50 @@ def test_emit_wsdl_checks_each_attachment_and_domain_once(monkeypatch):
             ("wspolicy.emit", "validate_model"): 1,
             ("wspolicy.model", "validate_domain"): len(model.domains),
         })
+
+
+def emitted_nodes(expr, root=True) -> int:
+    """The elements emission builds for a policy tree: one per node, plus the
+    wsp:Policy wrapped around a root or nested policy that is no Policy."""
+    own = 1 + (root and not isinstance(expr, Policy))
+    if isinstance(expr, AssertionRef):
+        return own + (0 if expr.nested is None else emitted_nodes(expr.nested))
+    return own + sum(emitted_nodes(child, False) for child in expr.children)
+
+
+def test_emission_walks_each_policy_once(monkeypatch):
+    """iter_refs runs only for validation, once per attachment, and the
+    element builder once per node: namespaces are collected while building."""
+    calls = Counter()
+    iter_refs = wspolicy.algebra.iter_refs
+
+    def counted_iter_refs(expr):
+        calls["iter_refs"] += 1
+        return iter_refs(expr)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wspolicy" and getattr(module, "iter_refs", None) is iter_refs:
+            monkeypatch.setattr(module, "iter_refs", counted_iter_refs)
+    policy_node = wspolicy.emit._policy_node
+
+    def counted_policy_node(*args):
+        calls["_policy_node"] += 1
+        return policy_node(*args)
+
+    monkeypatch.setattr(wspolicy.emit, "_policy_node", counted_policy_node)
+    rng = random.Random(4242)
+    models = [travel_agency_model()] + [rand_model(rng, require_satisfiable_policies=True)
+                                        for _ in range(5)]
+    for model in models:
+        calls.clear()
+        emit_wsdl(model)
+        assert calls["iter_refs"] == len(model.attachments)
+        assert calls["_policy_node"] == sum(emitted_nodes(a.policy) for a in model.attachments)
+    nested_in_all = All(AssertionRef(sp("UsernameToken"), nested=All(AssertionRef(sp("NoPassword")))))
+    for expr in (endpoint_policy(), nested_in_all, Policy()):
+        calls.clear()
+        policy_document(expr)
+        assert calls == Counter({"_policy_node": emitted_nodes(expr)})
 
 
 def test_wide_optional_policy_validates_and_emits_without_expansion(monkeypatch):

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,7 @@ from wspolicy import (
     validate_model,
     write_canonical,
 )
+import wspolicy.model
 from wspolicy.algebra import All, ExactlyOne, iter_refs
 from wspolicy.names import Value, XMLNS_NS, XS_NS, is_absolute_uri
 from wspolicy.xmltree import parse_xml
@@ -209,6 +212,14 @@ def test_namespace_collision_and_duplicate_qname():
     }
     doc["domains"].append(second)
     assert "duplicate-qname" in codes(validate_model(model_from_json(doc)))
+
+
+def test_assertion_repeated_in_one_domain_is_one_duplicate_name():
+    doc = travel_agency_json()
+    doc["domains"][0]["assertions"].append({"name": "HashPassword", "typeKind": "empty"})
+    assert validate_model(model_from_json(doc)) == [Diagnostic(
+        "error", "duplicate-name", "domains[security].assertions[HashPassword]",
+        "duplicate assertion name 'HashPassword'")]
 
 
 XMLNS_EDITS = {
@@ -393,10 +404,41 @@ def _with_assertions(*assertions):
     return _rebuilt(model, domains=[domain])
 
 
+def _with_service_interface(interface_ref):
+    model = travel_agency_model()
+    (service,) = model.services
+    return _rebuilt(model, services=[_rebuilt(service, interface_ref=interface_ref)])
+
+
+def _with_subject(subject):
+    model = travel_agency_model()
+    (attachment,) = model.attachments
+    return _rebuilt(model, attachments=[PolicyAttachment(subject, attachment.policy)])
+
+
 IFACE = "interfaces[TravelAgencyInterface]"
 PARAMS = f"attachments[{ENDPOINT}].{sp('HashPassword')}.parameters"
 ASSERTIONS = "domains[security].assertions"
+SERVICE = "services[TravelAgencyService]"
 UNWRITABLE = [
+    # A model file cannot carry the first, second or fifth of these:
+    # parse_model refuses the empty annotation and each unknown kind itself.
+    (_with_assertions(AssertionDecl("Tagged", annotation=SemanticAnnotation(()))),
+     [("annotation-empty", f"{ASSERTIONS}[Tagged].annotation",
+       "modelReference must list at least one URI")]),
+    (_with_assertions(AssertionDecl("Odd", "weird")),
+     [("assertion-shape", f"{ASSERTIONS}[Odd]", "unknown typeKind 'weird'")]),
+    (_with_assertions(AssertionDecl("Plain", "empty", nestable_children=["NoPassword"])),
+     [("assertion-shape", f"{ASSERTIONS}[Plain]",
+       "nestableChildren require typeKind complex, not 'empty'")]),
+    (_with_service_interface("Ghost"),
+     [("binding-interface-mismatch", f"{SERVICE}.endpoints[TravelAgencyEndpoint].binding",
+       "binding 'TravelAgencyBinding' is bound to interface 'TravelAgencyInterface', "
+       "not 'Ghost'"),
+      ("interface-unresolved", f"{SERVICE}.interface", "interface 'Ghost' is not declared")]),
+    (_with_subject(SubjectRef("port", ("TravelAgencyService", "TravelAgencyEndpoint"))),
+     [("subject-unresolved", "attachments[port/TravelAgencyService/TravelAgencyEndpoint]",
+       "unknown subject kind 'port'")]),
     (_with_message_type(QName(SEC_NS, "1 bad")),
      [("bad-identifier", f"{IFACE}.operations[bookTrip].inputs[0].elementType",
        "local part must be an NCName, got '1 bad'")]),
@@ -436,8 +478,9 @@ UNWRITABLE = [
 
 
 @pytest.mark.parametrize("model, expected", UNWRITABLE, ids=[
-    "message-type", "fault-type", "simple-type", "attribute-type", "repeated-parameter",
-    "parameter-name", "parameter-value", "simple-type-uri", "attribute-type-uri",
+    "annotation-empty", "unknown-type-kind", "nestable-on-empty", "service-interface",
+    "subject-kind", "message-type", "fault-type", "simple-type", "attribute-type",
+    "repeated-parameter", "parameter-name", "parameter-value", "simple-type-uri", "attribute-type-uri",
     "simple-type-xmlns", "attribute-type-xmlns", "simple-type-character"])
 def test_unwritable_hand_built_models_are_refused(model, expected):
     diagnostics = validate_model(model)
@@ -539,3 +582,20 @@ def test_what_validate_model_passes_is_written_and_what_it_refuses_is_not():
                     assert declared and all(is_absolute_uri(uri) for uri in declared)
                 outcomes["written"] += 1
     assert min(outcomes.values()) > 20, outcomes
+
+
+# --- the documented rules ---------------------------------------------------------
+
+def test_docs_name_every_validation_code():
+    """Each code that model.py reports through ``out.error`` is named, in
+    backquotes, in docs/model-format.md's list of the rules validate checks."""
+    source = Path(wspolicy.model.__file__).read_text(encoding="utf-8")
+    codes_reported = {
+        node.args[0].value for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "error" and getattr(node.func.value, "id", None) == "out"
+    }
+    doc = (Path(__file__).parents[1] / "docs" / "model-format.md").read_text(encoding="utf-8")
+    rules = doc.split("Rules checked by `validate`", 1)[1].split("\n## ", 1)[0]
+    assert len(codes_reported) >= 21
+    assert sorted(code for code in codes_reported if f"`{code}`" not in rules) == []

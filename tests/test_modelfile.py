@@ -75,6 +75,45 @@ def test_missing_required_field():
     assert "targetNamespace" in str(err.value)
 
 
+def _refused(doc: dict, *literals: str) -> ModelSchemaError:
+    """The error parse_model raises for ``doc``; each string value "@" in it is
+    replaced by the next of ``literals``, spelled as raw JSON."""
+    text = json.dumps(doc)
+    for literal in literals:
+        text = text.replace('"@"', literal, 1)
+    with pytest.raises(ModelSchemaError) as err:
+        parse_model(text.encode())
+    return err.value
+
+
+def test_empty_message_encoding_is_refused():
+    doc = travel_agency_json()
+    doc["bindings"][0]["messageEncoding"] = ""
+    err = _refused(doc)
+    assert (err.path, str(err)) == (
+        "bindings[0].messageEncoding", "bindings[0].messageEncoding: must be a non-empty token")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_parameter_values_are_refused(literal):
+    # json.loads takes these three literals as floats.
+    doc = travel_agency_json()
+    doc["attachments"][0]["policy"]["policy"][0]["assertion"]["parameters"] = [
+        {"name": "level", "value": "@"}]
+    err = _refused(doc, literal)
+    assert err.path == "attachments[0].policy.policy[0].assertion.parameters[0].value"
+    assert str(err).endswith(": parameter values must be finite")
+
+
+@pytest.mark.parametrize("form", ["all", "exactlyOne"])
+def test_attachment_policy_root_must_be_the_policy_form(form):
+    doc = travel_agency_json()
+    doc["attachments"][0]["policy"] = {form: []}
+    err = _refused(doc)
+    assert (err.path, str(err)) == ("attachments[0].policy", "attachments[0].policy: "
+                                    "an attachment policy must use the 'policy' form at the root")
+
+
 def test_unrecognized_format_version():
     with pytest.raises(ModelSchemaError) as err:
         parse_model(b'{"formatVersion": "2.0", "modelName": "m", "targetNamespace": "http://x/"}')

@@ -143,6 +143,12 @@ def test_normalize_uri_cases():
     assert normalize_uri("http://example.org/100%") == "http://example.org/100%"
 
 
+def test_unsplittable_uri_is_no_absolute_uri_and_normalizes_to_itself():
+    # urlsplit raises ValueError for an unclosed IPv6 literal.
+    assert not is_absolute_uri("http://[::1")
+    assert normalize_uri("http://[::1") == "http://[::1"
+
+
 def test_normalize_uri_idempotent():
     uris = [
         "HTTP://EMI/a/../b",

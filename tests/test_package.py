@@ -42,7 +42,8 @@ def test_star_import_and_dir_list_every_public_name():
 
 
 @pytest.mark.parametrize(
-    "name", ["enumerate_alternatives_oracle", "expand_optional", "OracleLimitError"]
+    "name",
+    ["enumerate_alternatives_oracle", "expand_optional", "OracleLimitError", "normal_forms_equal"],
 )
 def test_test_only_names_are_gone(name):
     assert name not in wspolicy.__all__

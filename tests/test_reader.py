@@ -204,6 +204,14 @@ def test_parse_rejects_text_and_foreign_attributes():
         )
 
 
+def test_parse_rejects_an_element_inside_an_assertion():
+    payload = (f'<wsp:Policy xmlns:wsp="{WSP}" xmlns:a="http://a/">'
+               "<a:A><a:B/></a:A></wsp:Policy>").encode()
+    with pytest.raises(PolicyXmlError,
+                       match=r"^unsupported content \{http://a/\}B inside assertion \{http://a/\}A$"):
+        parse_policy_element(payload)
+
+
 @pytest.mark.parametrize("nested_policies", [False, True])
 def test_parse_caps_policy_depth(nested_policies):
     # Operators and nested assertion policies both count toward the cap.
@@ -312,6 +320,14 @@ def test_top_level_non_elements_are_skipped_with_warning():
     domain = parse_domain_xsd(payload, warnings)
     assert [a.name for a in domain.assertions] == ["Keep"]
     assert [w.code for w in warnings] == ["schema-component-skipped"]
+
+
+def test_element_declaration_without_a_name_is_skipped_with_warning():
+    warnings: list[Diagnostic] = []
+    domain = parse_domain_xsd(_schema("", "<xs:element/>", '<xs:element name="Keep"/>'), warnings)
+    assert [a.name for a in domain.assertions] == ["Keep"]
+    assert warnings == [Diagnostic("warning", "schema-component-skipped", str(QName(XS_NS, "element")),
+                                   "element declaration without a name")]
 
 
 def test_schema_without_target_namespace_rejected():

@@ -106,6 +106,16 @@ def test_malformed_xml_reports_position():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("data", [
+    b"", b" \n\t", b'<?xml version="1.0"?>', b"<!-- c -->", b"<?pi x?>", b"\xef\xbb\xbf",
+], ids=["empty", "whitespace", "declaration", "comment", "processing-instruction", "bom"])
+def test_rootless_input_is_refused_by_expat(data):
+    # expat raises for each of these before parse_xml's own "no root element"
+    # check, which stays as a guard on outside input.
+    with pytest.raises(XmlParseError, match="^no element found"):
+        parse_xml(data)
+
+
 def test_write_parse_write_is_stable():
     doc = doc_with([(QName("", "x"), "1")])
     payload = write_canonical(doc)
