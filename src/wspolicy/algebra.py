@@ -11,11 +11,12 @@ semantic-concept URIs taken from the assertion vocabulary (semantic).
 from __future__ import annotations
 
 import functools
+import math
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import VocabularyError
-from .names import QName, Value, normalize_uri
+from .names import QName, Value, check_xml_chars, normalize_uri
 
 ParamValue = Union[str, int, float, bool]
 
@@ -35,6 +36,15 @@ def lexical_value(value: ParamValue) -> str:
     if isinstance(value, (int, float)):
         return repr(value)
     return value
+
+
+def check_param_value(value) -> ParamValue:
+    """``value`` itself if a parameter can hold it; else ValueError, in the model file's words."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("parameter values must be finite")
+    if not isinstance(value, (str, int, float)):  # bool is an int
+        raise ValueError(f"expected a string, number or boolean, got {type(value).__name__}")
+    return check_xml_chars(value) if isinstance(value, str) else value
 
 
 class PolicyExpr(Value):
@@ -146,7 +156,7 @@ class AssertionInstance(Keyed):
 
 
 Alternative = tuple[AssertionInstance, ...]
-Pair = tuple[Alternative, Alternative]
+Match = tuple[QName, QName, str]
 
 
 class NormalForm(Keyed):
@@ -314,12 +324,6 @@ def _declared_uris(a: QName, b: QName, vocab: Optional[Vocabulary]):
     return _model_reference_set(vocab[a]), _model_reference_set(vocab[b])
 
 
-def semantic_match_uris(a: QName, b: QName, vocab: Optional[Vocabulary]) -> tuple[str, ...]:
-    """Shared modelReference URIs (normalized, sorted) between two declared
-    assertions; raises when either declaration is missing."""
-    return tuple(sorted(frozenset.intersection(*_declared_uris(a, b, vocab))))
-
-
 class _Join:
     """One top-level call's mode, vocabulary, URI table and nested-pair answers.
     The table maps each QName of the two forms, at any depth, to its
@@ -417,6 +421,16 @@ class _Join:
             return a.nested is None and b.nested is None
         return self.nested(a.nested, b.nested, uris)
 
+    def matches(self, alt_a: Alternative, alt_b: Alternative, uris) -> Iterator[Match]:
+        """Each two instances with distinct QNames that match, ``alt_a``'s
+        outermost, with the least URI both declarations hold."""
+        for a in alt_a:
+            for b in alt_b:
+                if a.qname != b.qname and self.assertions(a, b, uris):
+                    sets = (_declared_uris(a.qname, b.qname, self.vocab) if uris is None
+                            else (uris[a.qname], uris[b.qname]))
+                    yield a.qname, b.qname, min(sets[0] & sets[1])
+
     def nested(self, p: NormalForm, q: NormalForm, uris) -> bool:
         """Whether ``p`` and ``q`` intersect.  Under a table no check can raise,
         so the first compatible pair answers, for the reversed pair too; without
@@ -453,12 +467,15 @@ def alternatives_compatible(alt_a: Iterable[AssertionInstance], alt_b: Iterable[
 
 
 def compatible_pairs(p: NormalForm, q: NormalForm, mode: MatchMode = MatchMode.STRICT,
-                     vocab: Optional[Vocabulary] = None) -> Iterator[Pair]:
+                     vocab: Optional[Vocabulary] = None,
+                     ) -> Iterator[tuple[Alternative, Alternative, Iterator[Match]]]:
     """Each pair of an alternative of ``p`` and one of ``q`` that
     ``alternatives_compatible`` accepts, in nested-loop order: ``p``'s
-    alternatives outermost.  The pairs ``intersect`` joins."""
+    alternatives outermost.  The pairs ``intersect`` joins, each with its
+    matches of distinct QNames, decided lazily by the join that found it."""
     join = _Join(mode, vocab, p, q)
-    return ((p.alternatives[i], q.alternatives[j]) for i, j in join.pairs(p, q, join.uris))
+    pairs = ((p.alternatives[i], q.alternatives[j]) for i, j in join.pairs(p, q, join.uris))
+    return ((a, b, join.matches(a, b, join.uris)) for a, b in pairs)
 
 
 def intersect(p: NormalForm, q: NormalForm, mode: MatchMode = MatchMode.STRICT,

@@ -33,7 +33,7 @@ from .errors import (
 from .names import ATTR_SCHEMA_LOCATION, WSDL_DESCRIPTION, WSDL_TYPES, WSP_POLICY, XS_IMPORT
 
 if TYPE_CHECKING:
-    from .algebra import MatchMode, NormalForm, PolicyExpr
+    from .algebra import NormalForm, PolicyExpr
     from .model import DomainSchema, ServiceModel, SubjectRef
 
 EXIT_OK = 0
@@ -52,13 +52,6 @@ def _read_bytes(path: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         _die(EXIT_IO, f"cannot read {path}: {exc}")
-
-
-def _write_or_die(path: Path, write) -> None:
-    try:
-        write()
-    except OSError as exc:
-        _die(EXIT_IO, f"cannot write {path}: {exc}")
 
 
 def _write_all(files: list[tuple[Path, bytes]]) -> None:
@@ -115,11 +108,6 @@ def render_normal_form(nf: NormalForm) -> list[str]:
     return lines
 
 
-def _split_source(spec: str) -> tuple[str, str | None]:
-    path, sep, frag = spec.partition("#")
-    return path, (frag if sep else None)
-
-
 def _subject_from_fragment(frag: str) -> SubjectRef:
     from .model import SUBJECT_KINDS, SubjectRef
 
@@ -155,7 +143,8 @@ def _load_policy_source(spec: str) -> tuple[PolicyExpr, list[DomainSchema], dict
     namespace prefix hints for later XML output.  Model and WSDL sources
     load as attachments and domains, and one selection serves both.
     """
-    path_str, frag = _split_source(spec)
+    path_str, sep, frag = spec.partition("#")
+    frag = frag if sep else None
     data = _read_bytes(path_str)
     model_source = data.removeprefix(codecs.BOM_UTF8).lstrip().startswith(b"{")
     if model_source:
@@ -230,7 +219,10 @@ def generate(model_path: str, output_dir: str):
         _die(EXIT_INVALID, "error nothing-to-generate services: the model declares no services")
     out = Path(output_dir)
     files = [(out / name, write_canonical(doc)) for name, doc in docs]
-    _write_or_die(out, lambda: out.mkdir(parents=True, exist_ok=True))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _die(EXIT_IO, f"cannot write {out}: {exc}")
     _write_all(files)
     for target, _ in files:
         click.echo(str(target))
@@ -282,7 +274,7 @@ def normalize_cmd(source: str, fmt: str):
 def intersect(source_a: str, source_b: str, mode: str, vocab_paths: tuple[str, ...],
               explain: bool):
     """Intersect two policy sources; exit 0 if alternatives remain, 3 if none."""
-    from .algebra import MatchMode, intersect as intersect_forms, normalize
+    from .algebra import MatchMode, compatible_pairs, intersect as intersect_forms, normalize
     from .model import assertion_vocabulary
 
     policy_a, domains_a, _ = _load_policy_source(source_a)
@@ -296,8 +288,11 @@ def intersect(source_a: str, source_b: str, mode: str, vocab_paths: tuple[str, .
     nf_a, nf_b = normalize(policy_a), normalize(policy_b)
     try:
         result = intersect_forms(nf_a, nf_b, match_mode, vocab)
-        if explain:
-            _print_explanation(nf_a, nf_b, match_mode, vocab)
+        pairs = compatible_pairs(nf_a, nf_b, match_mode, vocab) if explain else ()
+        for alt_a, alt_b, matches in pairs:
+            click.echo(f"pair: {_alt_label(alt_a)} ~ {_alt_label(alt_b)}")
+            for qname_a, qname_b, uri in matches:
+                click.echo(f"match: {qname_a} ~ {qname_b} via {uri}")
     except VocabularyError as exc:
         _die(EXIT_IO, f"vocabulary: {exc}")
     if not result.satisfiable:
@@ -306,20 +301,6 @@ def intersect(source_a: str, source_b: str, mode: str, vocab_paths: tuple[str, .
     for line in render_normal_form(result):
         click.echo(line)
     sys.exit(EXIT_OK)
-
-
-def _print_explanation(nf_a: NormalForm, nf_b: NormalForm, mode: MatchMode, vocab):
-    from .algebra import MatchMode, assertions_compatible, compatible_pairs, semantic_match_uris
-
-    for alt_a, alt_b in compatible_pairs(nf_a, nf_b, mode, vocab):
-        click.echo(f"pair: {_alt_label(alt_a)} ~ {_alt_label(alt_b)}")
-        if mode is not MatchMode.SEMANTIC:
-            continue
-        for a in alt_a:
-            for b in alt_b:
-                if a.qname != b.qname and assertions_compatible(a, b, mode, vocab):
-                    uris = semantic_match_uris(a.qname, b.qname, vocab)
-                    click.echo(f"match: {a.qname} ~ {b.qname} via {uris[0]}")
 
 
 def main():

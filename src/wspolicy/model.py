@@ -12,7 +12,7 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .algebra import AssertionRef, PolicyExpr, iter_refs, satisfiable
+from .algebra import AssertionRef, PolicyExpr, check_param_value, iter_refs, satisfiable
 from .errors import VocabularyError
 from .names import (
     QName, Value, XMLNS_NS, XS_NS, XS_STRING, check_xml_chars, is_absolute_uri, is_ncname,
@@ -482,6 +482,14 @@ def _check_bindings(out: _Collector, model: ServiceModel):
             out.error("interface-unresolved", f"{path}.interface",
                       f"interface {binding.interface_ref!r} is not declared")
         _check_uri(out, f"{path}.transportProtocol", binding.transport_protocol)
+        encoding, epath = binding.message_encoding, f"{path}.messageEncoding"
+        if not isinstance(encoding, str) or not encoding:
+            out.error("bad-value", epath, "must be a non-empty token")
+        else:
+            try:
+                check_xml_chars(encoding)
+            except ValueError as exc:
+                out.error("bad-character", epath, str(exc))
 
 
 def _check_services(out: _Collector, model: ServiceModel):
@@ -534,14 +542,16 @@ def _check_attachments(out: _Collector, model: ServiceModel, declared: set[QName
 
 def _check_parameters(out: _Collector, path: str, ref: AssertionRef):
     """An assertion's parameters are written as attributes: each name a unique
-    NCName, each value one that XML 1.0 can carry."""
+    NCName, each value one that the model file and XML 1.0 can carry."""
     seen: set[str] = set()
     for name, value in ref.parameters:
         ppath = f"{path}.{ref.qname}.parameters[{name}]"
         _check_unique(out, seen, name, ppath, "parameter")
         _check_identifier(out, ppath, name, "parameter name")
-        if isinstance(value, str):
-            try:
-                check_xml_chars(value)
-            except ValueError as exc:
+        try:
+            check_param_value(value)
+        except ValueError as exc:
+            if isinstance(value, str):
                 out.error("bad-character", ppath, f"parameter value: {exc}")
+            else:
+                out.error("bad-value", ppath, f"parameter value: {exc}")

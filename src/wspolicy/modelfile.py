@@ -19,10 +19,12 @@ out by hand.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Callable, NamedTuple, Optional
 
-from .algebra import MAX_POLICY_DEPTH, All, AssertionRef, ExactlyOne, ParamValue, Policy, PolicyExpr
+from .algebra import (
+    MAX_POLICY_DEPTH, All, AssertionRef, ExactlyOne, ParamValue, Policy, PolicyExpr,
+    check_param_value,
+)
 from .errors import ModelSchemaError, ModelSyntaxError
 from .model import (
     AssertionDecl,
@@ -194,15 +196,10 @@ def _prefix(raw, depth: int) -> Optional[str]:
 
 
 def _param_value(raw, depth: int) -> ParamValue:
-    if isinstance(raw, bool):
-        return raw
-    if isinstance(raw, str):
-        return _string(raw, depth)
-    if isinstance(raw, (int, float)):
-        if isinstance(raw, float) and not math.isfinite(raw):
-            raise _Fault("parameter values must be finite")
-        return raw
-    raise _Fault(f"expected a string, number or boolean, got {type(raw).__name__}")
+    try:
+        return check_param_value(raw)
+    except ValueError as exc:
+        raise _Fault(str(exc)) from None
 
 
 def _items(raw: list, parse, depth: int) -> tuple:

@@ -32,7 +32,6 @@ from wspolicy.algebra import (
     compatible_pairs,
     iter_refs,
     satisfiable,
-    semantic_match_uris,
 )
 from wspolicy.errors import VocabularyError
 from wspolicy.model import AssertionDecl, SemanticAnnotation
@@ -482,7 +481,7 @@ def test_semantic_match_through_alias_spellings():
     }
     p, q = nf([AssertionInstance(x)]), nf([AssertionInstance(y)])
     for _ in range(2):  # the second round reads the cached sets
-        assert semantic_match_uris(x, y, vocab) == ("http://ex.org/ac",)
+        assert _matches(p, q, MatchMode.SEMANTIC, vocab) == [[(x, y, "http://ex.org/ac")]]
         assert intersect(p, q, MatchMode.SEMANTIC, vocab) == nf(
             [AssertionInstance(x), AssertionInstance(y)]
         )
@@ -500,11 +499,14 @@ def test_semantic_match_follows_each_vocabulary():
         }
 
     p, q = nf([AssertionInstance(x)]), nf([AssertionInstance(y)])
+    both = nf([AssertionInstance(x), AssertionInstance(y)])
     for first, second in (("urn:shared", "urn:other"), ("urn:other", "urn:shared")):
         results = [intersect(p, q, MatchMode.SEMANTIC, vocab(uri)).satisfiable
                    for uri in (first, second)]
         assert results == [first == "urn:shared", second == "urn:shared"]
-        assert semantic_match_uris(x, y, vocab("urn:other")) == ()
+        for uri in (first, second):
+            want = [(x, y, uri), (y, x, uri)] if uri == "urn:shared" else []
+            assert _matches(both, both, MatchMode.SEMANTIC, vocab(uri)) == [want]
 
 
 def test_strict_implies_semantic_on_fixture_vocab():
@@ -1051,7 +1053,8 @@ def test_semantic_compat_errors_are_unchanged():
             assertions_compatible(a, b, MatchMode.SEMANTIC, vocab)
     both = {x: declared[x], y: AssertionDecl("Y", "empty", annotation=SemanticAnnotation(("urn:v",)))}
     assert not assertions_compatible(a, b, MatchMode.SEMANTIC, both)
-    assert semantic_match_uris(x, y, both) == ()
+    pair = nf([a, b])
+    assert _matches(pair, pair, MatchMode.SEMANTIC, both) == [[]]
 
 
 # --- the identity contract ------------------------------------------------------
@@ -1179,12 +1182,29 @@ def test_normalize_output_is_already_canonical():
 # --- the pair order that intersect and --explain share -----------------------
 
 def _pairs_reference(p, q, mode, vocab) -> list:
-    return [(alt_a, alt_b) for alt_a in p.alternatives for alt_b in q.alternatives
-            if _alternatives_compatible_reference(alt_a, alt_b, mode, vocab)]
+    """Each compatible pair in nested-loop order, with every two of its
+    instances with distinct QNames that match and the least URI both declare,
+    each pair's matches decided before the next pair."""
+    found = []
+    for alt_a in p.alternatives:
+        for alt_b in q.alternatives:
+            if _alternatives_compatible_reference(alt_a, alt_b, mode, vocab):
+                found.append((alt_a, alt_b, [
+                    (a.qname, b.qname, min(_reference_uris(vocab[a.qname])
+                                           & _reference_uris(vocab[b.qname])))
+                    for a in alt_a for b in alt_b
+                    if a.qname != b.qname and _assertions_compatible_reference(a, b, mode, vocab)]))
+    return found
 
 
 def _pairs(p, q, mode, vocab) -> list:
-    return list(compatible_pairs(p, q, mode, vocab))
+    return [(alt_a, alt_b, list(matches))
+            for alt_a, alt_b, matches in compatible_pairs(p, q, mode, vocab)]
+
+
+def _matches(p, q, mode, vocab) -> list:
+    """Each compatible pair's matches of distinct QNames."""
+    return [matches for *_, matches in _pairs(p, q, mode, vocab)]
 
 
 def test_compatible_pairs_follow_the_nested_loop_on_random_corpora():
@@ -1194,6 +1214,7 @@ def test_compatible_pairs_follow_the_nested_loop_on_random_corpora():
     rng = random.Random(8128)
     outcomes = {(kind, outcome): 0 for kind in ("full", "partial", "none")
                 for outcome in ("empty", "matched", "raised")}
+    cross = dict.fromkeys(MatchMode, 0)
     qnames = default_pool(4)
     shared = [rand_normal_form(rng, qnames, max_nesting=2) for _ in range(3)] + [nf([])]
     for round_ in range(900):
@@ -1214,9 +1235,13 @@ def test_compatible_pairs_follow_the_nested_loop_on_random_corpora():
             assert _outcome(_pairs, p, q, mode, vocab) == want, (p, q, mode, vocab)
             outcome = "raised" if isinstance(want, str) else "matched" if want else "empty"
             outcomes[kind, outcome] += 1
+            if outcome == "matched":
+                cross[mode] += sum(len(matches) for *_, matches in want)
     # A full vocabulary never raises; every other cell is reached.
     assert outcomes.pop(("full", "raised")) == 0
     assert min(outcomes.values()) > 20, outcomes
+    # Strict mode matches no two distinct QNames; semantic mode matches many.
+    assert cross[MatchMode.STRICT] == 0 and cross[MatchMode.SEMANTIC] > 100, cross
 
 
 # --- the instance table: masks, the semi-join and unused ids ------------------

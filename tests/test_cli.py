@@ -11,9 +11,13 @@ from click.testing import CliRunner
 
 from wspolicy import (
     All,
+    AssertionDecl,
     AssertionRef,
+    DomainSchema,
     ExactlyOne,
     Policy,
+    QName,
+    SemanticAnnotation,
     emit_domain_xsd,
     policy_document,
     write_canonical,
@@ -26,6 +30,7 @@ from wspolicy.reader import MAX_POLICY_DEPTH
 
 from corpus import (
     GOLDEN,
+    ONTO,
     SEC_NS,
     acme,
     acme_domain,
@@ -868,6 +873,119 @@ def test_intersect_explain_strict_prints_pairs_in_nested_loop_order(runner, tmp_
         f"  {sp('NoPassword')}",
         f"{wss}",
     ])
+
+
+def test_intersect_explain_semantic_prints_every_line(runner, model_path, tmp_path):
+    wsdl, requester, vocab = alias_setup(runner, model_path, tmp_path)
+    result = runner.invoke(cli, ["intersect", str(wsdl), str(requester), "--mode", "semantic",
+                                 "--vocab", str(vocab), "--explain"])
+    token, user = sp("UsernameToken"), acme("UserToken")
+    assert (result.exit_code, result.stdout) == (0, "".join(line + "\n" for line in [
+        f"pair: {token} ~ {user}",
+        f"match: {token} ~ {user} via {ONTO}UsernameToken",
+        f"{token}, {user}",
+        f"  {sp('HashPassword')}, {sp('WssUsernameToken10')}",
+        f"  {sp('NoPassword')}, {sp('WssUsernameToken10')}",
+        f"  {acme('HashedPwd')}, {acme('Wss10Token')}",
+    ]))
+
+
+EXPLAIN_NS = "http://example.org/explain"
+
+
+def ex(local: str) -> QName:
+    return QName(EXPLAIN_NS, local)
+
+
+def concept_sources(tmp_path, concepts: dict, left, right) -> list[str]:
+    """A --vocab schema declaring each name of ``concepts`` with its concepts'
+    URIs, and the policies ``left`` and ``right`` over those names."""
+    domain = DomainSchema("explain", EXPLAIN_NS, "ex", [
+        AssertionDecl(name, "empty", annotation=SemanticAnnotation(tuple(ONTO + c for c in cs)))
+        for name, cs in concepts.items()])
+    vocab = tmp_path / "explain.xsd"
+    vocab.write_bytes(write_canonical(emit_domain_xsd(domain)))
+    hints = {EXPLAIN_NS: "ex"}
+    return [str(write_policy(tmp_path, "left.xml", left, hints)),
+            str(write_policy(tmp_path, "right.xml", right, hints)), "--vocab", str(vocab)]
+
+
+def crossed_sources(tmp_path) -> list[str]:
+    # A1 shares two concepts with B2 and A2 one with B1: in the pair, the
+    # matches cross, and A1's names the least URI both declare.
+    concepts = {"A1": ("Zeta", "Alpha"), "A2": ("Mid",), "B1": ("Mid",), "B2": ("Alpha", "Zeta")}
+    return concept_sources(tmp_path, concepts, Policy(AssertionRef(ex("A1")), AssertionRef(ex("A2"))),
+                           Policy(AssertionRef(ex("B1")), AssertionRef(ex("B2"))))
+
+
+def test_intersect_explain_prints_matches_left_instance_outermost(runner, tmp_path):
+    result = runner.invoke(cli, ["intersect", *crossed_sources(tmp_path), "--mode", "semantic",
+                                 "--explain"])
+    a1, a2, b1, b2 = map(ex, ("A1", "A2", "B1", "B2"))
+    assert (result.exit_code, result.stdout) == (0, "".join(line + "\n" for line in [
+        f"pair: {a1}, {a2} ~ {b1}, {b2}",
+        f"match: {a1} ~ {b2} via {ONTO}Alpha",
+        f"match: {a2} ~ {b1} via {ONTO}Mid",
+        f"{a1}, {a2}, {b1}, {b2}",
+    ]))
+
+
+def test_intersect_explain_builds_one_join_beside_the_result(runner, model_path, tmp_path,
+                                                              monkeypatch):
+    # One join computes the result, one more finds the pairs and decides
+    # every match: none per instance pair.
+    built = []
+    init = wspolicy.algebra._Join.__init__
+
+    def counted(join, *args):
+        built.append(join)
+        init(join, *args)
+
+    monkeypatch.setattr(wspolicy.algebra._Join, "__init__", counted)
+    wsdl, requester, vocab = alias_setup(runner, model_path, tmp_path)
+    alias = [str(wsdl), str(requester), "--vocab", str(vocab)]
+    for args in (alias, crossed_sources(tmp_path)):
+        built.clear()
+        result = runner.invoke(cli, ["intersect", *args, "--mode", "semantic", "--explain"])
+        assert result.exit_code == 0, result.output
+        assert "match: " in result.stdout
+        assert len(built) == 2
+
+
+def test_intersect_explain_omits_a_shared_uri_whose_nested_policies_differ(runner, tmp_path):
+    # A, A2, B and B2 share one concept.  A and B2 nest X, A2 and B nest Y:
+    # A's partner is B2 and B's is A2, but A and B do not match.
+    concepts = {"A": ("Token",), "A2": ("Token",), "B": ("Token",), "B2": ("Token",),
+                "X": ("Hashed",), "Y": ("Plain",)}
+
+    def ref(name, nested):
+        return AssertionRef(ex(name), nested=Policy(AssertionRef(ex(nested))))
+
+    args = concept_sources(tmp_path, concepts, Policy(ref("A", "X"), ref("A2", "Y")),
+                           Policy(ref("B", "Y"), ref("B2", "X")))
+    result = runner.invoke(cli, ["intersect", *args, "--mode", "semantic", "--explain"])
+    a, a2, b, b2, x, y = map(ex, ("A", "A2", "B", "B2", "X", "Y"))
+    assert (result.exit_code, result.stdout) == (0, "".join(line + "\n" for line in [
+        f"pair: {a}, {a2} ~ {b}, {b2}",
+        f"match: {a} ~ {b2} via {ONTO}Token",
+        f"match: {a2} ~ {b} via {ONTO}Token",
+        f"{a}, {a2}, {b}, {b2}",
+        f"  {x}",
+        f"  {y}",
+        f"  {y}",
+        f"  {x}",
+    ]))
+
+
+def test_intersect_explain_strict_prints_no_match_for_a_shared_uri(runner, tmp_path):
+    both = Policy(AssertionRef(ex("A")), AssertionRef(ex("B")))
+    args = concept_sources(tmp_path, {"A": ("Token",), "B": ("Token",)}, both, both)
+    a, b = ex("A"), ex("B")
+    strict = runner.invoke(cli, ["intersect", *args, "--explain"])
+    assert (strict.exit_code, strict.stdout) == (0, f"pair: {a}, {b} ~ {a}, {b}\n{a}, {b}\n")
+    semantic = runner.invoke(cli, ["intersect", *args, "--mode", "semantic", "--explain"])
+    assert [l for l in semantic.stdout.splitlines() if l.startswith("match: ")] == [
+        f"match: {a} ~ {b} via {ONTO}Token", f"match: {b} ~ {a} via {ONTO}Token"]
 
 
 def test_semantic_intersect_of_sources_sharing_no_uri(runner, tmp_path):

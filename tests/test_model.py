@@ -17,6 +17,7 @@ from wspolicy import (
     GenerationError,
     InterfaceDecl,
     MessageRef,
+    ModelSchemaError,
     OperationDecl,
     Policy,
     PolicyAttachment,
@@ -30,7 +31,9 @@ from wspolicy import (
     emit_domain_xsd,
     emit_wsdl,
     normalize,
+    parse_model,
     resolve_subject,
+    serialize_model,
     validate_domain,
     validate_model,
     write_canonical,
@@ -488,6 +491,61 @@ def test_unwritable_hand_built_models_are_refused(model, expected):
         ("error", *row) for row in expected]
     with pytest.raises(GenerationError, match="model failed validation"):
         emit_wsdl(model)
+
+
+def _with_binding(**changes):
+    model = travel_agency_model()
+    (binding,) = model.bindings
+    return _rebuilt(model, bindings=[_rebuilt(binding, **changes)])
+
+
+ENCODING = "bindings[TravelAgencyBinding].messageEncoding"
+REFUSED_BY_THE_MODEL_FILE = [
+    (_with_parameters(("level", None)), "bad-value", f"{PARAMS}[level]",
+     "parameter value: expected a string, number or boolean, got NoneType"),
+    (_with_parameters(("level", [1])), "bad-value", f"{PARAMS}[level]",
+     "parameter value: expected a string, number or boolean, got list"),
+    (_with_parameters(("level", b"x")), "bad-value", f"{PARAMS}[level]",
+     "parameter value: expected a string, number or boolean, got bytes"),
+    (_with_parameters(("level", float("nan"))), "bad-value", f"{PARAMS}[level]",
+     "parameter value: parameter values must be finite"),
+    (_with_parameters(("level", float("inf"))), "bad-value", f"{PARAMS}[level]",
+     "parameter value: parameter values must be finite"),
+    (_with_parameters(("level", float("-inf"))), "bad-value", f"{PARAMS}[level]",
+     "parameter value: parameter values must be finite"),
+    (_with_binding(message_encoding=""), "bad-value", ENCODING, "must be a non-empty token"),
+    (_with_binding(message_encoding="a\x01"), "bad-character", ENCODING,
+     "character U+0001 is not allowed in XML 1.0"),
+]
+
+
+@pytest.mark.parametrize("model, code, path, message", REFUSED_BY_THE_MODEL_FILE, ids=[
+    "none", "list", "bytes", "nan", "inf", "-inf", "empty-encoding", "encoding-character"])
+def test_values_the_model_file_refuses_are_refused(model, code, path, message):
+    # Each passed validation before, and then failed to be written or to be
+    # read back.  The model file refuses each one with the same words.
+    diagnostics = validate_model(model)
+    assert [(d.severity, d.code, d.subject_path, d.message) for d in diagnostics] == [
+        ("error", code, path, message)]
+    with pytest.raises(GenerationError, match="model failed validation"):
+        emit_wsdl(model)
+    try:
+        data = serialize_model(model)
+    except TypeError:  # JSON has no bytes
+        return
+    with pytest.raises(ModelSchemaError) as refused:
+        parse_model(data)
+    assert str(refused.value).endswith(": " + message.removeprefix("parameter value: "))
+
+
+def test_hand_built_parameter_values_the_model_file_accepts_are_written():
+    # Booleans, ints, floats and XML strings: validated, written and read back.
+    values = (("a", True), ("b", 10**400), ("c", -0.5), ("d", "x y"))
+    model = _with_parameters(*values)
+    assert validate_model(model) == []
+    for _name, doc in emit_wsdl(model):
+        write_canonical(doc)
+    assert parse_model(serialize_model(model)) == model
 
 
 # --- simple-type namespaces -----------------------------------------------------
