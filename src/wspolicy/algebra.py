@@ -532,12 +532,23 @@ def merge(p: PolicyExpr, q: PolicyExpr) -> PolicyExpr:
 
 
 def denormalize(nf: NormalForm) -> PolicyExpr:
-    """Rebuild the explicit choice-of-conjunctions tree for a normal form."""
+    """Rebuild the explicit choice-of-conjunctions tree for a normal form.
+
+    A nested form shared by several instances is built once per call and
+    shared in the result, keyed by its id: every form stays reachable from
+    ``nf`` until the call returns, as in ``_Join.answers``."""
+    built: dict[int, Policy] = {}
+
+    def policy_of(form: NormalForm) -> Policy:
+        policy = built.get(id(form))
+        if policy is None:
+            policy = built[id(form)] = Policy(
+                ExactlyOne(*(All(*(ref_of(i) for i in alt)) for alt in form.alternatives))
+            )
+        return policy
 
     def ref_of(instance: AssertionInstance) -> AssertionRef:
-        nested = denormalize(instance.nested) if instance.nested is not None else None
+        nested = policy_of(instance.nested) if instance.nested is not None else None
         return AssertionRef(instance.qname, parameters=instance.parameters, nested=nested)
 
-    return Policy(
-        ExactlyOne(*(All(*(ref_of(i) for i in alt)) for alt in nf.alternatives))
-    )
+    return policy_of(nf)

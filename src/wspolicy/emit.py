@@ -8,7 +8,7 @@ nested policy (the lax wildcard slot cannot express that list).
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .algebra import (
     All,
@@ -53,15 +53,13 @@ def _xsd_file_name(domain: DomainSchema) -> str:
     return XSD_FILE_NAME.format(domain=domain.domain_name)
 
 
-def _assign_prefixes(
-    uris: Iterable[str], preferred: Mapping[str, str]
-) -> tuple[dict[str, str], Callable[[QName], str]]:
+def _assign_prefixes(uris: Iterable[str], preferred: Mapping[str, str]) -> dict[str, str]:
     """Deterministic prefix -> URI table covering every given namespace but the
-    empty one, and the ``prefix:local`` spelling of a QName under it; a name in
-    no namespace keeps its bare local part.  The XML namespace gets ``xml``; no
-    other gets ``xml`` or ``xmlns``, even if it prefers it.  The xmlns
-    namespace may have no prefix at all, so it is refused.  A preferred
-    prefix that is not an NCName falls back to ``ns`` like those two."""
+    empty one; the writer spells names and QName values under it.  The XML
+    namespace gets ``xml``; no other gets ``xml`` or ``xmlns``, even if it
+    prefers it.  The xmlns namespace may have no prefix at all, so it is
+    refused.  A preferred prefix that is not an NCName falls back to ``ns``
+    like those two."""
     uris = set(uris)
     if XMLNS_NS in uris:
         raise GenerationError(f"{XMLNS_NS} is reserved for namespace declarations; "
@@ -77,14 +75,7 @@ def _assign_prefixes(
             counter += 1
             candidate = f"{want}{counter}"
         table[candidate] = uri
-    prefix_of = {uri: prefix for prefix, uri in table.items()}
-
-    def qname_str(qname: QName) -> str:
-        if not qname.namespace:
-            return qname.local
-        return f"{prefix_of[qname.namespace]}:{qname.local}"
-
-    return table, qname_str
+    return table
 
 
 def _preferred_prefixes(model: ServiceModel) -> dict[str, str]:
@@ -114,12 +105,14 @@ def _sawsdl_attrs(decl) -> list[tuple[QName, str]]:
     return attrs
 
 
-def _assertion_element(decl: AssertionDecl, qname_str) -> XmlElement:
-    attrs: list[tuple[QName, str]] = [(ATTR_NAME, decl.name)]
+def _assertion_element(decl: AssertionDecl, used: set[str]) -> XmlElement:
+    """The xs:element for an assertion; adds each type's namespace to ``used``."""
+    attrs: list[tuple[QName, str | QName]] = [(ATTR_NAME, decl.name)]
     attrs.extend(_sawsdl_attrs(decl))
     children: list[XmlElement] = []
     if decl.type_kind == "simple":
-        attrs.append((ATTR_TYPE, qname_str(decl.simple_type)))
+        used.add(decl.simple_type.namespace)
+        attrs.append((ATTR_TYPE, decl.simple_type))
     elif decl.type_kind == "empty":
         children.append(XmlElement(XS_COMPLEX_TYPE))
     else:
@@ -137,12 +130,10 @@ def _assertion_element(decl: AssertionDecl, qname_str) -> XmlElement:
             )
             content.append(XmlElement(XS_SEQUENCE, (), [wildcard]))
         for attr_decl in decl.attributes:
+            used.add(attr_decl.simple_type.namespace)
             xs_attr = XmlElement(
                 XS_ATTRIBUTE,
-                [
-                    (ATTR_NAME, attr_decl.name),
-                    (ATTR_TYPE, qname_str(attr_decl.simple_type)),
-                ]
+                [(ATTR_NAME, attr_decl.name), (ATTR_TYPE, attr_decl.simple_type)]
                 + _sawsdl_attrs(attr_decl),
             )
             content.append(xs_attr)
@@ -163,17 +154,10 @@ def emit_domain_xsd(domain: DomainSchema) -> XmlDocument:
 
 def _domain_xsd(domain: DomainSchema) -> XmlDocument:
     used = {XS_NS, SAWSDL_NS, domain.target_namespace}
-    for decl in domain.assertions:
-        if decl.simple_type is not None:
-            used.add(decl.simple_type.namespace)
-        for attr_decl in decl.attributes:
-            used.add(attr_decl.simple_type.namespace)
+    children = [_appinfo(DOMAIN_NAME_APPINFO, domain.domain_name)]
+    children.extend(_assertion_element(decl, used) for decl in domain.assertions)
     preferred = dict(_BUILTIN_PREFIXES)
     preferred[domain.target_namespace] = domain.prefix
-    namespaces, qname_str = _assign_prefixes(used, preferred)
-    children: list[XmlElement] = [_appinfo(DOMAIN_NAME_APPINFO, domain.domain_name)]
-    for decl in domain.assertions:
-        children.append(_assertion_element(decl, qname_str))
     root = XmlElement(
         XS_SCHEMA,
         [
@@ -182,7 +166,7 @@ def _domain_xsd(domain: DomainSchema) -> XmlDocument:
         ],
         children,
     )
-    return XmlDocument(root, namespaces)
+    return XmlDocument(root, _assign_prefixes(used, preferred))
 
 
 def emit_policy_element(expr: PolicyExpr) -> XmlElement:
@@ -230,8 +214,7 @@ def policy_document(
         preferred.update(prefix_hints)
     used = {WSP_NS}
     root = _satisfiable_root(expr, used)
-    namespaces, _ = _assign_prefixes(used, preferred)
-    return XmlDocument(root, namespaces)
+    return XmlDocument(root, _assign_prefixes(used, preferred))
 
 
 def _mep_for(op) -> str:
@@ -257,26 +240,13 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
     if problems:
         raise GenerationError(f"model failed validation: {problems[0]}", tuple(problems))
 
-    used_namespaces: set[str] = set()
+    used: set[str] = set()
     attached = {
-        (a.subject.kind, a.subject.path): _policy_root(a.policy, used_namespaces)
-        for a in model.attachments
+        (a.subject.kind, a.subject.path): _policy_root(a.policy, used) for a in model.attachments
     }
-    used_namespaces.discard(WSP_NS)
-
-    imported = [d for d in model.domains if d.target_namespace in used_namespaces]
-
-    declared = {WSDL_NS, XS_NS, SAWSDL_NS, WSP_NS, model.target_namespace}
-    declared.update(d.target_namespace for d in imported)
-    for iface in model.interfaces:
-        for fault in iface.faults:
-            if fault.element_type is not None:
-                declared.add(fault.element_type.namespace)
-        for op in iface.operations:
-            for ref in op.inputs + op.outputs:
-                declared.add(ref.element_type.namespace)
-
-    namespaces, qname_str = _assign_prefixes(declared, _preferred_prefixes(model))
+    used.discard(WSP_NS)
+    imported = [d for d in model.domains if d.target_namespace in used]
+    used.update((WSDL_NS, XS_NS, SAWSDL_NS, WSP_NS, model.target_namespace))
 
     def policy_child(kind: str, *path: str) -> list[XmlElement]:
         element = attached.get((kind, tuple(path)))
@@ -301,19 +271,17 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
         for fault in iface.faults:
             attrs = [(ATTR_NAME, fault.name)]
             if fault.element_type is not None:
-                attrs.append((ATTR_ELEMENT, qname_str(fault.element_type)))
+                used.add(fault.element_type.namespace)
+                attrs.append((ATTR_ELEMENT, fault.element_type))
             iface_children.append(XmlElement(WSDL_FAULT, attrs))
         for op in iface.operations:
             op_children = policy_child("operation", iface.name, op.name)
             for role, refs in ((WSDL_INPUT, op.inputs), (WSDL_OUTPUT, op.outputs)):
                 for ref in refs:
+                    used.add(ref.element_type.namespace)
                     op_children.append(
                         XmlElement(
-                            role,
-                            [
-                                (ATTR_ELEMENT, qname_str(ref.element_type)),
-                                (ATTR_MESSAGE_LABEL, ref.name),
-                            ],
+                            role, [(ATTR_ELEMENT, ref.element_type), (ATTR_MESSAGE_LABEL, ref.name)]
                         )
                     )
             for fault_ref in op.fault_refs:
@@ -367,6 +335,7 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
         [(ATTR_TARGET_NAMESPACE, model.target_namespace)],
         children,
     )
+    namespaces = _assign_prefixes(used, _preferred_prefixes(model))
     files: list[tuple[str, XmlDocument]] = [
         (f"{model.model_name}.wsdl", XmlDocument(root, namespaces))
     ]

@@ -12,7 +12,9 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .algebra import AssertionRef, PolicyExpr, check_param_value, iter_refs, satisfiable
+from .algebra import (
+    MAX_POLICY_DEPTH, AssertionRef, Policy, PolicyExpr, check_param_value, satisfiable,
+)
 from .errors import VocabularyError
 from .names import (
     QName, Value, XMLNS_NS, XS_NS, XS_STRING, check_xml_chars, is_absolute_uri, is_ncname,
@@ -516,17 +518,7 @@ def _check_attachments(out: _Collector, model: ServiceModel, declared: set[QName
     for attachment in model.attachments:
         subject = attachment.subject
         path = f"attachments[{subject.path_string()}]"
-        undeclared: set[QName] = set()
-        for ref in iter_refs(attachment.policy):
-            if ref.qname not in declared:
-                undeclared.add(ref.qname)
-            if ref.parameters:
-                _check_parameters(out, path, ref)
-        if undeclared:
-            out.error("assertion-undeclared", path, "policy references an assertion "
-                      f"declared in no domain: {min(undeclared)}")
-        if not satisfiable(attachment.policy):
-            out.error("policy-unsatisfiable", path, "policy is unsatisfiable (no alternatives)")
+        _check_policy(out, path, attachment.policy, declared)
         if subject.kind not in SUBJECT_KINDS:
             out.error("subject-unresolved", path, f"unknown subject kind {subject.kind!r}")
             continue
@@ -538,6 +530,46 @@ def _check_attachments(out: _Collector, model: ServiceModel, declared: set[QName
         if resolve_subject(model, subject) is None:
             out.error("subject-unresolved", path,
                       f"subject does not resolve: {subject.path_string()}")
+
+
+def _check_policy(out: _Collector, path: str, policy: PolicyExpr, declared: set[QName]):
+    """One walk over an attached policy, a level at a time and without
+    recursion, counting levels as the readers do: the root policy is level 1,
+    and each operator, assertion and nested policy below it adds one.  The
+    root and every nested policy use the policy form, no node lies deeper
+    than MAX_POLICY_DEPTH (nodes past it are not walked), every assertion is
+    declared and its parameters are writable.  Only a tree within the cap is
+    asked whether it is satisfiable, as that check recurses."""
+    undeclared: set[QName] = set()
+    nested_forms: set[QName] = set()
+    level, nodes = 1, [policy]
+    while nodes and level <= MAX_POLICY_DEPTH:
+        below: list[PolicyExpr] = []
+        for node in nodes:
+            if isinstance(node, AssertionRef):
+                if node.qname not in declared:
+                    undeclared.add(node.qname)
+                if node.parameters:
+                    _check_parameters(out, path, node)
+                if node.nested is not None:
+                    if not isinstance(node.nested, Policy):
+                        nested_forms.add(node.qname)
+                    below.append(node.nested)
+            else:
+                below.extend(node.children)
+        level, nodes = level + 1, below
+    if undeclared:
+        out.error("assertion-undeclared", path, "policy references an assertion "
+                  f"declared in no domain: {min(undeclared)}")
+    if not isinstance(policy, Policy):
+        out.error("policy-form", path, "an attachment policy must use the 'policy' form at the root")
+    if nested_forms:
+        out.error("policy-form", path, "nested policies must use the 'policy' form, "
+                  f"unlike the one in {min(nested_forms)}")
+    if nodes:
+        out.error("policy-depth", path, f"policy nested deeper than {MAX_POLICY_DEPTH} levels")
+    elif not satisfiable(policy):
+        out.error("policy-unsatisfiable", path, "policy is unsatisfiable (no alternatives)")
 
 
 def _check_parameters(out: _Collector, path: str, ref: AssertionRef):

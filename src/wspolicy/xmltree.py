@@ -25,7 +25,9 @@ class XmlElement:
     """One element: name, attributes in insertion order, element children in
     document order, and ``text``, its character data joined into one string.
 
-    Treated as a value; nothing in this package mutates an element after
+    An attribute value is a string, or a ``QName`` that the writer spells
+    under the document's prefixes; parsed trees hold only strings.  Treated
+    as a value; nothing in this package mutates an element after
     construction.  ``nsmap`` is the prefix table in scope where the parser saw
     the element (empty for built trees), kept as given: the parser hands an
     element that declares no prefix its parent's table.
@@ -36,18 +38,18 @@ class XmlElement:
     def __init__(
         self,
         name: QName,
-        attributes: Iterable[tuple[QName, str]] = (),
+        attributes: Iterable[tuple[QName, Union[str, QName]]] = (),
         children: Iterable["XmlElement"] = (),
         text: str = "",
         nsmap: Optional[dict[str, str]] = None,
     ):
         self.name = name
-        self.attributes: list[tuple[QName, str]] = list(attributes)
+        self.attributes: list[tuple[QName, Union[str, QName]]] = list(attributes)
         self.children: list[XmlElement] = list(children)
         self.text = text
         self.nsmap: dict[str, str] = {} if nsmap is None else nsmap
 
-    def attr(self, name: Union[QName, str]) -> Optional[str]:
+    def attr(self, name: Union[QName, str]) -> Union[str, QName, None]:
         if isinstance(name, str):
             name = QName("", name)
         for qname, value in self.attributes:
@@ -175,10 +177,11 @@ def _escape(text: str, special: re.Pattern, table: dict[str, str]) -> str:
 def write_canonical(doc: XmlDocument) -> bytes:
     """Serialize with a fixed layout; equal documents yield identical bytes.
 
-    Every namespace used by an element or qualified attribute must be declared
-    in the document table, under a prefix that is an NCName or the empty
-    default, and attribute names must be unique per element.
-    Text, attribute values and namespace URIs must hold only XML 1.0
+    Every namespace used by an element, a qualified attribute or a ``QName``
+    attribute value must be declared in the document table, under a prefix
+    that is an NCName or the empty default, and attribute names must be
+    unique per element.  A ``QName`` value is spelled as an element name is.
+    Text, string values and namespace URIs must hold only XML 1.0
     characters: any other code point raises ValueError, as no escape can
     carry it.  Each distinct name is checked and qualified once per call and
     remembered in a dict local to the call; the checks run in document order,
@@ -191,22 +194,21 @@ def write_canonical(doc: XmlDocument) -> bytes:
     element_names: dict[QName, str] = {}
     attribute_names: dict[QName, str] = {}
 
-    def qualified(name: QName, attribute: bool) -> str:
+    def spelled(name: QName) -> str:
         if not is_ncname(name.local):
             raise ValueError(f"not a valid XML name: {name.local!r}")
         if not name.namespace:
-            result = name.local
-        else:
-            prefix = prefix_of.get(name.namespace)
-            if prefix is None:
-                raise ValueError(f"namespace not declared on the document: {name.namespace!r}")
-            if prefix == "":
-                if attribute:
-                    raise ValueError(f"qualified attribute {name} needs an explicit prefix, "
-                                     "not the default namespace")
-                result = name.local
-            else:
-                result = f"{prefix}:{name.local}"
+            return name.local
+        prefix = prefix_of.get(name.namespace)
+        if prefix is None:
+            raise ValueError(f"namespace not declared on the document: {name.namespace!r}")
+        return f"{prefix}:{name.local}" if prefix else name.local
+
+    def qualified(name: QName, attribute: bool) -> str:
+        result = spelled(name)
+        if attribute and name.namespace and not prefix_of[name.namespace]:
+            raise ValueError(f"qualified attribute {name} needs an explicit prefix, "
+                             "not the default namespace")
         (attribute_names if attribute else element_names)[name] = result
         return result
 
@@ -232,7 +234,10 @@ def write_canonical(doc: XmlDocument) -> bytes:
                 rendered.append((qualified_name, value))
             rendered.sort()
             for qualified_name, value in rendered:
-                value = _escape(value, _ATTR_SPECIAL_RE, _ATTR_ESCAPES)
+                if value.__class__ is QName:
+                    value = spelled(value)  # NCNames need no escape
+                else:
+                    value = _escape(value, _ATTR_SPECIAL_RE, _ATTR_ESCAPES)
                 parts.append(f'{qualified_name}="{value}"')
         open_tag = " ".join(parts)
 

@@ -743,6 +743,44 @@ def _optional_chain(depth: int, optional=lambda level: level % 2 == 0) -> Policy
     return Policy(expr)
 
 
+def _denormalize_reference(nf: NormalForm) -> PolicyExpr:
+    """denormalize building every nested form again at each occurrence."""
+    def ref_of(instance):
+        nested = None if instance.nested is None else _denormalize_reference(instance.nested)
+        return AssertionRef(instance.qname, parameters=instance.parameters, nested=nested)
+    return Policy(ExactlyOne(*(All(*(ref_of(i) for i in alt)) for alt in nf.alternatives)))
+
+
+def test_denormalize_builds_each_distinct_nested_form_once(monkeypatch):
+    # The chain's normal form holds one distinct nested form per level, each
+    # shared by several alternatives above it: built per occurrence, the
+    # rebuilt tree doubled in size with every level.  Outputs are compared
+    # only on shallow chains, as deep forms built apart compare exponentially.
+    for depth in range(1, 11):
+        nf = normalize(_optional_chain(depth))
+        assert normalize(denormalize(nf)) == normalize(_denormalize_reference(nf))
+    depth = 20
+    nf = normalize(_optional_chain(depth))
+    forms, stack = {}, [nf]
+    while stack:
+        form = stack.pop()
+        if id(form) not in forms:
+            forms[id(form)] = form
+            stack.extend(i.nested for alt in form.alternatives for i in alt if i.nested is not None)
+    assert len(forms) == depth
+    built = [0]
+    init = algebra._Operator.__init__
+
+    def counted(self, *children):
+        built[0] += 1
+        init(self, *children)
+
+    monkeypatch.setattr(algebra._Operator, "__init__", counted)
+    denormalize(nf)
+    # Per distinct form: one Policy, one ExactlyOne and one All per alternative.
+    assert built[0] == sum(2 + len(form.alternatives) for form in forms.values()) <= 6 * depth
+
+
 def test_separately_built_chains_walk_each_nested_pair_once(monkeypatch):
     # Two equal chains built apart hold equal, distinct nested forms.  A memo
     # looked up by value compared them by value, at a cost exponential in

@@ -33,7 +33,7 @@ from wspolicy import (
 )
 from wspolicy.errors import GenerationError, ModelSchemaError, ModelSyntaxError
 from wspolicy.names import SAWSDL_NS, WSDL_NS, WSP_NS, XML_NS, XS_NS
-from wspolicy.xmltree import parse_xml
+from wspolicy.xmltree import XmlDocument, XmlElement, parse_xml
 
 from corpus import (
     GOLDEN,
@@ -97,18 +97,22 @@ def test_lifting_and_lowering_schema_attributes():
             ),
         ),
     )
-    (element,) = emit_domain_xsd(domain).root.find_all(XS_ELEMENT)
+    doc = emit_domain_xsd(domain)
+    (element,) = doc.root.find_all(XS_ELEMENT)
     assert element.attr(QName(SAWSDL_NS, "liftingSchemaMapping")) == "http://example.org/lift.xq"
     assert element.attr(QName(SAWSDL_NS, "loweringSchemaMapping")) == "http://example.org/lower.xq"
-    assert element.attr("type") == "xs:int"
+    assert element.attr("type") == QName(XS_NS, "int")
+    assert b'type="xs:int"' in write_canonical(doc)
 
 
 def test_simple_assertion_defaults_to_xs_string():
     domain = DomainSchema(
         "d", "http://example.org/d", "d", (AssertionDecl("Level", "simple"),)
     )
-    (element,) = emit_domain_xsd(domain).root.find_all(XS_ELEMENT)
-    assert element.attr("type") == "xs:string"
+    doc = emit_domain_xsd(domain)
+    (element,) = doc.root.find_all(XS_ELEMENT)
+    assert element.attr("type") == QName(XS_NS, "string")
+    assert b'type="xs:string"' in write_canonical(doc)
 
 
 def test_complex_assertion_with_attributes():
@@ -317,8 +321,9 @@ def emitted_nodes(expr, root=True) -> int:
 
 
 def test_emission_walks_each_policy_once(monkeypatch):
-    """iter_refs runs only for validation, once per attachment, and the
-    element builder once per node: namespaces are collected while building."""
+    """Validation walks each attachment once (``_check_policy``), iter_refs
+    does not run, and the element builder runs once per node: namespaces are
+    collected while building."""
     calls = Counter()
     iter_refs = wspolicy.algebra.iter_refs
 
@@ -329,6 +334,13 @@ def test_emission_walks_each_policy_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "wspolicy" and getattr(module, "iter_refs", None) is iter_refs:
             monkeypatch.setattr(module, "iter_refs", counted_iter_refs)
+    check_policy = wspolicy.model._check_policy
+
+    def counted_check_policy(*args):
+        calls["_check_policy"] += 1
+        return check_policy(*args)
+
+    monkeypatch.setattr(wspolicy.model, "_check_policy", counted_check_policy)
     policy_node = wspolicy.emit._policy_node
 
     def counted_policy_node(*args):
@@ -342,7 +354,8 @@ def test_emission_walks_each_policy_once(monkeypatch):
     for model in models:
         calls.clear()
         emit_wsdl(model)
-        assert calls["iter_refs"] == len(model.attachments)
+        assert calls["_check_policy"] == len(model.attachments)
+        assert calls["iter_refs"] == 0
         assert calls["_policy_node"] == sum(emitted_nodes(a.policy) for a in model.attachments)
     nested_in_all = All(AssertionRef(sp("UsernameToken"), nested=All(AssertionRef(sp("NoPassword")))))
     for expr in (endpoint_policy(), nested_in_all, Policy()):
@@ -437,6 +450,59 @@ def test_colliding_preferred_prefixes_are_numbered():
     }
     text = write_canonical(wsdl).decode()
     assert '<sec1:Extra/>' in text and 'element="ns:bookTripRequest"' in text
+
+
+QNAME_VALUED = {
+    (QName(WSDL_NS, "fault"), "element"), (QName(WSDL_NS, "input"), "element"),
+    (QName(WSDL_NS, "output"), "element"), (XS_ELEMENT, "type"), (QName(XS_NS, "attribute"), "type"),
+}
+
+
+def _element_pairs(built, parsed):
+    yield built, parsed
+    assert len(built.children) == len(parsed.children)
+    for pair in zip(built.children, parsed.children):
+        yield from _element_pairs(*pair)
+
+
+def test_qname_values_are_spelled_by_the_writer():
+    """Emitted trees hold the four QName-valued attributes as QNames; the
+    writer spells each under its document's table, and refuses one whose
+    namespace the table lacks or whose local part is not an NCName."""
+    types = "http://emi/TravelAgencyTypes.xsd"
+    doc = travel_agency_json()
+    doc["interfaces"][0]["faults"] = [
+        {"name": "bookingFault", "elementType": {"namespace": types, "local": "bookingFault"}}]
+    doc["domains"][0]["assertions"] += [
+        {"name": "Level", "typeKind": "simple", "simpleType": {"namespace": XS_NS, "local": "int"}},
+        {"name": "Token", "typeKind": "complex", "attributes": [
+            {"name": "issuer", "simpleType": {"namespace": "", "local": "issuerType"}},
+            {"name": "realm", "simpleType": {"namespace": XS_NS, "local": "anyURI"}}]},
+    ]
+    files = emit_wsdl(model_from_json(doc))
+    spelled = Counter()
+    for _name, emitted in files:
+        prefix_of = {uri: prefix for prefix, uri in emitted.namespaces.items()}
+        parsed = parse_xml(write_canonical(emitted))
+        for built, reparsed in _element_pairs(emitted.root, parsed.root):
+            for name, value in built.attributes:
+                if (built.name, name.local) not in QNAME_VALUED:
+                    assert value.__class__ is str
+                    continue
+                assert value.__class__ is QName
+                want = f"{prefix_of[value.namespace]}:{value.local}" if value.namespace else value.local
+                assert reparsed.attr(name) == want
+                spelled[want] += 1
+    assert spelled == Counter({"ta:bookTripRequest": 1, "ta:bookTripResponse": 1,
+                               "ta:bookingFault": 1, "xs:int": 1, "issuerType": 1,
+                               "xs:anyURI": 1})
+    wsdl = files[0][1]
+    undeclared = {prefix: uri for prefix, uri in wsdl.namespaces.items() if uri != types}
+    with pytest.raises(ValueError, match=f"^namespace not declared on the document: '{types}'$"):
+        write_canonical(XmlDocument(wsdl.root, undeclared))
+    bad = XmlElement(XS_ELEMENT, [(QName("", "type"), QName(XS_NS, "1int"))])
+    with pytest.raises(ValueError, match="^not a valid XML name: '1int'$"):
+        write_canonical(XmlDocument(bad, {"xs": XS_NS}))
 
 
 def test_policy_document_binds_only_the_xml_namespace_to_xml():

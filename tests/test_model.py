@@ -32,6 +32,7 @@ from wspolicy import (
     emit_wsdl,
     normalize,
     parse_model,
+    parse_wsdl,
     resolve_subject,
     serialize_model,
     validate_domain,
@@ -379,11 +380,29 @@ def _rebuilt(value, **changes):
     return type(value)(**{**{name: getattr(value, name) for name in value._fields}, **changes})
 
 
-def _with_parameters(*parameters):
+def _with_policy(policy):
     model = travel_agency_model()
     (attachment,) = model.attachments
-    policy = Policy(AssertionRef(sp("HashPassword"), parameters=parameters))
     return _rebuilt(model, attachments=[PolicyAttachment(attachment.subject, policy)])
+
+
+def _with_parameters(*parameters):
+    return _with_policy(Policy(AssertionRef(sp("HashPassword"), parameters=parameters)))
+
+
+def _chain(levels: int, nested_policies: bool = False):
+    """A policy ``levels`` levels deep, counted and shaped as ``corpus.deep_model``:
+    wsp:All operators ending in one assertion, or assertions and nested
+    policies in turn.  Built bottom-up, so no frame is spent per level."""
+    node = Policy() if nested_policies and levels % 2 else AssertionRef(sp("HashPassword"))
+    for level in range(levels - 1, 1, -1):
+        if not nested_policies:
+            node = All(node)
+        elif level % 2:
+            node = Policy(node)
+        else:
+            node = AssertionRef(sp("HashPassword"), nested=node)
+    return Policy(node)
 
 
 def _with_message_type(element_type):
@@ -516,11 +535,22 @@ REFUSED_BY_THE_MODEL_FILE = [
     (_with_binding(message_encoding=""), "bad-value", ENCODING, "must be a non-empty token"),
     (_with_binding(message_encoding="a\x01"), "bad-character", ENCODING,
      "character U+0001 is not allowed in XML 1.0"),
+    (_with_policy(_chain(101)), "policy-depth", f"attachments[{ENDPOINT}]",
+     "policy nested deeper than 100 levels"),
+    (_with_policy(_chain(150, nested_policies=True)), "policy-depth", f"attachments[{ENDPOINT}]",
+     "policy nested deeper than 100 levels"),
+    (_with_policy(All(AssertionRef(sp("NoPassword")))), "policy-form", f"attachments[{ENDPOINT}]",
+     "an attachment policy must use the 'policy' form at the root"),
+    (_with_policy(ExactlyOne(AssertionRef(sp("NoPassword")))), "policy-form",
+     f"attachments[{ENDPOINT}]", "an attachment policy must use the 'policy' form at the root"),
+    (_with_policy(AssertionRef(sp("NoPassword"))), "policy-form", f"attachments[{ENDPOINT}]",
+     "an attachment policy must use the 'policy' form at the root"),
 ]
 
 
 @pytest.mark.parametrize("model, code, path, message", REFUSED_BY_THE_MODEL_FILE, ids=[
-    "none", "list", "bytes", "nan", "inf", "-inf", "empty-encoding", "encoding-character"])
+    "none", "list", "bytes", "nan", "inf", "-inf", "empty-encoding", "encoding-character",
+    "depth-101", "depth-150-nested", "root-all", "root-exactly-one", "root-assertion"])
 def test_values_the_model_file_refuses_are_refused(model, code, path, message):
     # Each passed validation before, and then failed to be written or to be
     # read back.  The model file refuses each one with the same words.
@@ -536,6 +566,36 @@ def test_values_the_model_file_refuses_are_refused(model, code, path, message):
     with pytest.raises(ModelSchemaError) as refused:
         parse_model(data)
     assert str(refused.value).endswith(": " + message.removeprefix("parameter value: "))
+
+
+@pytest.mark.parametrize("nested", [All(AssertionRef(sp("NoPassword"))), AssertionRef(sp("NoPassword"))],
+                         ids=["all", "assertion"])
+def test_nested_policies_in_another_form_are_refused(nested):
+    # The model file refuses these too, under another message ("unknown key").
+    model = _with_policy(Policy(AssertionRef(sp("UsernameToken"), nested=nested)))
+    assert validate_model(model) == [Diagnostic(
+        "error", "policy-form", f"attachments[{ENDPOINT}]",
+        f"nested policies must use the 'policy' form, unlike the one in {sp('UsernameToken')}")]
+    with pytest.raises(GenerationError, match="model failed validation"):
+        emit_wsdl(model)
+    with pytest.raises(ModelSchemaError, match="unknown key$"):
+        parse_model(serialize_model(model))
+
+
+@pytest.mark.parametrize("nested_policies", [False, True])
+def test_policy_depth_is_checked_without_recursion(nested_policies):
+    at_cap = _with_policy(_chain(100, nested_policies))
+    assert validate_model(at_cap) == []
+    assert parse_model(serialize_model(at_cap)) == at_cap
+    files = {name: write_canonical(doc) for name, doc in emit_wsdl(at_cap)}
+    wsdl = files.pop("TravelAgency.wsdl")
+    (attachment,) = parse_wsdl(wsdl, list(files.values())).attachments
+    assert attachment.policy == at_cap.attachments[0].policy
+    too_deep = _with_policy(_chain(5000, nested_policies))
+    assert validate_model(too_deep) == [Diagnostic(
+        "error", "policy-depth", f"attachments[{ENDPOINT}]", "policy nested deeper than 100 levels")]
+    with pytest.raises(GenerationError, match="model failed validation"):
+        emit_wsdl(too_deep)
 
 
 def test_hand_built_parameter_values_the_model_file_accepts_are_written():

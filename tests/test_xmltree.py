@@ -56,6 +56,24 @@ def test_undeclared_namespace_is_an_error():
         write_canonical(XmlDocument(root, {}))
 
 
+def test_qname_values_are_spelled_under_the_document_table():
+    def written(value, namespaces):
+        root = XmlElement(QName(NS_A, "root"), [(QName("", "ref"), value)])
+        return write_canonical(XmlDocument(root, namespaces)).decode().splitlines()[1]
+
+    both = {"": NS_A, "b": NS_B}
+    assert written(QName(NS_B, "x"), both).endswith(' ref="b:x"/>')
+    assert written(QName(NS_A, "x"), both).endswith(' ref="x"/>')   # the default namespace
+    assert written(QName("", "x"), both).endswith(' ref="x"/>')
+    assert written(QName(NS_A, "x"), {"a": NS_A, "a2": NS_A}).endswith(' ref="a:x"/>')
+    assert written("b:&x", both).endswith(' ref="b:&amp;x"/>')  # a string is written as given
+    with pytest.raises(ValueError, match="^namespace not declared on the document"):
+        written(QName(NS_B, "x"), {"a": NS_A})
+    for local in ("1a", "a:b", "", "a b"):
+        with pytest.raises(ValueError, match="^not a valid XML name"):
+            written(QName(NS_B, local), both)
+
+
 def test_duplicate_attribute_is_an_error():
     root = XmlElement(QName(NS_A, "r"), [(QName("", "x"), "1"), (QName("", "x"), "2")])
     with pytest.raises(ValueError):
