@@ -34,7 +34,7 @@ _EXPORTS = {
     "modelfile": ("parse_model", "serialize_model"),
     "names": ("QName",),
     "reader": ("ParsedArtifacts", "parse_domain_xsd", "parse_policy_element", "parse_wsdl"),
-    "xmltree": ("XmlDocument", "XmlElement", "parse_xml", "write_canonical"),
+    "xmltree": ("XmlElement", "parse_xml", "write_canonical"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -154,15 +154,15 @@ def _load_policy_source(spec: str) -> tuple[PolicyExpr, list[DomainSchema], dict
         from .xmltree import parse_xml
 
         try:
-            doc = parse_xml(data)
-            if doc.root.name == WSP_POLICY:
+            root = parse_xml(data)
+            if root.name == WSP_POLICY:
                 if frag is not None:
                     _die(EXIT_IO, f"{path_str}: fragments only apply to model or WSDL sources")
-                hints = {uri: prefix for prefix, uri in doc.namespaces.items() if prefix}
-                return parse_policy_element(doc.root), [], hints
-            if doc.root.name != WSDL_DESCRIPTION:
-                _die(EXIT_INVALID, f"{path_str}: unrecognized document root {doc.root.name}")
-            loaded = parse_wsdl(doc.root, _companion_schemas(path_str, doc.root))
+                hints = {uri: prefix for prefix, uri in root.nsmap.items() if prefix}
+                return parse_policy_element(root), [], hints
+            if root.name != WSDL_DESCRIPTION:
+                _die(EXIT_INVALID, f"{path_str}: unrecognized document root {root.name}")
+            loaded = parse_wsdl(root, _companion_schemas(path_str, root))
         except (XmlParseError, PolicyXmlError) as exc:
             _die(EXIT_INVALID, f"{path_str}: {exc}")
     attachments = loaded.attachments
@@ -218,7 +218,7 @@ def generate(model_path: str, output_dir: str):
     if not model.services:
         _die(EXIT_INVALID, "error nothing-to-generate services: the model declares no services")
     out = Path(output_dir)
-    files = [(out / name, write_canonical(doc)) for name, doc in docs]
+    files = [(out / name, write_canonical(root)) for name, root in docs]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -254,10 +254,10 @@ def normalize_cmd(source: str, fmt: str):
         from .xmltree import write_canonical
 
         try:
-            doc = policy_document(denormalize(nf), prefix_hints=hints)
+            root = policy_document(denormalize(nf), prefix_hints=hints)
         except GenerationError as exc:
             _die(EXIT_INVALID, f"{source}: {exc}")
-        click.echo(write_canonical(doc).decode("utf-8"), nl=False)
+        click.echo(write_canonical(root).decode("utf-8"), nl=False)
     sys.exit(EXIT_OK)
 
 

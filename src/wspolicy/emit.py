@@ -40,7 +40,7 @@ from .names import (
     XS_APPINFO, XS_ATTRIBUTE, XS_COMPLEX_TYPE, XS_ELEMENT, XS_IMPORT, XS_NS, XS_SCHEMA,
     XS_SEQUENCE, is_ncname, nogc,
 )
-from .xmltree import XmlDocument, XmlElement
+from .xmltree import XmlElement
 
 XSD_FILE_NAME = "ws-semantic{domain}policy.xsd"
 
@@ -141,9 +141,9 @@ def _assertion_element(decl: AssertionDecl, used: set[str]) -> XmlElement:
     return XmlElement(XS_ELEMENT, attrs, children)
 
 
-def emit_domain_xsd(domain: DomainSchema) -> XmlDocument:
-    """One xs:schema per domain: a top-level element per assertion, each
-    carrying its SAWSDL annotation attributes."""
+def emit_domain_xsd(domain: DomainSchema) -> XmlElement:
+    """One xs:schema root per domain, its prefix table as ``nsmap``: a top-level
+    element per assertion, each carrying its SAWSDL annotation attributes."""
     problems = [d for d in validate_domain(domain) if d.severity == "error"]
     if problems:
         raise GenerationError(
@@ -152,25 +152,25 @@ def emit_domain_xsd(domain: DomainSchema) -> XmlDocument:
     return _domain_xsd(domain)
 
 
-def _domain_xsd(domain: DomainSchema) -> XmlDocument:
+def _domain_xsd(domain: DomainSchema) -> XmlElement:
     used = {XS_NS, SAWSDL_NS, domain.target_namespace}
     children = [_appinfo(DOMAIN_NAME_APPINFO, domain.domain_name)]
     children.extend(_assertion_element(decl, used) for decl in domain.assertions)
     preferred = dict(_BUILTIN_PREFIXES)
     preferred[domain.target_namespace] = domain.prefix
-    root = XmlElement(
+    return XmlElement(
         XS_SCHEMA,
         [
             (ATTR_ELEMENT_FORM_DEFAULT, "qualified"),
             (ATTR_TARGET_NAMESPACE, domain.target_namespace),
         ],
         children,
+        nsmap=_assign_prefixes(used, preferred),
     )
-    return XmlDocument(root, _assign_prefixes(used, preferred))
 
 
 def emit_policy_element(expr: PolicyExpr) -> XmlElement:
-    """The wsp:Policy fragment for a policy tree, emitted verbatim.
+    """The wsp:Policy fragment for a policy tree, emitted verbatim; its ``nsmap`` is empty.
 
     Operators map to wsp:Policy / wsp:All / wsp:ExactlyOne, references map to
     elements in their own namespace with parameters as attributes; optional
@@ -180,9 +180,15 @@ def emit_policy_element(expr: PolicyExpr) -> XmlElement:
 
 
 def _satisfiable_root(expr: PolicyExpr, used: set[str]) -> XmlElement:
+    """_policy_root into an empty ``used``, refusing an assertion in the
+    WS-Policy namespace, which would read back as a policy operator."""
     if not satisfiable(expr):
         raise GenerationError("refusing to emit an unsatisfiable policy (no alternatives)")
-    return _policy_root(expr, used)
+    root = _policy_root(expr, used)
+    if WSP_NS in used:
+        raise GenerationError(f"refusing to emit an assertion in the WS-Policy namespace {WSP_NS}; "
+                              "it would read back as a policy operator")
+    return root
 
 
 def _policy_root(expr: PolicyExpr, used: set[str]) -> XmlElement:
@@ -207,14 +213,14 @@ def _policy_node(expr: PolicyExpr, used: set[str]) -> XmlElement:
 
 def policy_document(
     expr: PolicyExpr, prefix_hints: Optional[Mapping[str, str]] = None
-) -> XmlDocument:
-    """A standalone document wrapping emit_policy_element's fragment."""
+) -> XmlElement:
+    """emit_policy_element's fragment as a root, its prefix table as ``nsmap``."""
     preferred = dict(_BUILTIN_PREFIXES)
     if prefix_hints:
         preferred.update(prefix_hints)
-    used = {WSP_NS}
-    root = _satisfiable_root(expr, used)
-    return XmlDocument(root, _assign_prefixes(used, preferred))
+    used: set[str] = set()
+    children = _satisfiable_root(expr, used).children
+    return XmlElement(WSP_POLICY, (), children, nsmap=_assign_prefixes(used | {WSP_NS}, preferred))
 
 
 def _mep_for(op) -> str:
@@ -226,8 +232,9 @@ def _mep_for(op) -> str:
 
 
 @nogc
-def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
-    """The full file set for a model: one WSDL document plus one XSD per domain.
+def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlElement]]:
+    """The full file set for a model: one WSDL root plus one XSD root per
+    domain, each with its prefix table as ``nsmap``.
 
     The WSDL imports exactly the domains whose assertions appear in attached
     policies; each attachment is embedded as the first wsp:Policy child of its
@@ -244,7 +251,6 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
     attached = {
         (a.subject.kind, a.subject.path): _policy_root(a.policy, used) for a in model.attachments
     }
-    used.discard(WSP_NS)
     imported = [d for d in model.domains if d.target_namespace in used]
     used.update((WSDL_NS, XS_NS, SAWSDL_NS, WSP_NS, model.target_namespace))
 
@@ -334,11 +340,8 @@ def emit_wsdl(model: ServiceModel) -> list[tuple[str, XmlDocument]]:
         WSDL_DESCRIPTION,
         [(ATTR_TARGET_NAMESPACE, model.target_namespace)],
         children,
+        nsmap=_assign_prefixes(used, _preferred_prefixes(model)),
     )
-    namespaces = _assign_prefixes(used, _preferred_prefixes(model))
-    files: list[tuple[str, XmlDocument]] = [
-        (f"{model.model_name}.wsdl", XmlDocument(root, namespaces))
+    return [(f"{model.model_name}.wsdl", root)] + [
+        (_xsd_file_name(domain), _domain_xsd(domain)) for domain in model.domains
     ]
-    for domain in model.domains:
-        files.append((_xsd_file_name(domain), _domain_xsd(domain)))
-    return files

@@ -17,7 +17,7 @@ from .algebra import (
 )
 from .errors import VocabularyError
 from .names import (
-    QName, Value, XMLNS_NS, XS_NS, XS_STRING, check_xml_chars, is_absolute_uri, is_ncname,
+    QName, Value, WSP_NS, XMLNS_NS, XS_NS, XS_STRING, check_xml_chars, is_absolute_uri, is_ncname,
 )
 
 TYPE_KINDS = ("empty", "simple", "complex")
@@ -387,6 +387,9 @@ def validate_domain(domain: DomainSchema) -> list[Diagnostic]:
     _check_identifier(out, path, domain.domain_name, "domain name")
     _check_identifier(out, f"{path}.prefix", domain.prefix, "prefix")
     _check_namespace(out, f"{path}.targetNamespace", domain.target_namespace)
+    if domain.target_namespace == WSP_NS:
+        out.error("namespace-reserved", f"{path}.targetNamespace",
+                  f"{WSP_NS} is the WS-Policy namespace; its elements read as policy operators")
     for decl, apath in _named(out, domain.assertions, f"{path}.assertions", "assertion"):
         _check_assertion_shape(out, apath, decl)
         _check_qname(out, apath, "simpleType", decl.simple_type)

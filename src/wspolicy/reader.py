@@ -72,7 +72,7 @@ def _local_ref(value: str) -> str:
 
 def _root(source) -> XmlElement:
     """The root element of XML bytes, or an element that is already parsed."""
-    return source if isinstance(source, XmlElement) else parse_xml(source).root
+    return source if isinstance(source, XmlElement) else parse_xml(source)
 
 
 def parse_policy_element(source) -> PolicyExpr:
@@ -163,8 +163,7 @@ def parse_domain_xsd(data: bytes, warnings: list[Diagnostic] | None = None) -> D
     appended to ``warnings`` when it is given.
     """
     warnings = [] if warnings is None else warnings
-    doc = parse_xml(data)
-    root = doc.root
+    root = parse_xml(data)
     if root.name != XS_SCHEMA:
         raise XmlParseError(f"expected an xs:schema root, got {root.name}")
     target = root.attr(ATTR_TARGET_NAMESPACE)

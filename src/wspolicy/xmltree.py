@@ -16,9 +16,7 @@ import xml.parsers.expat
 from typing import Iterable, Optional, Union
 
 from .errors import XmlParseError
-from .names import NON_XML_CHARS, QName, Value, check_xml_chars, is_ncname
-
-_set = object.__setattr__
+from .names import NON_XML_CHARS, QName, check_xml_chars, is_ncname
 
 
 class XmlElement:
@@ -26,11 +24,12 @@ class XmlElement:
     document order, and ``text``, its character data joined into one string.
 
     An attribute value is a string, or a ``QName`` that the writer spells
-    under the document's prefixes; parsed trees hold only strings.  Treated
-    as a value; nothing in this package mutates an element after
-    construction.  ``nsmap`` is the prefix table in scope where the parser saw
-    the element (empty for built trees), kept as given: the parser hands an
-    element that declares no prefix its parent's table.
+    under the root's prefixes; parsed trees hold only strings.  Treated as a
+    value; nothing in this package mutates an element after construction.
+    ``nsmap`` is the prefix -> URI table in scope at the element, kept as
+    given: the parser hands an element that declares no prefix its parent's
+    table.  Built trees leave it empty except on a root, where it is the set
+    of declarations ``write_canonical`` writes.
     """
 
     __slots__ = ("name", "attributes", "children", "text", "nsmap")
@@ -68,16 +67,6 @@ class XmlElement:
         return f"<XmlElement {self.name} attrs={len(self.attributes)} children={len(self.children)}>"
 
 
-class XmlDocument(Value):
-    """A root element plus the namespace declarations written on it."""
-
-    __slots__ = ("root", "namespaces")
-
-    def __init__(self, root: XmlElement, namespaces: Optional[dict[str, str]] = None):
-        _set(self, "root", root)
-        _set(self, "namespaces", {} if namespaces is None else namespaces)  # prefix -> URI
-
-
 def _split_expat_name(name: str) -> QName:
     # ParserCreate(namespace_separator="}") yields "uri}local" for qualified names.
     if "}" in name:
@@ -86,8 +75,8 @@ def _split_expat_name(name: str) -> QName:
     return QName("", name)
 
 
-def parse_xml(data: bytes) -> XmlDocument:
-    """Parse into an XmlDocument whose namespaces are the root's own
+def parse_xml(data: bytes) -> XmlElement:
+    """Parse into the root element, whose ``nsmap`` holds its own
     declarations.  Each run of character data between two tags is appended to
     the open element's ``text`` unless it is whitespace only."""
     parser = xml.parsers.expat.ParserCreate(namespace_separator="}")
@@ -146,7 +135,7 @@ def parse_xml(data: bytes) -> XmlDocument:
         raise XmlParseError(xml.parsers.expat.ErrorString(exc.code), exc.lineno, exc.offset) from exc
     if not root:
         raise XmlParseError("no root element")
-    return XmlDocument(root[0], root[0].nsmap)
+    return root[0]
 
 
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
@@ -174,41 +163,46 @@ def _escape(text: str, special: re.Pattern, table: dict[str, str]) -> str:
     return text
 
 
-def write_canonical(doc: XmlDocument) -> bytes:
-    """Serialize with a fixed layout; equal documents yield identical bytes.
+def write_canonical(root: XmlElement) -> bytes:
+    """Serialize with a fixed layout; equal trees yield identical bytes.
 
-    Every namespace used by an element, a qualified attribute or a ``QName``
-    attribute value must be declared in the document table, under a prefix
-    that is an NCName or the empty default, and attribute names must be
-    unique per element.  A ``QName`` value is spelled as an element name is.
-    Text, string values and namespace URIs must hold only XML 1.0
-    characters: any other code point raises ValueError, as no escape can
-    carry it.  Each distinct name is checked and qualified once per call and
-    remembered in a dict local to the call; the checks run in document order,
-    so the first fault met raises.
+    ``root.nsmap`` is declared on the root, under prefixes that are NCNames
+    or the empty default, and must bind every namespace used by an element,
+    a qualified attribute or a ``QName`` attribute value; attribute names
+    must be unique per element.  A ``QName`` value is spelled as an element
+    name is, and neither may lie in no namespace where a default namespace
+    is declared, as it would read back in that one.  Text, string values and
+    namespace URIs must hold only XML 1.0 characters: any other code point
+    raises ValueError, as no escape can carry it.  Each distinct name is
+    checked and qualified once per call and remembered in a dict local to
+    the call; the checks run in document order, so the first fault met
+    raises.
     """
-    declarations = sorted(doc.namespaces.items())
+    declarations = sorted(root.nsmap.items())
+    default = root.nsmap.get("", "")
     prefix_of: dict[str, str] = {}
     for prefix, uri in declarations:
         prefix_of.setdefault(uri, prefix)
     element_names: dict[QName, str] = {}
     attribute_names: dict[QName, str] = {}
 
-    def spelled(name: QName) -> str:
+    def qualified(name: QName, attribute: bool) -> str:
         if not is_ncname(name.local):
             raise ValueError(f"not a valid XML name: {name.local!r}")
         if not name.namespace:
-            return name.local
-        prefix = prefix_of.get(name.namespace)
-        if prefix is None:
+            if default and not attribute:
+                raise ValueError(f"name {name.local!r} in no namespace would be read "
+                                 f"in the default namespace {default!r}")
+            result = name.local
+        elif (prefix := prefix_of.get(name.namespace)) is None:
             raise ValueError(f"namespace not declared on the document: {name.namespace!r}")
-        return f"{prefix}:{name.local}" if prefix else name.local
-
-    def qualified(name: QName, attribute: bool) -> str:
-        result = spelled(name)
-        if attribute and name.namespace and not prefix_of[name.namespace]:
+        elif prefix:
+            result = f"{prefix}:{name.local}"
+        elif attribute:
             raise ValueError(f"qualified attribute {name} needs an explicit prefix, "
                              "not the default namespace")
+        else:
+            result = name.local
         (attribute_names if attribute else element_names)[name] = result
         return result
 
@@ -235,7 +229,8 @@ def write_canonical(doc: XmlDocument) -> bytes:
             rendered.sort()
             for qualified_name, value in rendered:
                 if value.__class__ is QName:
-                    value = spelled(value)  # NCNames need no escape
+                    # Spelled as an element name is; NCNames need no escape.
+                    value = element_names.get(value) or qualified(value, attribute=False)
                 else:
                     value = _escape(value, _ATTR_SPECIAL_RE, _ATTR_ESCAPES)
                 parts.append(f'{qualified_name}="{value}"')
@@ -256,5 +251,5 @@ def write_canonical(doc: XmlDocument) -> bytes:
                 render(child, child_indent, declare=False)
             lines.append(f"{indent}</{tag}>")
 
-    render(doc.root, "", declare=True)
+    render(root, "", declare=True)
     return ("\n".join(lines) + "\n").encode("utf-8")

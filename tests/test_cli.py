@@ -25,7 +25,7 @@ from wspolicy import (
 import wspolicy
 import wspolicy.emit
 from wspolicy.cli import cli
-from wspolicy.names import XMLNS_NS
+from wspolicy.names import WSP_NS, XMLNS_NS
 from wspolicy.reader import MAX_POLICY_DEPTH
 
 from corpus import (
@@ -373,6 +373,29 @@ def test_normalize_xml_refuses_to_bind_a_prefix_to_the_xmlns_namespace(runner, t
     assert (text.exit_code, text.stdout.splitlines()[0]) == (0, token)
     both = runner.invoke(cli, ["intersect", spec, spec])
     assert (both.exit_code, both.stdout.splitlines()[0]) == (0, token)
+
+
+def test_normalize_xml_refuses_assertions_in_the_ws_policy_namespace(runner, tmp_path):
+    # Written, such an assertion would read back as a policy operator.
+    # validate refuses the domain; normalize reads models without
+    # validate_model, so there the refusal is the emitter's.
+    path = tmp_path / "model.json"
+    path.write_bytes(travel_agency_bytes().replace(SEC_NS.encode(), WSP_NS.encode()))
+    spec = f"{path}#{FRAGMENT}"
+    result = runner.invoke(cli, ["normalize", spec, "--format", "xml"])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", (
+        f"{spec}: refusing to emit an assertion in the WS-Policy namespace {WSP_NS}; "
+        "it would read back as a policy operator\n"))
+    text = runner.invoke(cli, ["normalize", spec])
+    assert (text.exit_code, text.stdout.splitlines()[0]) == (0, f"{{{WSP_NS}}}UsernameToken")
+    reserved = (f"error namespace-reserved domains[security].targetNamespace: {WSP_NS} is the "
+                "WS-Policy namespace; its elements read as policy operators\n")
+    checked = runner.invoke(cli, ["validate", str(path)])
+    assert (checked.exit_code, checked.stdout, checked.stderr) == (1, "", reserved)
+    out = tmp_path / "out"
+    generated = runner.invoke(cli, ["generate", str(path), "--output-dir", str(out)])
+    assert (generated.exit_code, generated.stdout, generated.stderr) == (1, "", reserved)
+    assert not out.exists()
 
 
 def test_normalize_requires_fragment_for_models(runner, model_path):

@@ -33,7 +33,7 @@ from wspolicy import (
 )
 from wspolicy.errors import GenerationError, ModelSchemaError, ModelSyntaxError
 from wspolicy.names import SAWSDL_NS, WSDL_NS, WSP_NS, XML_NS, XS_NS
-from wspolicy.xmltree import XmlDocument, XmlElement, parse_xml
+from wspolicy.xmltree import XmlElement, parse_xml
 
 from corpus import (
     GOLDEN,
@@ -65,7 +65,7 @@ def security_domain():
 
 def test_security_domain_has_four_annotated_elements():
     doc = emit_domain_xsd(security_domain())
-    elements = doc.root.find_all(XS_ELEMENT)
+    elements = doc.find_all(XS_ELEMENT)
     assert [e.attr("name") for e in elements] == [
         "HashPassword", "NoPassword", "UsernameToken", "WssUsernameToken10",
     ]
@@ -77,9 +77,9 @@ def test_security_domain_has_four_annotated_elements():
 
 def test_empty_domain_emits_no_element_declarations():
     doc = emit_domain_xsd(DomainSchema("void", "http://example.org/void", "v"))
-    assert doc.root.find_all(XS_ELEMENT) == []
-    assert doc.root.attr("targetNamespace") == "http://example.org/void"
-    assert doc.root.attr("elementFormDefault") == "qualified"
+    assert doc.find_all(XS_ELEMENT) == []
+    assert doc.attr("targetNamespace") == "http://example.org/void"
+    assert doc.attr("elementFormDefault") == "qualified"
 
 
 def test_lifting_and_lowering_schema_attributes():
@@ -98,7 +98,7 @@ def test_lifting_and_lowering_schema_attributes():
         ),
     )
     doc = emit_domain_xsd(domain)
-    (element,) = doc.root.find_all(XS_ELEMENT)
+    (element,) = doc.find_all(XS_ELEMENT)
     assert element.attr(QName(SAWSDL_NS, "liftingSchemaMapping")) == "http://example.org/lift.xq"
     assert element.attr(QName(SAWSDL_NS, "loweringSchemaMapping")) == "http://example.org/lower.xq"
     assert element.attr("type") == QName(XS_NS, "int")
@@ -110,7 +110,7 @@ def test_simple_assertion_defaults_to_xs_string():
         "d", "http://example.org/d", "d", (AssertionDecl("Level", "simple"),)
     )
     doc = emit_domain_xsd(domain)
-    (element,) = doc.root.find_all(XS_ELEMENT)
+    (element,) = doc.find_all(XS_ELEMENT)
     assert element.attr("type") == QName(XS_NS, "string")
     assert b'type="xs:string"' in write_canonical(doc)
 
@@ -130,7 +130,7 @@ def test_complex_assertion_with_attributes():
             ),
         ),
     )
-    (element,) = emit_domain_xsd(domain).root.find_all(XS_ELEMENT)
+    (element,) = emit_domain_xsd(domain).find_all(XS_ELEMENT)
     complex_type = element.find(QName(XS_NS, "complexType"))
     (attribute,) = complex_type.find_all(QName(XS_NS, "attribute"))
     assert attribute.attr("name") == "issuer"
@@ -175,7 +175,7 @@ def test_empty_policy_is_a_self_closed_element():
     payload = write_canonical(policy_document(Policy()))
     last = payload.decode().splitlines()[-1]
     assert last.startswith("<wsp:Policy") and last.endswith("/>")
-    root = parse_xml(payload).root
+    root = parse_xml(payload)
     assert root.name == QName(WSP_NS, "Policy")
     assert root.children == []
 
@@ -200,7 +200,7 @@ def test_parameters_become_attributes():
         write_canonical(policy_document(expr))  # parameter names must be XML names
     ok = Policy(AssertionRef(sp("HashPassword"), parameters=(("level", 3),)))
     payload = write_canonical(policy_document(ok))
-    (ref,) = parse_xml(payload).root.children
+    (ref,) = parse_xml(payload).children
     assert ref.attr("level") == "3"
 
 
@@ -387,7 +387,7 @@ def test_every_assertion_appears_exactly_once_in_its_xsd():
         model = rand_model(rng)
         for domain in model.domains:
             doc = emit_domain_xsd(domain)
-            names = [e.attr("name") for e in doc.root.find_all(XS_ELEMENT)]
+            names = [e.attr("name") for e in doc.find_all(XS_ELEMENT)]
             assert names == [a.name for a in domain.assertions]
             payload = write_canonical(doc).decode()
             for decl in domain.assertions:
@@ -419,14 +419,28 @@ def test_reserved_prefixes_are_bound_only_as_xml_allows(edit):
     model = model_from_json(doc)
     files = emit_wsdl(model)
     for _name, emitted in files:
-        assert "xmlns" not in emitted.namespaces
-        assert emitted.namespaces.get("xml", XML_NS) == XML_NS
+        assert "xmlns" not in emitted.nsmap
+        assert emitted.nsmap.get("xml", XML_NS) == XML_NS
     payloads = {name: write_canonical(emitted) for name, emitted in files}
     for payload in payloads.values():
         parse_xml(payload)  # a reserved prefix bound wrongly would fail here
     wsdl = payloads.pop("TravelAgency.wsdl")
     (attachment,) = parse_wsdl(wsdl, list(payloads.values())).attachments
     assert normalize(attachment.policy) == normalize(model.attachments[0].policy)
+
+
+@pytest.mark.parametrize("dialect", [WSDL_NS, XS_NS, SAWSDL_NS, WSP_NS, XML_NS])
+def test_domain_in_a_dialect_namespace_is_refused_or_reads_back(dialect):
+    # Either validation refuses the model, or what is written reads back as
+    # the model's attachments, normal form for normal form.
+    model = parse_model(travel_agency_bytes().replace(SEC_NS.encode(), dialect.encode()))
+    if any(d.severity == "error" for d in validate_model(model)):
+        assert dialect == WSP_NS
+        return
+    payloads = {name: write_canonical(root) for name, root in emit_wsdl(model)}
+    parsed = parse_wsdl(payloads.pop("TravelAgency.wsdl"), list(payloads.values()))
+    assert {a.subject: normalize(a.policy) for a in parsed.attachments} == {
+        a.subject: normalize(a.policy) for a in model.attachments}
 
 
 def test_colliding_preferred_prefixes_are_numbered():
@@ -444,7 +458,7 @@ def test_colliding_preferred_prefixes_are_numbered():
     })
     doc["externalNamespaces"][0]["prefix"] = "xml"
     wsdl = dict(emit_wsdl(model_from_json(doc)))["TravelAgency.wsdl"]
-    assert wsdl.namespaces == {
+    assert wsdl.nsmap == {
         "ns": types, "sawsdl": SAWSDL_NS, "sec": SEC_NS, "sec1": sec2,
         "tns": "http://emi/TravelAgency.wsdl20", "wsdl": WSDL_NS, "wsp": WSP_NS, "xs": XS_NS,
     }
@@ -482,9 +496,9 @@ def test_qname_values_are_spelled_by_the_writer():
     files = emit_wsdl(model_from_json(doc))
     spelled = Counter()
     for _name, emitted in files:
-        prefix_of = {uri: prefix for prefix, uri in emitted.namespaces.items()}
+        prefix_of = {uri: prefix for prefix, uri in emitted.nsmap.items()}
         parsed = parse_xml(write_canonical(emitted))
-        for built, reparsed in _element_pairs(emitted.root, parsed.root):
+        for built, reparsed in _element_pairs(emitted, parsed):
             for name, value in built.attributes:
                 if (built.name, name.local) not in QNAME_VALUED:
                     assert value.__class__ is str
@@ -497,19 +511,19 @@ def test_qname_values_are_spelled_by_the_writer():
                                "ta:bookingFault": 1, "xs:int": 1, "issuerType": 1,
                                "xs:anyURI": 1})
     wsdl = files[0][1]
-    undeclared = {prefix: uri for prefix, uri in wsdl.namespaces.items() if uri != types}
+    undeclared = {prefix: uri for prefix, uri in wsdl.nsmap.items() if uri != types}
     with pytest.raises(ValueError, match=f"^namespace not declared on the document: '{types}'$"):
-        write_canonical(XmlDocument(wsdl.root, undeclared))
-    bad = XmlElement(XS_ELEMENT, [(QName("", "type"), QName(XS_NS, "1int"))])
+        write_canonical(XmlElement(wsdl.name, wsdl.attributes, wsdl.children, nsmap=undeclared))
+    bad = XmlElement(XS_ELEMENT, [(QName("", "type"), QName(XS_NS, "1int"))], nsmap={"xs": XS_NS})
     with pytest.raises(ValueError, match="^not a valid XML name: '1int'$"):
-        write_canonical(XmlDocument(bad, {"xs": XS_NS}))
+        write_canonical(bad)
 
 
 def test_policy_document_binds_only_the_xml_namespace_to_xml():
     other = "http://example.org/other"
     expr = Policy(AssertionRef(QName(XML_NS, "Foo")), AssertionRef(QName(other, "Bar")))
     doc = policy_document(expr, prefix_hints={XML_NS: "x", other: "xml"})
-    assert doc.namespaces == {"ns": other, "wsp": WSP_NS, "xml": XML_NS}
+    assert doc.nsmap == {"ns": other, "wsp": WSP_NS, "xml": XML_NS}
     assert normalize(parse_policy_element(write_canonical(doc))) == normalize(expr)
 
 
@@ -518,9 +532,9 @@ def test_policy_document_falls_back_from_a_prefix_hint_that_is_not_an_ncname():
     expr = Policy(AssertionRef(QName(ns, "A")))
     for hint in ("1 bad", "a:b", ""):
         doc = policy_document(expr, prefix_hints={ns: hint})
-        assert doc.namespaces == {"ns": ns, "wsp": WSP_NS}
+        assert doc.nsmap == {"ns": ns, "wsp": WSP_NS}
         payload = write_canonical(doc)
-        assert parse_xml(payload).namespaces == doc.namespaces
+        assert parse_xml(payload).nsmap == doc.nsmap
         assert normalize(parse_policy_element(payload)) == normalize(expr)
 
 def test_policy_subjects_other_than_endpoint():
@@ -546,7 +560,7 @@ def test_policy_subjects_other_than_endpoint():
         },
     ]
     files = dict(emit_wsdl(model_from_json(doc)))
-    root = files["TravelAgency.wsdl"].root
+    root = files["TravelAgency.wsdl"]
     interface = root.find(QName(WSDL_NS, "interface"))
     assert interface.children[0].name == QName(WSP_NS, "Policy")
     operation = interface.find(QName(WSDL_NS, "operation"))

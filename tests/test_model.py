@@ -41,7 +41,7 @@ from wspolicy import (
 )
 import wspolicy.model
 from wspolicy.algebra import All, ExactlyOne, iter_refs
-from wspolicy.names import Value, XMLNS_NS, XS_NS, is_absolute_uri
+from wspolicy.names import Value, WSP_NS, XMLNS_NS, XS_NS, is_absolute_uri
 from wspolicy.xmltree import parse_xml
 
 from corpus import (
@@ -241,6 +241,28 @@ def test_xmlns_namespace_is_reserved(path):
     model = model_from_json(doc)
     reserved = [d for d in validate_model(model) if d.code == "namespace-reserved"]
     assert [d.subject_path for d in reserved] == [path]
+    for domain in model.domains:
+        assert codes(validate_domain(domain)) == (["namespace-reserved"] if "domains" in path else [])
+
+
+WSP_EDITS = {
+    "targetNamespace": lambda doc: doc.update(targetNamespace=WSP_NS),
+    "externalNamespaces[0]": lambda doc: doc["externalNamespaces"][0].update(namespace=WSP_NS),
+    "domains[security].targetNamespace":
+        lambda doc: doc["domains"][0].update(targetNamespace=WSP_NS),
+}
+
+
+@pytest.mark.parametrize("path", sorted(WSP_EDITS))
+def test_ws_policy_namespace_is_reserved_for_domains_only(path):
+    # The reader takes every element in the WS-Policy namespace for a policy
+    # operator, so no assertion may live there; the other namespaces are
+    # written only as attribute values.
+    doc = travel_agency_json()
+    WSP_EDITS[path](doc)
+    model = model_from_json(doc)
+    reserved = [d for d in validate_model(model) if d.code == "namespace-reserved"]
+    assert [d.subject_path for d in reserved] == ([path] if "domains" in path else [])
     for domain in model.domains:
         assert codes(validate_domain(domain)) == (["namespace-reserved"] if "domains" in path else [])
 
@@ -696,7 +718,7 @@ def test_what_validate_model_passes_is_written_and_what_it_refuses_is_not():
                     outcomes["refused"] += 1
                     continue
                 for _name, doc in emit_wsdl(edited):
-                    declared = parse_xml(write_canonical(doc)).namespaces.values()
+                    declared = parse_xml(write_canonical(doc)).nsmap.values()
                     assert declared and all(is_absolute_uri(uri) for uri in declared)
                 outcomes["written"] += 1
     assert min(outcomes.values()) > 20, outcomes

@@ -43,7 +43,8 @@ def test_star_import_and_dir_list_every_public_name():
 
 @pytest.mark.parametrize(
     "name",
-    ["enumerate_alternatives_oracle", "expand_optional", "OracleLimitError", "normal_forms_equal"],
+    ["enumerate_alternatives_oracle", "expand_optional", "OracleLimitError", "normal_forms_equal",
+     "XmlDocument"],
 )
 def test_test_only_names_are_gone(name):
     assert name not in wspolicy.__all__

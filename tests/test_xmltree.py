@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from wspolicy import QName, XmlDocument, XmlElement, parse_xml, write_canonical
+from wspolicy import QName, XmlElement, parse_xml, write_canonical
 from wspolicy.errors import XmlParseError
 from wspolicy.names import is_ncname
 
@@ -12,8 +12,8 @@ NS_B = "http://example.org/b"
 
 
 def doc_with(attrs):
-    root = XmlElement(QName(NS_A, "root"), attrs, [XmlElement(QName(NS_A, "leaf"))])
-    return XmlDocument(root, {"a": NS_A, "b": NS_B})
+    return XmlElement(QName(NS_A, "root"), attrs, [XmlElement(QName(NS_A, "leaf"))],
+                      nsmap={"a": NS_A, "b": NS_B})
 
 
 def test_write_is_deterministic():
@@ -43,28 +43,29 @@ def test_text_content_and_escaping():
         QName(NS_A, "root"),
         [(QName("", "attr"), 'va"l<&\n')],
         [XmlElement(QName(NS_A, "t"), text="a < b & c > d")],
+        nsmap={"a": NS_A},
     )
-    payload = write_canonical(XmlDocument(root, {"a": NS_A}))
-    parsed = parse_xml(payload)
-    assert parsed.root.attr("attr") == 'va"l<&\n'
-    assert parsed.root.children[0].text == "a < b & c > d"
+    parsed = parse_xml(write_canonical(root))
+    assert parsed.attr("attr") == 'va"l<&\n'
+    assert parsed.children[0].text == "a < b & c > d"
 
 
 def test_undeclared_namespace_is_an_error():
-    root = XmlElement(QName(NS_A, "root"))
     with pytest.raises(ValueError):
-        write_canonical(XmlDocument(root, {}))
+        write_canonical(XmlElement(QName(NS_A, "root")))
 
 
 def test_qname_values_are_spelled_under_the_document_table():
     def written(value, namespaces):
-        root = XmlElement(QName(NS_A, "root"), [(QName("", "ref"), value)])
-        return write_canonical(XmlDocument(root, namespaces)).decode().splitlines()[1]
+        root = XmlElement(QName(NS_A, "root"), [(QName("", "ref"), value)], nsmap=namespaces)
+        return write_canonical(root).decode().splitlines()[1]
 
     both = {"": NS_A, "b": NS_B}
     assert written(QName(NS_B, "x"), both).endswith(' ref="b:x"/>')
     assert written(QName(NS_A, "x"), both).endswith(' ref="x"/>')   # the default namespace
-    assert written(QName("", "x"), both).endswith(' ref="x"/>')
+    assert written(QName("", "x"), {"a": NS_A}).endswith(' ref="x"/>')
+    with pytest.raises(ValueError, match="^name 'x' in no namespace would be read in the default"):
+        written(QName("", "x"), both)   # it would read back as {NS_A}x
     assert written(QName(NS_A, "x"), {"a": NS_A, "a2": NS_A}).endswith(' ref="a:x"/>')
     assert written("b:&x", both).endswith(' ref="b:&amp;x"/>')  # a string is written as given
     with pytest.raises(ValueError, match="^namespace not declared on the document"):
@@ -75,15 +76,16 @@ def test_qname_values_are_spelled_under_the_document_table():
 
 
 def test_duplicate_attribute_is_an_error():
-    root = XmlElement(QName(NS_A, "r"), [(QName("", "x"), "1"), (QName("", "x"), "2")])
+    root = XmlElement(QName(NS_A, "r"), [(QName("", "x"), "1"), (QName("", "x"), "2")],
+                      nsmap={"a": NS_A})
     with pytest.raises(ValueError):
-        write_canonical(XmlDocument(root, {"a": NS_A}))
+        write_canonical(root)
 
 
 def test_mixed_content_is_an_error():
-    root = XmlElement(QName(NS_A, "r"), (), [XmlElement(QName(NS_A, "c"))], "text")
+    root = XmlElement(QName(NS_A, "r"), (), [XmlElement(QName(NS_A, "c"))], "text", {"a": NS_A})
     with pytest.raises(ValueError):
-        write_canonical(XmlDocument(root, {"a": NS_A}))
+        write_canonical(root)
 
 
 def test_parse_tracks_prefix_scopes():
@@ -91,20 +93,20 @@ def test_parse_tracks_prefix_scopes():
         b'<r xmlns="http://d/" xmlns:p="http://p/">'
         b'<p:c xmlns:q="http://q/" t="q:name"/></r>'
     )
-    doc = parse_xml(payload)
-    assert doc.root.name == QName("http://d/", "r")
-    child = doc.root.children[0]
+    root = parse_xml(payload)
+    assert root.name == QName("http://d/", "r")
+    child = root.children[0]
     assert child.name == QName("http://p/", "c")
     assert child.nsmap["q"] == "http://q/"
     assert child.nsmap["p"] == "http://p/"
     assert child.nsmap[""] == "http://d/"
-    assert doc.namespaces == {"": "http://d/", "p": "http://p/"}
+    assert root.nsmap == {"": "http://d/", "p": "http://p/"}
 
 
 def test_parse_drops_whitespace_only_text():
-    doc = parse_xml(b"<r xmlns='http://d/'>\n  <c/>\n</r>")
-    assert doc.root.text == ""
-    assert [child.name for child in doc.root.children] == [QName("http://d/", "c")]
+    root = parse_xml(b"<r xmlns='http://d/'>\n  <c/>\n</r>")
+    assert root.text == ""
+    assert [child.name for child in root.children] == [QName("http://d/", "c")]
 
 
 def test_doctype_is_rejected():
@@ -137,16 +139,26 @@ def test_rootless_input_is_refused_by_expat(data):
 def test_write_parse_write_is_stable():
     doc = doc_with([(QName("", "x"), "1")])
     payload = write_canonical(doc)
-    reparsed = parse_xml(payload)
-    assert write_canonical(XmlDocument(reparsed.root, reparsed.namespaces)) == payload
+    assert write_canonical(parse_xml(payload)) == payload
+
+
+def test_no_namespace_name_under_a_default_namespace_is_refused():
+    # Written bare under xmlns="urn:x", <b/> would read back as {urn:x}b.
+    root = parse_xml(b'<a xmlns="urn:x"><b xmlns=""/></a>')
+    assert root.children[0].name == QName("", "b")
+    with pytest.raises(ValueError, match="^name 'b' in no namespace would be read"):
+        write_canonical(root)
+    # Unprefixed attribute names are in no namespace, so they are written.
+    payload = write_canonical(parse_xml(b'<a xmlns="urn:x" b="1"/>'))
+    assert parse_xml(payload).attributes == [(QName("", "b"), "1")]
 
 
 # --- the writer against its reference ------------------------------------------
 #
-# _write_canonical_reference is the writer as it was before names were
-# memoized per call and escaping was guarded by one search: it qualifies every
-# name where it meets it and runs every replacement on every value.  It has no
-# check for non-XML characters, so the random documents below hold none.
+# _write_canonical_reference qualifies every name where it meets it and runs
+# every replacement on every value: no name is memoized and no search guards
+# the escaping.  It has no check for non-XML characters, so the random
+# documents below hold none.
 
 _REF_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
 _REF_ATTR_ESCAPES = {
@@ -166,15 +178,19 @@ def _ref_escape(text: str, table: dict[str, str]) -> str:
     return text
 
 
-def _write_canonical_reference(doc: XmlDocument) -> bytes:
+def _write_canonical_reference(root: XmlElement) -> bytes:
     prefix_of: dict[str, str] = {}
-    for prefix, uri in sorted(doc.namespaces.items()):
+    for prefix, uri in sorted(root.nsmap.items()):
         prefix_of.setdefault(uri, prefix)
 
     def qualified(name: QName, attribute: bool) -> str:
         if not is_ncname(name.local):
             raise ValueError(f"not a valid XML name: {name.local!r}")
         if not name.namespace:
+            # A bare element name would read back in the default namespace.
+            if not attribute and root.nsmap.get(""):
+                raise ValueError(f"name {name.local!r} in no namespace would be read "
+                                 f"in the default namespace {root.nsmap['']!r}")
             return name.local
         prefix = prefix_of.get(name.namespace)
         if prefix is None:
@@ -193,7 +209,7 @@ def _write_canonical_reference(doc: XmlDocument) -> bytes:
         indent = "  " * depth
         parts = [qualified(element.name, attribute=False)]
         if declare:
-            for prefix, uri in sorted(doc.namespaces.items()):
+            for prefix, uri in sorted(root.nsmap.items()):
                 attr = f'xmlns:{prefix}' if prefix else "xmlns"
                 parts.append(f'{attr}="{_ref_escape(uri, _REF_ATTR_ESCAPES)}"')
         seen: set[str] = set()
@@ -222,7 +238,7 @@ def _write_canonical_reference(doc: XmlDocument) -> bytes:
                 render(child, depth + 1, declare=False)
             lines.append(f"{indent}</{qualified(element.name, attribute=False)}>")
 
-    render(doc.root, 0, declare=True)
+    render(root, 0, declare=True)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -235,6 +251,7 @@ FAULTS = {
     "name": "not a valid XML name",
     "undeclared": "namespace not declared",
     "default-attribute": "needs an explicit prefix, not the default namespace",
+    "no-namespace-element": "in no namespace would be read in the default namespace",
     "duplicate": "duplicate attribute",
     "mixed": "mixed content is not supported",
 }
@@ -277,7 +294,11 @@ def _random_element(rng, doc_namespaces: dict[str, str], depth: int, faulty: boo
             text += "text"
     else:
         text = "".join(_random_value(rng) for _ in range(rng.randint(0, 2)))
-    return XmlElement(_random_name(rng, ["", NS_A, NS_B], faulty), attributes, children, text)
+    # Unless faulty, no element is in no namespace under a default namespace:
+    # written bare, it would read back in the default one.
+    namespaces = ["", NS_A, NS_B] if faulty or "" not in doc_namespaces else [NS_A, NS_B]
+    return XmlElement(_random_name(rng, namespaces, faulty), attributes, children, text,
+                      doc_namespaces if depth == 0 else None)
 
 
 def _random_namespaces(rng) -> dict[str, str]:
@@ -291,11 +312,19 @@ def _random_namespaces(rng) -> dict[str, str]:
     return namespaces
 
 
-def _outcome(writer, doc):
+def _outcome(writer, root):
     try:
-        return writer(doc)
+        return writer(root)
     except ValueError as exc:
         return f"ValueError: {exc}"
+
+
+def _tree(element: XmlElement) -> tuple:
+    """What a written element must read back as.  The parser drops
+    whitespace-only text, and the writer orders attributes, so neither counts."""
+    text = element.text if element.text.strip() else ""
+    return (element.name, dict(element.attributes), text,
+            [_tree(child) for child in element.children])
 
 
 def test_writer_equals_reference_on_random_documents():
@@ -303,12 +332,12 @@ def test_writer_equals_reference_on_random_documents():
     written = 0
     faults = dict.fromkeys(FAULTS, 0)
     for i in range(2400):
-        namespaces = _random_namespaces(rng)
-        doc = XmlDocument(_random_element(rng, namespaces, 0, faulty=i % 2 == 1), namespaces)
-        want = _outcome(_write_canonical_reference, doc)
-        assert _outcome(write_canonical, doc) == want, doc.root
+        root = _random_element(rng, _random_namespaces(rng), 0, faulty=i % 2 == 1)
+        want = _outcome(_write_canonical_reference, root)
+        assert _outcome(write_canonical, root) == want, root
         if isinstance(want, bytes):
             written += 1
+            assert _tree(parse_xml(want)) == _tree(root), want
         else:
             faults[next(kind for kind, text in FAULTS.items() if text in want)] += 1
     assert written > 1000
@@ -317,15 +346,16 @@ def test_writer_equals_reference_on_random_documents():
 
 def test_first_duplicate_in_insertion_order_is_named():
     y, x = QName("", "y"), QName(NS_B, "x")
-    root = XmlElement(QName(NS_A, "r"), [(y, "1"), (x, "2"), (x, "3"), (y, "4")])
+    root = XmlElement(QName(NS_A, "r"), [(y, "1"), (x, "2"), (x, "3"), (y, "4")],
+                      nsmap={"a": NS_A, "b": NS_B})
     message = "duplicate attribute 'b:x' on {http://example.org/a}r"
     for writer in (_write_canonical_reference, write_canonical):
-        doc = XmlDocument(root, {"a": NS_A, "b": NS_B})
-        assert _outcome(writer, doc) == f"ValueError: {message}"
+        assert _outcome(writer, root) == f"ValueError: {message}"
     # A duplicate met before a bad name is the error, as the checks run in order.
-    root = XmlElement(QName(NS_A, "r"), [(y, "1"), (y, "2"), (QName("", "1bad"), "3")])
+    root = XmlElement(QName(NS_A, "r"), [(y, "1"), (y, "2"), (QName("", "1bad"), "3")],
+                      nsmap={"a": NS_A})
     for writer in (_write_canonical_reference, write_canonical):
-        assert "duplicate attribute 'y'" in _outcome(writer, XmlDocument(root, {"a": NS_A}))
+        assert "duplicate attribute 'y'" in _outcome(writer, root)
 
 
 NON_XML = ("\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f",
@@ -337,31 +367,29 @@ XML_EDGES = ("\t", "\n", "\r", " ", "\x7f", "\ud7ff", "\ue000", "\ufffd",
 @pytest.mark.parametrize("char", NON_XML)
 def test_non_xml_characters_are_refused(char):
     message = re.escape(f"character U+{ord(char):04X} is not allowed in XML 1.0")
-    docs = (
-        XmlDocument(XmlElement(QName(NS_A, "r"), text=f"a{char}b"), {"a": NS_A}),
-        XmlDocument(XmlElement(QName(NS_A, "r"), [(QName("", "v"), f"a{char}")]), {"a": NS_A}),
-        XmlDocument(XmlElement(QName(NS_A, "r")), {"a": NS_A, "b": f"{NS_B}{char}"}),
+    roots = (
+        XmlElement(QName(NS_A, "r"), text=f"a{char}b", nsmap={"a": NS_A}),
+        XmlElement(QName(NS_A, "r"), [(QName("", "v"), f"a{char}")], nsmap={"a": NS_A}),
+        XmlElement(QName(NS_A, "r"), nsmap={"a": NS_A, "b": f"{NS_B}{char}"}),
     )
-    for doc in docs:
+    for root in roots:
         with pytest.raises(ValueError, match=message):
-            write_canonical(doc)
+            write_canonical(root)
 
 
 def test_xml_characters_at_the_edges_are_written():
     for char in XML_EDGES:
         root = XmlElement(QName(NS_A, "r"), [(QName("", "v"), f"a{char}b")],
-                          [XmlElement(QName(NS_A, "t"), text=f"a{char}b")])
-        payload = write_canonical(XmlDocument(root, {"a": NS_A}))
-        parsed = parse_xml(payload).root
+                          [XmlElement(QName(NS_A, "t"), text=f"a{char}b")], nsmap={"a": NS_A})
+        parsed = parse_xml(write_canonical(root))
         assert parsed.attr("v") == f"a{char}b"
         # The parser normalizes a raw CR in text to LF; the writer escapes it.
         assert parsed.children[0].text == f"a{char}b"
 
 
 def test_declared_prefix_must_be_an_ncname():
-    root = XmlElement(QName(NS_A, "r"))
     for prefix in ("1 bad", "a:b", "-x"):
         with pytest.raises(ValueError, match=f"^not a valid namespace prefix: {prefix!r}$"):
-            write_canonical(XmlDocument(root, {prefix: NS_A}))
+            write_canonical(XmlElement(QName(NS_A, "r"), nsmap={prefix: NS_A}))
         with pytest.raises(ValueError, match="not a valid namespace prefix"):
-            write_canonical(XmlDocument(root, {"a": NS_A, prefix: NS_B}))
+            write_canonical(XmlElement(QName(NS_A, "r"), nsmap={"a": NS_A, prefix: NS_B}))
